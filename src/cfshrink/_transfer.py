@@ -43,17 +43,23 @@ class Layout:
     amax: int | None
 
     @property
+    def edges(self) -> np.ndarray:
+        """The nbins + 1 bin edges j/nbins, exact because nbins is a power of 2."""
+        return np.arange(self.nbins + 1) / self.nbins
+
+    @property
     def r_lo(self) -> np.ndarray:
-        return np.arange(self.nbins) / self.nbins
+        return self.edges[:-1]
 
     @property
     def r_hi(self) -> np.ndarray:
-        return np.arange(1, self.nbins + 1) / self.nbins
+        return self.edges[1:]
 
 
 def make_layout(level: int = 1, amax: int | None = None) -> Layout:
     nbins, a0, ndyad = _LEVELS[min(level, MAX_LEVEL)]
-    assert nbins & (nbins - 1) == 0  # exact dyadic bin edges
+    if nbins < 1 or nbins & (nbins - 1):
+        raise ValueError(f"bin count {nbins} is not a power of 2, so j/nbins is inexact")
     cells: list[tuple[int, int]] = []
     if amax is None:
         cells += [(a, a) for a in range(1, a0 + 1)]
@@ -81,15 +87,17 @@ def _integral_tail(x, clo, chi, t):
 
 
 def _cell_sum(A1, A2, c, t):
-    """Enclosure of sum_{a=A1..A2} (a+c)^{-t} at exact c >= 0; A2=0 -> inf.
+    """Enclosure of sum_{a=A1..A2} (a+c)^{-t} at exact c >= 0; A2=None -> inf.
 
     Midpoint rule: the sum lies in [I - C, I] with I the integral over
     [A1-1/2, A2+1/2] and C = (|g'| + g'')(A1-1/2)/24, g(x) = (x+c)^{-t}.
+    A1, A2 and c broadcast against each other; every element is computed
+    as it would be alone.
     """
     c = np.asarray(c, dtype=np.float64)
     a_lo = A1 - 0.5
     i_lo, i_hi = _integral_tail(a_lo, c, c, t)
-    if A2 != 0:
+    if A2 is not None:
         j_lo, j_hi = _integral_tail(A2 + 0.5, c, c, t)
         i_lo, i_hi = dn(i_lo - j_hi), up(i_hi - j_lo)
     blo, bhi = dn(a_lo + c), up(a_lo + c)
@@ -99,12 +107,45 @@ def _cell_sum(A1, A2, c, t):
     return np.maximum(dn(i_lo - corr), 0.0), i_hi
 
 
-def _cell_weight(A1, A2, c, t):
-    """Weight enclosure of one cell at exact c (array)."""
-    if A1 == A2:
-        a = float(A1)
-        return ipow_neg(dn(a + c), up(a + c), t)
-    return _cell_sum(A1, A2, c, t)
+def _singleton_weight(A1, A2, c, t):
+    """Enclosure of (A1 + c)^{-t}; A2 = A1 is not read."""
+    return ipow_neg(dn(A1 + c), up(A1 + c), t)
+
+
+def _tail_weight(A1, A2, c, t):
+    """Enclosure of sum_{a >= A1} (a + c)^{-t}; A2 = 0 is not read."""
+    return _cell_sum(A1, None, c, t)
+
+
+# elements per batched kernel call: bounds the kernels' temporaries
+_CHUNK = 8192
+
+
+def _cell_weights(layout, t, r):
+    """Weight enclosures (lo, hi) of every cell at every exact r, shape (cells, r).
+
+    Singleton cells, finite dyadic blocks and the infinite tail cell are
+    each evaluated by one kernel over (cells x r), in row chunks of about
+    _CHUNK elements.  Every element is computed exactly as it would be on
+    its own, so the bounds do not depend on the batching.
+    """
+    cells = np.array(layout.cells, dtype=np.float64)
+    A1, A2 = cells[:, :1], cells[:, 1:]
+    single = cells[:, 0] == cells[:, 1]
+    tail = cells[:, 1] == 0
+    groups = (
+        (np.flatnonzero(single), _singleton_weight),
+        (np.flatnonzero(~single & ~tail), _cell_sum),
+        (np.flatnonzero(tail), _tail_weight),
+    )
+    lo = np.empty((len(cells), r.size))
+    hi = np.empty_like(lo)
+    step = max(1, round(_CHUNK / r.size))
+    for rows, weight in groups:
+        for k in range(0, rows.size, step):
+            sel = rows[k : k + step]
+            lo[sel], hi[sel] = weight(A1[sel], A2[sel], r, t)
+    return lo, hi
 
 
 def _image_bins(A1, A2, r_lo, r_hi, nbins):
@@ -150,20 +191,23 @@ def apply_power(n, t, layout, seed=None):
     if n < 1:
         raise ValueError("need n >= 1")
     N = layout.nbins
-    r_lo, r_hi = layout.r_lo, layout.r_hi
     if seed is None:
         U = np.ones(N)
         L = np.ones(N)
     else:
         L, U = np.asarray(seed[0], float), np.asarray(seed[1], float)
 
+    # weights at the bin edges; each cell's weight is decreasing in r, so
+    # bin i gets lo from its right edge and hi from its left edge
+    edges = layout.edges if n > 1 else np.zeros(1)
+    e_lo, e_hi = _cell_weights(layout, t, edges)
+
     if n > 1:
+        r_lo, r_hi = edges[:-1], edges[1:]
         cell_data = []
-        for A1, A2 in layout.cells:
-            w_lo = _cell_weight(A1, A2, r_hi, t)[0]  # weight decreasing in r
-            w_hi = _cell_weight(A1, A2, r_lo, t)[1]
+        for k, (A1, A2) in enumerate(layout.cells):
             j1, j2 = _image_bins(A1, A2, r_lo, r_hi, N)
-            cell_data.append((w_lo, w_hi, j1, j2))
+            cell_data.append((e_lo[k, 1:], e_hi[k, :-1], j1, j2))
         for _ in range(n - 1):
             tU = _sparse_table(U, np.maximum)
             tL = _sparse_table(L, np.minimum)
@@ -176,12 +220,11 @@ def apply_power(n, t, layout, seed=None):
                 Lnew = dn(Lnew + dn(w_lo * mL))
             U, L = Unew, Lnew
 
-    # final application at r = 0 exactly
+    # final application at r = 0 exactly: edge column 0
     zero = np.zeros(1)
     tot_lo, tot_hi = 0.0, 0.0
-    for A1, A2 in layout.cells:
-        w_lo, w_hi = _cell_weight(A1, A2, zero, t)
-        w_lo, w_hi = float(w_lo[0]), float(w_hi[0])
+    for k, (A1, A2) in enumerate(layout.cells):
+        w_lo, w_hi = float(e_lo[k, 0]), float(e_hi[k, 0])
         j1, j2 = _image_bins(A1, A2, zero, zero, N)
         j1, j2 = int(j1[0]), int(j2[0])
         m_hi = float(np.max(U[j1 : j2 + 1]))

@@ -442,8 +442,7 @@ def _lemma_cf_ladder(seed):
 def _lemma_sum_window(seed):
     # measured over a <= 1000: [2.0109, 10.825]; a <= 40 stays well inside
     worst_lo, worst_hi = math.inf, 0.0
-    for a in range(1, 41):
-        e = sums_mod.lemma_sum(a, 0.75)
+    for a, e in enumerate(sums_mod.lemma_sum_batch(range(1, 41), 0.75), start=1):
         ratio_lo = e.lo_float / a**0.25
         ratio_hi = e.hi_float / a**0.25
         worst_lo, worst_hi = min(worst_lo, ratio_lo), max(worst_hi, ratio_hi)

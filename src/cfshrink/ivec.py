@@ -1,10 +1,22 @@
 """Vectorized float64 interval kernels.
 
-IEEE-754 +, -, *, / are correctly rounded, so wrapping each operation in
-np.nextafter toward -inf/+inf yields a certified enclosure.  exp and log
-are built here from argument reduction plus Taylor/atanh series with
-explicit remainder bounds, because numpy's transcendentals carry no
-rounding guarantee.
+IEEE-754 +, -, *, / are correctly rounded to nearest, so stepping each
+result one float outward yields a certified enclosure.  The step is the
+successor formula of Rump, Zimmermann, Boldo and Melquiond ("Computing
+predecessor and successor in rounding to nearest", BIT 49, 2009):
+
+    up(x) = fl(x + fl(phi*|x| + eta)),   dn(x) = fl(x - fl(phi*|x| + eta)),
+
+with phi = 2^-53 (1 + 2^-52) and eta = 2^-1074.  For every finite x the
+result is the neighbouring float or the one after it (1-2 ulp), never on
+the wrong side; for |x| outside [2^-1022, 2^-1020] it is exactly the
+neighbour, as np.nextafter gives, for one multiply and two adds.
+up(+max) is +inf; dn(+inf) and up(-inf) are NaN, so the kernels below
+reject non-finite input.
+
+exp and log are built here from argument reduction plus Taylor/atanh
+series with explicit remainder bounds, because numpy's transcendentals
+carry no rounding guarantee.
 
 Array inputs are treated as exact binary values.  All functions are pure
 and deterministic.
@@ -17,18 +29,18 @@ from math import factorial
 
 import numpy as np
 
-_NEG = -np.inf
-_POS = np.inf
+_PHI = np.float64(2.0**-53 * (1.0 + 2.0**-52))
+_ETA = np.float64(2.0**-1074)
 
 
 def dn(x):
-    """Next float toward -inf, elementwise."""
-    return np.nextafter(x, _NEG)
+    """A float 1-2 ulp below finite x, elementwise (see the module docstring)."""
+    return x - (_PHI * np.abs(x) + _ETA)
 
 
 def up(x):
-    """Next float toward +inf, elementwise."""
-    return np.nextafter(x, _POS)
+    """A float 1-2 ulp above finite x, elementwise (see the module docstring)."""
+    return x + (_PHI * np.abs(x) + _ETA)
 
 
 def dir_const(fr: Fraction) -> tuple[float, float]:
@@ -36,9 +48,9 @@ def dir_const(fr: Fraction) -> tuple[float, float]:
     c = float(fr)
     cf = Fraction(c)
     if cf > fr:
-        return float(np.nextafter(c, _NEG)), c
+        return float(dn(c)), c
     if cf < fr:
-        return c, float(np.nextafter(c, _POS))
+        return c, float(up(c))
     return c, c
 
 
@@ -61,9 +73,16 @@ def _ln2_residual() -> float:
     return float(max(abs(b - split) for b in bracket)) * 1.01
 
 
+def _check_ln2_split(hi, err) -> None:
+    """Raise unless k*hi is exact for |k| <= 2**10 and the split error is tiny."""
+    if Fraction(float(hi)).numerator.bit_length() > 43:
+        raise RuntimeError("ln 2 split: the high part has more than 43 significant bits")
+    if not err < 1e-28:
+        raise RuntimeError(f"ln 2 split: residual {err!r} is not below 1e-28")
+
+
 LN2_ERR = _ln2_residual()
-assert Fraction(float(LN2_HI)).numerator.bit_length() <= 43
-assert LN2_ERR < 1e-28
+_check_ln2_split(LN2_HI, LN2_ERR)
 
 _LN2_APPROX = np.float64(0.6931471805599453)  # only steers the choice of k
 
@@ -94,6 +113,8 @@ def _upow(x, k):
 def _exp_one_sided(x, side):
     """Bound of e^x rounded toward `side` (-1 lower, +1 upper); |x| <= 700."""
     x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("exp needs finite inputs")
     k = np.round(x / _LN2_APPROX)
     # u = x - k*ln2, built from the exact HI product; |u| stays <= 0.35
     t1 = x - k * LN2_HI  # exact: Sterbenz subtraction of an exact product
@@ -127,6 +148,8 @@ def iexp(xlo, xhi):
 def _ln_one_sided(x, side):
     """Bound of ln(x) rounded toward `side`, x a positive exact array."""
     x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("ln needs finite inputs")
     if np.any(x <= 0):
         raise ValueError("ln needs positive inputs")
     m, e = np.frexp(x)
@@ -159,7 +182,7 @@ def iln(xlo, xhi):
 
 
 def ipow_neg(xlo, xhi, t):
-    """Enclosure of x**(-t) for positive interval arrays and scalar t > 0."""
+    """Enclosure of x**(-t) for positive finite interval arrays and scalar t > 0."""
     llo = _ln_one_sided(xlo, -1)
     lhi = _ln_one_sided(xhi, +1)
     elo, ehi = dn(lhi * (-t)), up(llo * (-t))

@@ -17,7 +17,7 @@ import numpy as np
 from . import _transfer
 from . import rounding as rd
 from .errors import BudgetExceeded, CutoffTooSmall, ExponentTooSmall
-from .ivec import ipow_neg, tree_sum
+from .ivec import dn, ipow_neg, tree_sum, up
 from .rounding import Enclosure, enclose
 
 PRE1 = "PRE1"
@@ -149,8 +149,8 @@ def lemma_sum_batch(a_values, t: float, cutoff: int = 100_000) -> list[Enclosure
         hi_left = np.multiply(p_hi[: a - 1], p_hi[: a - 1][::-1])
         lo_right = np.multiply(p_lo[a:], p_lo[: K - a])
         hi_right = np.multiply(p_hi[a:], p_hi[: K - a])
-        head_lo = _dn_arr(np.concatenate([lo_left, lo_right]))
-        head_hi = _up_arr(np.concatenate([hi_left, hi_right]))
+        head_lo = dn(np.concatenate([lo_left, lo_right]))
+        head_hi = up(np.concatenate([hi_left, hi_right]))
         head = rd.from_f64(*tree_sum(head_lo, head_hi))
 
         # tail over b > K: x(x-a) = (x - a/2)^2 - (a/2)^2 gives the two-sided
@@ -165,14 +165,6 @@ def lemma_sum_batch(a_values, t: float, cutoff: int = 100_000) -> list[Enclosure
         a_pow = rd.powr(enclose(a), enclose(t_frac))
         out.append(rd.mul(a_pow, rd.add(head, tail)))
     return out
-
-
-def _dn_arr(x):
-    return np.nextafter(x, -np.inf)
-
-
-def _up_arr(x):
-    return np.nextafter(x, np.inf)
 
 
 # ---------------------------------------------------------------------------
