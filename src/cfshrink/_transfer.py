@@ -234,11 +234,6 @@ def apply_power(n, t, layout, seed=None):
     return max(tot_lo, 0.0), tot_hi
 
 
-def lambda_bounds(n, t, layout) -> tuple[float, float]:
-    """Certified bounds of S_n(t) = sum over words of q_n(w)^{-t}."""
-    return apply_power(n, t, layout)
-
-
 def _block_mid_weight(A1, A2, r, t):
     f1 = (A1 - 0.5 + r) ** (1.0 - t)
     if A2 == 0:

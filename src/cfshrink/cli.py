@@ -45,7 +45,6 @@ class RunConfig:
     n_range: tuple = (1, 6)
     M: object = 20
     ell: int = 2
-    prec: int = 128
     tol: float = 1e-3
     out: str = "."
     seed: int = 0
@@ -249,17 +248,6 @@ def _run_pressure(cfg: RunConfig) -> int:
     return 0
 
 
-def _fit_slope(points):
-    # least-squares slope of y against x
-    n = len(points)
-    mx = sum(x for x, _ in points) / n
-    my = sum(y for _, y in points) / n
-    den = sum((x - mx) ** 2 for x, _ in points)
-    if den == 0:
-        return 0.0
-    return sum((x - mx) * (y - my) for x, y in points) / den
-
-
 def _run_cover(cfg: RunConfig) -> int:
     spec = cfg.spec()
     lo, hi = cfg.n_range
@@ -287,7 +275,8 @@ def _run_cover(cfg: RunConfig) -> int:
         ]
         pts = [(c.n, math.log2(0.5 * (c.total.lo_float + c.total.hi_float)))
                for c in covers]
-        meta = {"side": "fixed", "offset": 0.0, "slope": _fit_slope(pts),
+        slope = shrink_mod._fit_line(pts)[0]
+        meta = {"side": "fixed", "offset": 0.0, "slope": slope,
                 "residual": None, "monotone_decreasing": None,
                 "monotone_nondecreasing": None}
     rows, jrows, pts = [], [], []
@@ -563,7 +552,7 @@ _DISPATCH = {
 
 _COMMON_DEFAULTS = {
     "B": 4, "target": "zero", "n": "1..6", "M": "20", "ell": 2,
-    "prec": 128, "tol": 1e-3, "out": ".", "seed": 0, "threads": 1,
+    "tol": 1e-3, "out": ".", "seed": 0, "threads": 1,
 }
 
 _SUB_DEFAULTS = {
@@ -593,7 +582,6 @@ def _build_parser():
         p.add_argument("--n", help="level or range, e.g. 5 or 2..6")
         p.add_argument("--M", help="alphabet cutoff, or 'full'")
         p.add_argument("--ell", type=int, help="block length (witness)")
-        p.add_argument("--prec", type=int, help="working precision bits")
         p.add_argument("--tol", type=float)
         p.add_argument("--out", help="artifact directory")
         p.add_argument("--seed", type=int)
@@ -646,7 +634,6 @@ def build_config(args) -> RunConfig:
         n_range=parse_range(merged["n"]),
         M=_parse_M(merged["M"]),
         ell=int(merged["ell"]),
-        prec=int(merged["prec"]),
         tol=float(merged["tol"]),
         out=str(merged["out"]),
         seed=int(merged["seed"]),

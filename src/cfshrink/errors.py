@@ -9,10 +9,6 @@ class ExponentTooSmall(CfshrinkError):
     """Exponent too close to 1/2; the series may diverge."""
 
 
-class CutoffTooSmall(CfshrinkError):
-    """Tail bound exceeds the configured relative width; raise the cutoff."""
-
-
 class NoRootInUnitInterval(CfshrinkError):
     """Defining sum stays above 1 on the whole admissible s-range."""
 
@@ -43,3 +39,8 @@ class NoRoot(CfshrinkError):
 
 class BudgetExceeded(CfshrinkError):
     """Requested enumeration exceeds the configured budget."""
+
+
+class InvalidWitness(CfshrinkError):
+    """A witness construction breaks one of its invariants (empty hit set,
+    degenerate, short or overlapping intervals, repeated addresses)."""

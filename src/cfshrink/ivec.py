@@ -86,6 +86,11 @@ _check_ln2_split(LN2_HI, LN2_ERR)
 
 _LN2_APPROX = np.float64(0.6931471805599453)  # only steers the choice of k
 
+# e^x for x in [EXP_MIN, EXP_MAX] scales a reduced value in [0.70, 1.42] by
+# 2^k with -1021 <= k <= 1023, which stays normal and finite
+EXP_MIN = -708.0
+EXP_MAX = 709.0
+
 _N_EXP = 13  # Taylor degree for exp on |u| <= 0.35
 _FACT_DN = [dir_const(Fraction(1, factorial(k)))[0] for k in range(_N_EXP + 2)]
 _FACT_UP = [dir_const(Fraction(1, factorial(k)))[1] for k in range(_N_EXP + 2)]
@@ -111,10 +116,17 @@ def _upow(x, k):
 
 
 def _exp_one_sided(x, side):
-    """Bound of e^x rounded toward `side` (-1 lower, +1 upper); |x| <= 700."""
+    """Bound of e^x rounded toward `side` (-1 lower, +1 upper).
+
+    Needs EXP_MIN <= x <= EXP_MAX: there the scaled result is a normal,
+    finite float64, so the final ldexp is exact.  Outside, ldexp rounds to
+    nearest (subnormal) or overflows, and the bound would be wrong.
+    """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("exp needs finite inputs")
+    if np.any(x < EXP_MIN) or np.any(x > EXP_MAX):
+        raise ValueError(f"exp argument outside [{EXP_MIN:g}, {EXP_MAX:g}]")
     k = np.round(x / _LN2_APPROX)
     # u = x - k*ln2, built from the exact HI product; |u| stays <= 0.35
     t1 = x - k * LN2_HI  # exact: Sterbenz subtraction of an exact product
@@ -124,7 +136,7 @@ def _exp_one_sided(x, side):
     ulo, uhi = dn(t2lo - resid), up(t2hi + resid)
     umax = np.maximum(np.abs(ulo), np.abs(uhi))
     if np.any(umax > 0.35):
-        raise ValueError("exp argument outside the reduced range (|x| <= 700)")
+        raise ValueError("exp reduced argument exceeds 0.35")
     R = up(_upow(umax, _N_EXP + 1) * _EXP_REM)
     slo = np.full_like(x, _FACT_DN[_N_EXP])
     shi = np.full_like(x, _FACT_UP[_N_EXP])

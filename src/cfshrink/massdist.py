@@ -24,10 +24,10 @@ from itertools import product as iter_product
 
 from . import rounding as rd
 from .cf_core import Word, continuants, cylinder
-from .errors import BudgetExceeded, NoRoot, PrecisionExhausted
+from .errors import BudgetExceeded, InvalidWitness, NoRoot, PrecisionExhausted
 from .rounding import Enclosure, enclose
-from .shrink import extremal_interval, membership
-from .surd import Quad, quad_to_enclosure, sqrt_value
+from .shrink import _map_piece, _sign, extremal_interval, membership
+from .surd import quad_to_enclosure, sqrt_value
 from .targets import TargetSpec, first_digit, z_value
 
 CASE_I = "I"
@@ -37,12 +37,6 @@ _CASES = (CASE_I, CASE_II, CASE_III)
 
 SHAVE_PREC = 192
 RATIO_PREC = 96
-
-
-def _vsign(v):
-    if isinstance(v, Quad):
-        return v.sign()
-    return (v > 0) - (v < 0)
 
 
 def _mpf_fraction(x) -> Fraction:
@@ -331,19 +325,6 @@ def _last_entries(params: WitnessParams):
     return tuple(range(b, top + 1, 2))
 
 
-def _map_tail(word: Word, t0, t1):
-    """x-interval of the tail range [t0, t1] inside the cylinder of word."""
-    c = continuants(word)
-    w = len(word)
-    p1, q1 = c.p(w), c.q(w)
-    p0, q0 = c.p(w - 1), c.q(w - 1)
-    xa = (p1 + t0 * p0) / (q1 + t0 * q0)
-    xb = (p1 + t1 * p0) / (q1 + t1 * q0)
-    if w % 2 == 1:
-        return xb, xa  # odd length: x decreases in the tail
-    return xa, xb
-
-
 def _core_interval(prefix: Word, last: int, params: WitnessParams):
     """Conservative sub-interval of the hit set, no extremal solving."""
     p = params
@@ -353,8 +334,8 @@ def _core_interval(prefix: Word, last: int, params: WitnessParams):
         t0, t1 = Fraction(0), Fraction(last, 2 * Bn)
     elif last == a1:
         R = sqrt_value(Fraction(1, Bn)) * a1 / 2
-        t0 = tz - R if _vsign(tz - R) > 0 else Fraction(0)
-        t1 = tz + R if _vsign(tz + R - 1) < 0 else Fraction(1)
+        t0 = tz - R if _sign(tz - R) > 0 else Fraction(0)
+        t1 = tz + R if _sign(tz + R - 1) < 0 else Fraction(1)
     else:
         d = abs(a1 - last)
         if d == 1:
@@ -362,16 +343,16 @@ def _core_interval(prefix: Word, last: int, params: WitnessParams):
                 "guaranteed core needs |a1(z_n) - last| >= 2; keep exact solving on"
             )
         R = Fraction(a1 * last, 2 * d * Bn)
-        t0 = tz - R if _vsign(tz - R) > 0 else Fraction(0)
-        t1 = tz + R if _vsign(tz + R - 1) < 0 else Fraction(1)
-    return _map_tail(prefix + (last,), t0, t1)
+        t0 = tz - R if _sign(tz - R) > 0 else Fraction(0)
+        t1 = tz + R if _sign(tz + R - 1) < 0 else Fraction(1)
+    return _map_piece(prefix + (last,), t0, t1)
 
 
 def _carve(prefix: Word, last: int, params: WitnessParams, exact: bool):
     if exact:
         pieces = extremal_interval(prefix, last, params.spec, params.B, params.n)
         if not pieces:
-            raise RuntimeError(f"hit set empty inside cylinder {prefix + (last,)}")
+            raise InvalidWitness(f"hit set empty inside cylinder {prefix + (last,)}")
         best = max(pieces, key=lambda pc: _approx(pc.x_hi) - _approx(pc.x_lo))
         x_lo, x_hi = best.x_lo, best.x_hi
     else:
@@ -379,7 +360,7 @@ def _carve(prefix: Word, last: int, params: WitnessParams, exact: bool):
     lo, ok_lo = _inside_fraction(x_lo, "lo")
     hi, ok_hi = _inside_fraction(x_hi, "hi")
     if lo >= hi:
-        raise RuntimeError(f"degenerate fundamental interval at {prefix + (last,)}")
+        raise InvalidWitness(f"degenerate fundamental interval at {prefix + (last,)}")
     return lo, hi, ok_lo and ok_hi
 
 
@@ -421,7 +402,7 @@ def enumerate_fundamental(params: WitnessParams, *, exact=True, budget=20_000):
             lo, hi, was_exact = _carve(prefix, last, p, exact)
             floor = _floor_enclosure(p, qn, last)
             if not floor.certified_le(hi - lo):
-                raise RuntimeError(
+                raise InvalidWitness(
                     f"interval at {prefix + (last,)} misses its length floor "
                     f"({float(hi - lo):.3g} vs {floor.hi_float:.3g})"
                 )
@@ -431,7 +412,7 @@ def enumerate_fundamental(params: WitnessParams, *, exact=True, budget=20_000):
     out.sort(key=lambda F: F.lo)
     for a, b in zip(out, out[1:]):
         if a.hi >= b.lo:
-            raise RuntimeError(f"overlapping intervals at {a.word} and {b.word}")
+            raise InvalidWitness(f"overlapping intervals at {a.word} and {b.word}")
     return out
 
 
@@ -648,9 +629,9 @@ def gap_check(intervals, params: WitnessParams) -> GapReport:
             )
             if diff_p is None:
                 if A.last == Bv.last:
-                    raise RuntimeError(f"duplicate address {A.address}")
+                    raise InvalidWitness(f"duplicate address {A.address}")
                 if p.case == CASE_III:
-                    raise RuntimeError("case III admits a single closing digit")
+                    raise InvalidWitness("case III admits a single closing digit")
                 last_pairs += 1
                 required = max(cyl_len(A.word), cyl_len(Bv.word)) / last_div
             else:

@@ -10,7 +10,7 @@ enclosure at the two bracket endpoints: value >= 1 on the left endpoint,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath
@@ -37,8 +37,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 # bisection domain is (1/2, 1]; stay clear of the s = 1/2 pole
 LEFT_EDGE = 0.5055
-
-_KINDS = {1: sums.PRE1, 2: sums.PRE2, 3: sums.PRE3}
 
 
 @dataclass(frozen=True)
@@ -72,12 +70,6 @@ class SstarEstimate:
     running_hi: tuple = ()
 
 
-def _weight(n, B, kind, a1z, s):
-    return sums.WeightSpec(
-        kind=_KINDS[kind], B=B, n=n, s=s, a1z=a1z if kind != 1 else None
-    )
-
-
 def _lambda_est(n: int, s: float, M) -> float:
     if n == 1:
         if M is None:
@@ -85,6 +77,26 @@ def _lambda_est(n: int, s: float, M) -> float:
         k = np.arange(1, M + 1, dtype=np.float64)
         return float(np.sum(k ** (-2.0 * s)))
     return sums.lambda_estimate(n, s, alphabet_max=M)
+
+
+def _weight_enclosure(n, B, kind, a1z, s) -> Enclosure:
+    """Certified weight of the kind-1..3 equation (the constant in _log_f_est).
+
+    kind 1: B^(-n s^2);  kind 2: a1z^(1-s) B^(-n s);  kind 3: a1z^(-s) B^(-n s/2).
+    a1z = +inf weights are conventional and must never be summed.
+    """
+    s = Fraction(s)
+    base = enclose(Fraction(B))
+    if kind == 1:
+        return rd.powr(base, enclose(-n * s * s))
+    if a1z == math.inf:
+        raise ValueError("a1z = +inf weights are conventional and never summed")
+    a1 = enclose(int(a1z))
+    if kind == 2:
+        return rd.mul(rd.powr(a1, enclose(1 - s)), rd.powr(base, enclose(-n * s)))
+    return rd.mul(
+        rd.powr(a1, enclose(-s)), rd.powr(base, enclose(Fraction(-n, 2) * s))
+    )
 
 
 def _log_f_est(n, B, kind, a1z, M, s: float) -> float:
@@ -99,7 +111,6 @@ def _log_f_est(n, B, kind, a1z, M, s: float) -> float:
 
 
 def _f_enclosure(n, B, kind, a1z, M, s: float, level: int) -> Enclosure:
-    w = _weight(n, B, kind, a1z, s)
     if M is None:
         lam = (
             sums.zeta_enclosure(s, 4096)
@@ -108,7 +119,7 @@ def _f_enclosure(n, B, kind, a1z, M, s: float, level: int) -> Enclosure:
         )
     else:
         lam = sums.lambda_enclosure(n, s, alphabet_max=M, level=level)
-    return rd.mul(sums.weight_enclosure(w), lam)
+    return rd.mul(_weight_enclosure(n, B, kind, a1z, s), lam)
 
 
 def _certify_bracket(n, B, kind, a1z, M, r_hat, delta, levels):
@@ -339,10 +350,7 @@ def predim_result(n: int, B, a1z, *, M=None, tol: float = 1e-4) -> PredimResult:
         n=n, B=B, a1z=a1z, s1=s1, s2=s2, s3=s3, sn=sn, branch=branch,
         thresholds=(), flags=tuple(flags),
     )
-    return PredimResult(
-        n=n, B=B, a1z=a1z, s1=s1, s2=s2, s3=s3, sn=sn, branch=branch,
-        thresholds=threshold_check(result), flags=tuple(flags),
-    )
+    return replace(result, thresholds=threshold_check(result))
 
 
 def sstar_estimate(

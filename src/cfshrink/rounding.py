@@ -233,15 +233,16 @@ def sub(a: Enclosure, b: Enclosure, prec: int = PREC) -> Enclosure:
     )
 
 
-def mul(a: Enclosure, b: Enclosure, prec: int = PREC) -> Enclosure:
+def _corner_hull(op, a: Enclosure, b: Enclosure, prec: int) -> Enclosure:
+    """Outward hull of op over the four endpoint pairs of a and b."""
     pairs = (
         (a.lo._mpf_, b.lo._mpf_),
         (a.lo._mpf_, b.hi._mpf_),
         (a.hi._mpf_, b.lo._mpf_),
         (a.hi._mpf_, b.hi._mpf_),
     )
-    los = [mpf_mul(x, y, prec, _DOWN) for x, y in pairs]
-    his = [mpf_mul(x, y, prec, _UP) for x, y in pairs]
+    los = [op(x, y, prec, _DOWN) for x, y in pairs]
+    his = [op(x, y, prec, _UP) for x, y in pairs]
     lo = los[0]
     for t in los[1:]:
         if mpf_cmp(t, lo) < 0:
@@ -251,28 +252,16 @@ def mul(a: Enclosure, b: Enclosure, prec: int = PREC) -> Enclosure:
         if mpf_cmp(t, hi) > 0:
             hi = t
     return _mk(lo, hi)
+
+
+def mul(a: Enclosure, b: Enclosure, prec: int = PREC) -> Enclosure:
+    return _corner_hull(mpf_mul, a, b, prec)
 
 
 def div(a: Enclosure, b: Enclosure, prec: int = PREC) -> Enclosure:
     if b.lo <= 0 <= b.hi:
         raise ZeroDivisionError("divisor enclosure contains zero")
-    pairs = (
-        (a.lo._mpf_, b.lo._mpf_),
-        (a.lo._mpf_, b.hi._mpf_),
-        (a.hi._mpf_, b.lo._mpf_),
-        (a.hi._mpf_, b.hi._mpf_),
-    )
-    los = [mpf_div(x, y, prec, _DOWN) for x, y in pairs]
-    his = [mpf_div(x, y, prec, _UP) for x, y in pairs]
-    lo = los[0]
-    for t in los[1:]:
-        if mpf_cmp(t, lo) < 0:
-            lo = t
-    hi = his[0]
-    for t in his[1:]:
-        if mpf_cmp(t, hi) > 0:
-            hi = t
-    return _mk(lo, hi)
+    return _corner_hull(mpf_div, a, b, prec)
 
 
 def abs_(a: Enclosure, prec: int = PREC) -> Enclosure:

@@ -541,6 +541,16 @@ def cover_svolume(n: int, B, spec: TargetSpec, s: float, M=None, *,
                        max(4 * a1z, 256))
 
 
+def _fit_line(points) -> tuple:
+    """Least-squares line through (x, y) points: (slope, mean x, mean y)."""
+    n = len(points)
+    mx = sum(x for x, _ in points) / n
+    my = sum(y for _, y in points) / n
+    den = sum((x - mx) ** 2 for x, _ in points)
+    slope = sum((x - mx) * (y - my) for x, y in points) / den if den else 0.0
+    return slope, mx, my
+
+
 def cover_decay(spec: TargetSpec, B, n_range, M=None, *, side: str = "above",
                 offset: float = 0.05, tol: float = 1e-3, level: int = 1) -> DecayReport:
     """Cover totals at s = s_n +/- offset across levels, with a log2 fit."""
@@ -560,12 +570,9 @@ def cover_decay(spec: TargetSpec, B, n_range, M=None, *, side: str = "above",
             s = res.sn.lo_float - offset
         reports.append(cover_svolume(n, B, spec, s, M, predim=res, level=level))
 
-    ys = [math.log2(r.total.mid_float) for r in reports]
-    xbar = sum(ns) / len(ns)
-    ybar = sum(ys) / len(ys)
-    sxx = sum((x - xbar) ** 2 for x in ns)
-    slope = sum((x - xbar) * (y - ybar) for x, y in zip(ns, ys)) / sxx if sxx else 0.0
-    resid = max(abs(y - (ybar + slope * (x - xbar))) for x, y in zip(ns, ys))
+    pts = [(n, math.log2(r.total.mid_float)) for n, r in zip(ns, reports)]
+    slope, xbar, ybar = _fit_line(pts)
+    resid = max(abs(y - (ybar + slope * (x - xbar))) for x, y in pts)
     dec = all(b.total.mid_float < a.total.mid_float for a, b in zip(reports, reports[1:]))
     nondec = all(b.total.mid_float >= a.total.mid_float for a, b in zip(reports, reports[1:]))
     return DecayReport(tuple(reports), side, offset, slope, resid, dec, nondec)

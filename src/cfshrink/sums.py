@@ -1,83 +1,25 @@
-"""Certified series evaluation: digit weights, zeta heads, continuant sums.
+"""Certified series evaluation: zeta heads, lemma sums, continuant sums.
 
 Everything here returns an Enclosure that is guaranteed to contain the
 mathematically exact value.  Heads are finite sums evaluated with directed
-rounding; tails are closed-form integral comparisons, also directed.
+rounding; tails are closed-form integral comparisons, also directed.  The
+continuant power sums come from one evaluator, the envelope iteration of
+`_transfer`, fronted by lambda_enclosure and lambda_estimate.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import _transfer
 from . import rounding as rd
-from .errors import BudgetExceeded, CutoffTooSmall, ExponentTooSmall
+from .errors import ExponentTooSmall
 from .ivec import dn, ipow_neg, tree_sum, up
 from .rounding import Enclosure, enclose
 
-PRE1 = "PRE1"
-PRE2 = "PRE2"
-PRE3 = "PRE3"
-
 MAX_LEVEL = _transfer.MAX_LEVEL
-
-# words enumerated exactly; M**n capped to keep memory sane
-_HEAD_BUDGET = 40_000_000
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """Digit-independent term weight for the three pre-dimensional sums.
-
-    PRE1: B^(-n s^2);  PRE2: a1z^(1-s) B^(-n s);  PRE3: a1z^(-s) B^(-n s/2).
-    a1z is the first digit of the shrunk target, possibly +inf (in which
-    case the weight is conventional and must never reach weight_enclosure).
-    """
-
-    kind: str
-    B: int | Fraction
-    n: int
-    s: float | Fraction
-    a1z: int | float | None = None
-
-    def __post_init__(self):
-        if self.kind not in (PRE1, PRE2, PRE3):
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        if Fraction(self.B) < 1:
-            raise ValueError("growth base must be >= 1")
-        if self.n < 1:
-            raise ValueError("level must be >= 1")
-        if self.kind != PRE1:
-            if self.a1z is None:
-                raise ValueError(f"{self.kind} needs a1z")
-            if self.a1z != math.inf and int(self.a1z) < 1:
-                raise ValueError("a1z must be a positive digit or +inf")
-
-
-def weight_enclosure(w: WeightSpec, prec: int = rd.PREC) -> Enclosure:
-    s = Fraction(w.s)
-    base = enclose(Fraction(w.B), prec)
-    if w.kind == PRE1:
-        return rd.powr(base, enclose(-w.n * s * s, prec), prec)
-    if w.a1z == math.inf:
-        raise ValueError("a1z = +inf weights are conventional and never summed")
-    a1 = enclose(int(w.a1z), prec)
-    if w.kind == PRE2:
-        return rd.mul(
-            rd.powr(a1, enclose(1 - s, prec), prec),
-            rd.powr(base, enclose(-w.n * s, prec), prec),
-            prec,
-        )
-    return rd.mul(
-        rd.powr(a1, enclose(-s, prec), prec),
-        rd.powr(base, enclose(Fraction(-w.n, 2) * s, prec), prec),
-        prec,
-    )
 
 
 def _power_tail(K: int, two_s: Fraction) -> Enclosure:
@@ -107,10 +49,7 @@ def zeta_enclosure(s: float, K: int) -> Enclosure:
         raise ExponentTooSmall(f"zeta(2s) diverges for s <= 1/2; got s = {sf}")
     if K < 2:
         raise ValueError("head length K must be >= 2")
-    b = np.arange(1, K + 1, dtype=np.float64)
-    lo, hi = ipow_neg(b, b, 2.0 * sf)
-    head = rd.from_f64(*tree_sum(lo, hi))
-    return rd.add(head, _power_tail(K, 2 * Fraction(sf)))
+    return rd.add(_zeta_head(sf, K), _power_tail(K, 2 * Fraction(sf)))
 
 
 def _zeta_head(s: float, M: int) -> Enclosure:
@@ -168,115 +107,7 @@ def lemma_sum_batch(a_values, t: float, cutoff: int = 100_000) -> list[Enclosure
 
 
 # ---------------------------------------------------------------------------
-# exact-head continuant sums
-
-_DP_SLOT: dict = {}
-_HEAD_CACHE: dict = {}
-
-
-def _q_arrays(k: int, M: int):
-    """Continuant pairs (q_k, q_{k-1}) over all words in {1..M}^k.
-
-    Enumeration order is fixed (last digit major at every extension), so
-    downstream reductions are reproducible.
-    """
-    key = (k, M)
-    if _DP_SLOT.get("key") == key:
-        return _DP_SLOT["val"]
-    Q = np.ones(1, dtype=np.int64)
-    P = np.zeros(1, dtype=np.int64)
-    for _ in range(k):
-        digs = np.repeat(np.arange(1, M + 1, dtype=np.int64), Q.size)
-        Qt = np.tile(Q, M)
-        Q, P = digs * Qt + np.tile(P, M), Qt
-    _DP_SLOT["key"] = key
-    _DP_SLOT["val"] = (Q, P)
-    return Q, P
-
-
-def _head_chunk(args):
-    q, t = args
-    lo, hi = ipow_neg(q, q, t)
-    return tree_sum(lo, hi)
-
-
-def _lambda_head(n: int, s: float, M: int, threads: int = 1) -> Enclosure:
-    """Certified sum of q_n(w)^(-2s) over words w in {1..M}^n.
-
-    Continuants are exact int64 (and below 2^53, so the float64 image is
-    exact too); only the powers and the reduction carry rounding.  The
-    chunking is by final digit, never by thread count, so results are
-    bit-identical however many workers run.
-    """
-    key = (n, float(s), M)
-    if key in _HEAD_CACHE:
-        return _HEAD_CACHE[key]
-    if (M + 1) ** n >= 2**53:
-        raise BudgetExceeded("continuants would exceed exact float64 range")
-    if M**n > _HEAD_BUDGET:
-        raise BudgetExceeded(f"head enumeration {M}^{n} exceeds budget")
-    Q, P = _q_arrays(n - 1, M)
-    t = 2.0 * float(s)
-    jobs = [((a * Q + P).astype(np.float64), t) for a in range(1, M + 1)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(_head_chunk, jobs))
-    else:
-        parts = [_head_chunk(j) for j in jobs]
-    total = rd.from_f64(*parts[0])
-    for p in parts[1:]:
-        total = rd.add(total, rd.from_f64(*p))
-    _HEAD_CACHE[key] = total
-    return total
-
-
-def continuant_sum_enclosure(
-    n: int,
-    s: float,
-    w: WeightSpec | None = None,
-    M: int = 64,
-    *,
-    margin: float = 0.01,
-    rel_width_cap: float | None = None,
-    threads: int = 1,
-    zeta_head: int = 4096,
-) -> Enclosure:
-    """Enclosure of sum over all words in N^n of weight * q_n(w)^(-2s).
-
-    Exact head over {1..M}^n; the remainder (some digit > M) is bounded
-    above by zeta(2s)^n - zeta_M(2s)^n via q_n >= prod a_i, below by 0.
-    w = None means weight 1.
-    """
-    sf = float(s)
-    if sf <= 0.5 + margin:
-        raise ExponentTooSmall(
-            f"s = {sf} is within margin {margin} of the divergence point 1/2"
-        )
-    if n < 1 or M < 1:
-        raise ValueError("need n >= 1 and M >= 1")
-    if w is not None and w.n != n:
-        raise ValueError("WeightSpec level disagrees with n")
-
-    head = _lambda_head(n, sf, M, threads=threads)
-    z = zeta_enclosure(sf, max(zeta_head, M + 1))
-    z_m = _zeta_head(sf, M)
-    diff = rd.sub(rd.pow_int(z, n), rd.pow_int(z_m, n))
-    zero = enclose(0)
-    tail_hi = diff.hi if diff.hi > zero.hi else zero.hi
-    tail = Enclosure(zero.lo, tail_hi)
-
-    if rel_width_cap is not None and tail.hi_float > rel_width_cap * head.lo_float:
-        raise CutoffTooSmall(
-            f"tail bound {tail.hi_float:.3g} exceeds {rel_width_cap} of the head"
-        )
-    lam = rd.add(head, tail)
-    if w is None:
-        return lam
-    return rd.mul(weight_enclosure(w), lam)
-
-
-# ---------------------------------------------------------------------------
-# sharp evaluator (envelope iteration) for the same sums
+# continuant power sums (envelope iteration)
 
 _LAMBDA_CACHE: dict = {}
 
@@ -285,8 +116,8 @@ def lambda_enclosure(
     n: int, s: float, *, alphabet_max: int | None = None, level: int = 1
 ) -> Enclosure:
     """Certified enclosure of sum_w q_n(w)^(-2s), w over {1..alphabet_max}^n
-    (the full alphabet when alphabet_max is None).  Much tighter than the
-    zeta-tail route for small s; width shrinks as level grows (0..MAX_LEVEL).
+    (the full alphabet when alphabet_max is None).  The width shrinks as
+    level grows (0..MAX_LEVEL).
     """
     sf = float(s)
     if sf <= 0.5 and alphabet_max is None:
@@ -307,20 +138,3 @@ def lambda_estimate(
         layout = _transfer.make_layout(level, amax=alphabet_max)
         _LAMBDA_CACHE[key] = _transfer.apply_power_estimate(n, 2.0 * float(s), layout)
     return _LAMBDA_CACHE[key]
-
-
-def continuant_sum_tight(
-    n: int,
-    s: float,
-    w: WeightSpec | None = None,
-    *,
-    alphabet_max: int | None = None,
-    level: int = 1,
-) -> Enclosure:
-    """Weighted continuant sum via the envelope evaluator."""
-    if w is not None and w.n != n:
-        raise ValueError("WeightSpec level disagrees with n")
-    lam = lambda_enclosure(n, s, alphabet_max=alphabet_max, level=level)
-    if w is None:
-        return lam
-    return rd.mul(weight_enclosure(w), lam)

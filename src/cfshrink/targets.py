@@ -94,7 +94,8 @@ def _purely_periodic_value(c: Word) -> Quad:
         root.b / (2 * qm1),
         root.D,
     )
-    assert 0 < y < 1
+    if not 0 < y < 1:
+        raise ValueError(f"period {c} does not describe a value in (0, 1)")
     return y
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from cfshrink import massdist as md
 from cfshrink import svgplot
 from cfshrink.cli import main, parse_range, parse_target
 from cfshrink.targets import TargetSpec
@@ -89,10 +90,12 @@ class TestPredim:
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"
-        cfgfile.write_text(json.dumps({"bogus": 1}))
-        assert main(["predim", "--config", str(cfgfile)]) == 1
-        err = json.loads(capsys.readouterr().out.splitlines()[-1])
-        assert err["error"]["type"] == "ValueError"
+        for key in ("bogus", "prec"):
+            cfgfile.write_text(json.dumps({key: 1}))
+            assert main(["predim", "--config", str(cfgfile)]) == 1
+            err = json.loads(capsys.readouterr().out.splitlines()[-1])
+            assert err["error"]["type"] == "ValueError"
+            assert key in err["error"]["message"]
 
 
 class TestSstar:
@@ -138,6 +141,13 @@ class TestWitness:
         assert Fraction(rows[0]["lo"]) < Fraction(rows[0]["hi"])
         dump = (tmp_path / "witness.txt").read_text()
         assert dump.startswith("case=I")
+
+    def test_invariant_failure_is_structured(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(md, "extremal_interval", lambda *args: [])
+        assert main(["witness", "--samples", "10", "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert err["error"]["type"] == "InvalidWitness"
+        assert "hit set empty" in err["error"]["message"]
 
     def test_needs_single_level(self, tmp_path, capsys):
         assert main(["witness", "--n", "2..6", "--out", str(tmp_path)]) == 1

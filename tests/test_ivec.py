@@ -31,6 +31,24 @@ def test_iexp_containment_grid():
     _check_contains(lo, hi, mp.exp, xs)
 
 
+def test_iexp_containment_domain_edges():
+    xs = np.concatenate([np.linspace(-708.0, -700.0, 17), np.linspace(700.0, 709.0, 19)])
+    lo, hi = ivec.iexp(xs, xs)
+    _check_contains(lo, hi, mp.exp, xs)
+
+
+@pytest.mark.parametrize("x", [-720.0, -745.0, -800.0, 710.0])
+def test_iexp_rejects_arguments_outside_normal_range(x):
+    # there ldexp would round to nearest (subnormal) or overflow
+    with pytest.raises(ValueError, match="outside"):
+        ivec.iexp(np.array([-1.0, x]), np.array([1.0, x]))
+
+
+def test_ipow_neg_rejects_underflowing_power():
+    with pytest.raises(ValueError, match="outside"):
+        ivec.ipow_neg(1e300, 1e300, 3.0)
+
+
 def test_iln_containment_grid():
     xs = np.array([1e-300, 0.1, 0.5, 1.0, 1.0000001, 3.7, 1e10, 1e300])
     lo, hi = ivec.iln(xs, xs)

@@ -159,6 +159,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             z_value(TargetSpec("BOGUS"), 1)
 
+    def test_periodic_value_range_is_checked(self, monkeypatch):
+        # a raised check, not an assert, so it also holds under python -O
+        from cfshrink import targets
+
+        real_sqrt = targets.sqrt_value
+        monkeypatch.setattr(targets, "sqrt_value", lambda x: -real_sqrt(x))
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            z_value(TargetSpec.constant((), (1,)), 1)
+
 
 @given(pre=words, period=words, n=st.integers(min_value=1, max_value=5))
 @settings(max_examples=150, deadline=None)
