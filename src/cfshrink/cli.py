@@ -83,12 +83,13 @@ def parse_target(text: str, B: int) -> TargetSpec:
 
 def parse_range(text) -> tuple:
     if isinstance(text, (list, tuple)):
-        return int(text[0]), int(text[1])
-    text = str(text)
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        return int(lo), int(lo)
-    return int(lo), int(hi)
+        lo, hi = int(text[0]), int(text[1])
+    else:
+        lo, sep, hi = str(text).partition("..")
+        lo, hi = int(lo), int(hi if sep else lo)
+    if lo > hi:
+        raise ValueError(f"level range {lo}..{hi} is reversed")
+    return lo, hi
 
 
 def _parse_M(v):

@@ -20,8 +20,12 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from itertools import product as iter_product
 
+import numpy as np
+
+from . import ivec
 from . import rounding as rd
 from .cf_core import Word, continuants, cylinder
 from .errors import BudgetExceeded, InvalidWitness, NoRoot, PrecisionExhausted
@@ -37,6 +41,9 @@ _CASES = (CASE_I, CASE_II, CASE_III)
 
 SHAVE_PREC = 192
 RATIO_PREC = 96
+_FINE_LIMIT = 128  # the ball lemma's constant on the fine regime
+_PREBOUND_SLACK = 1.0 + 2.0**-40  # 1 + delta, see holder_check
+_PREBOUND_CHUNK = 512  # samples per kernel call: keeps the temporaries small
 
 
 def _mpf_fraction(x) -> Fraction:
@@ -461,12 +468,17 @@ class WitnessMeasure:
     los: tuple = field(init=False)
     his: tuple = field(init=False)
     masses: tuple = field(init=False)
+    cum: tuple = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "los", tuple(F.lo for F in self.intervals))
         object.__setattr__(self, "his", tuple(F.hi for F in self.intervals))
         object.__setattr__(
             self, "masses", tuple(self.interval_mass(F) for F in self.intervals)
+        )
+        # cum[i] = exact mass of the first i intervals
+        object.__setattr__(
+            self, "cum", tuple(accumulate(self.masses, initial=Fraction(0)))
         )
 
     def weight(self, blocks, last=None) -> Fraction:
@@ -572,15 +584,21 @@ def measure_of(query, witness: WitnessMeasure) -> Fraction:
 
 
 def _ball_mass(w: WitnessMeasure, x: Fraction, r: Fraction) -> Fraction:
+    """Exact mass of [x - r, x + r]: a prefix-sum difference, two bisections.
+
+    Intervals i..j-1 meet the ball; all but the uncovered parts of the two
+    end intervals count in full.  A ball of radius r <= 0 has no mass.
+    """
     lo, hi = x - r, x + r
     i = bisect_left(w.his, lo)
-    mass = Fraction(0)
-    while i < len(w.los) and w.los[i] < hi:
-        a = w.los[i] if w.los[i] > lo else lo
-        b = w.his[i] if w.his[i] < hi else hi
-        if b > a:
-            mass += w.masses[i] * (b - a) / (w.his[i] - w.los[i])
-        i += 1
+    j = bisect_left(w.los, hi)
+    if i >= j or r <= 0:
+        return Fraction(0)
+    mass = w.cum[j] - w.cum[i]
+    if w.los[i] < lo:
+        mass -= w.masses[i] * (lo - w.los[i]) / (w.his[i] - w.los[i])
+    if w.his[j - 1] > hi:
+        mass -= w.masses[j - 1] * (w.his[j - 1] - hi) / (w.his[j - 1] - w.los[j - 1])
     return mass
 
 
@@ -801,45 +819,138 @@ def holder_samples(witness: WitnessMeasure, count: int, seed: int):
     return out
 
 
+def _float_or_inf(fr: Fraction) -> float:
+    try:
+        return float(fr)
+    except OverflowError:
+        return math.inf
+
+
+def _ratio_prebound(m, q, nonzero, t: Fraction):
+    """Outward float64 enclosures [lo, hi] of mass * q^t, one per sample.
+
+    m and q hold the nearest floats of the exact rationals (inf when too
+    large), nonzero marks the samples of nonzero mass.  Each float is
+    stepped outward with ivec.dn/up; q^t is exp(t ln q) by ivec.iln, an
+    outward corner product and ivec.iexp.  A sample whose m or q is not a
+    normal finite float, whose t ln q leaves [ivec.EXP_MIN, ivec.EXP_MAX],
+    or whose lo is not a normal float gets the trivial enclosure [0, inf];
+    a zero mass gets [0, 0].
+    """
+    lo = np.zeros_like(m)
+    hi = np.where(nonzero, np.inf, 0.0)
+    tiny = np.finfo(np.float64).tiny
+    ok = (m >= tiny) & (q >= tiny) & np.isfinite(ivec.up(m)) & np.isfinite(ivec.up(q))
+    idx = np.flatnonzero(ok)
+    llo, lhi = ivec.iln(ivec.dn(q[idx]), ivec.up(q[idx]))
+    tlo, thi = ivec.dir_const(t)
+    corners = (tlo * llo, tlo * lhi, thi * llo, thi * lhi)
+    ylo = ivec.dn(np.minimum.reduce(corners))
+    yhi = ivec.up(np.maximum.reduce(corners))
+    inside = (ylo >= ivec.EXP_MIN) & (yhi <= ivec.EXP_MAX)
+    idx = idx[inside]
+    plo, phi = ivec.iexp(ylo[inside], yhi[inside])
+    vlo = ivec.dn(ivec.dn(m[idx]) * plo)
+    vhi = ivec.up(ivec.up(m[idx]) * phi)
+    normal = vlo >= tiny
+    lo[idx[normal]] = vlo[normal]
+    hi[idx[normal]] = vhi[normal]
+    return lo, hi
+
+
+def _needs_exact(lo, hi, big, fine, limit):
+    """Samples whose prec-bit ratio could change the report (see holder_check).
+
+    lo, hi: pre-bounds, hi = 0 exactly for a zero mass; big, fine: the
+    r >= |I| and fine-regime masks.  A float below the nearest float of
+    the limit is below the limit itself, so comparing with that is safe.
+    """
+    top = ivec.up(hi * _PREBOUND_SLACK)
+    limit = _float_or_inf(limit)
+    floor_all = lo.max(initial=0.0)
+    floor_big = lo[big].max(initial=0.0)
+    floor_fine = lo[fine].max(initial=0.0)
+    return (hi > 0) & (
+        (top >= limit)
+        | (top >= floor_all)
+        | (big & (top >= floor_big))
+        | (fine & (top >= floor_fine))
+    )
+
+
 def holder_check(witness: WitnessMeasure, samples, *, prec=RATIO_PREC) -> HolderReport:
     """Max of mass(B(x,r)) |I_(k+ell0)(u~)|^t / r^t over the samples.
 
     PASS needs every sample certified under 16 (M+2)^4 (M+1)^(2 ell).  The
-    proof's sharper constant 128 is tracked separately on the fine regime
-    (r at most half the smallest gap) and the trivial regime r >= |I_(k+ell0)|.
+    proof's sharper constant 128 (_FINE_LIMIT) is tracked separately on the
+    fine regime (r at most half the smallest gap) and the trivial regime
+    r >= |I_(k+ell0)|.
+
+    Every reported number comes from the prec-bit enclosure of a ratio, but
+    only the samples that could change the report take that path.  A
+    float64 pre-bound [lo, hi] of every ratio (_ratio_prebound) comes first.
+    A nonzero-mass sample takes the prec-bit path when its pre-bound is
+    trivial, or when hi (1 + delta) reaches the limit or the largest lo of
+    a group it belongs to (all samples, r >= |I_(k+ell0)|, r <= half the
+    smallest gap).  The sample holding a group's largest lo always
+    qualifies, so every skipped sample lies strictly below each of its
+    groups' maxima and under the limit: it cannot set a maximum, the
+    argmax, a failure or a verdict (fine_verdict reads the fine maximum).
+    The report is the one that the prec-bit path on every sample gives.
+
+    delta = 2^-40 covers the gap between the exact ratio (<= hi) and the
+    prec-bit path's hi_float.  A nontrivial pre-bound has |t ln(L0/r)| <=
+    710 and lo normal.  The prec-bit enclosure (128-bit inputs, products
+    rounded at prec bits, log and exp nudged two ulps) then ends at most a
+    relative 2^(14 - prec) above the exact ratio, 2^-82 at 96 bits, and
+    hi_float rounds that up by one float ulp, 2^-52 relative, at most: for
+    prec >= 64, hi_float <= hi (1 + 2^-49).  Below 64 bits every
+    nonzero-mass sample takes the prec-bit path.
     """
     p = witness.params
     t = p.t
     L0 = witness.root_length
     limit = holder_limit(p)
     fine_at = witness.min_gap() / 2
+    # floats only: the exact values of the few samples kept are recomputed
+    count = len(samples)
+    m, q = np.empty(count), np.empty(count)
+    nonzero, big, fine = (np.empty(count, dtype=bool) for _ in range(3))
+    for k, (x, r) in enumerate(samples):
+        r = Fraction(r)
+        mass = _ball_mass(witness, Fraction(x), r)
+        nonzero[k] = mass != 0
+        m[k] = _float_or_inf(mass)
+        q[k] = _float_or_inf(L0 / r) if nonzero[k] else 0.0  # massless balls include r = 0
+        big[k], fine[k] = r >= L0, r <= fine_at
+    lo, hi = np.empty(count), np.empty(count)
+    for a in range(0, count, _PREBOUND_CHUNK):
+        part = slice(a, a + _PREBOUND_CHUNK)
+        lo[part], hi[part] = _ratio_prebound(m[part], q[part], nonzero[part], t)
+    exact = _needs_exact(lo, hi, big, fine, limit) if prec >= 64 else nonzero
     max_ratio, argmax = 0.0, None
-    big_n = fine_n = 0
+    big_n = int(big.sum())
+    fine_n = int(fine.sum())
     big_max = fine_max = 0.0
     fine_ok = True
     failures = []
-    for x, r in samples:
-        x, r = Fraction(x), Fraction(r)
+    for k in np.flatnonzero(exact):
+        x, r = Fraction(samples[k][0]), Fraction(samples[k][1])
         mass = _ball_mass(witness, x, r)
-        if mass == 0:
-            hi = 0.0
-        else:
-            ratio = rd.mul(enclose(mass), rd.powr(enclose(L0 / r), t, prec), prec)
-            hi = ratio.hi_float
-            if not ratio.certified_le(limit):
-                failures.append((x, r, hi))
-        if hi > max_ratio:
-            max_ratio, argmax = hi, (x, r)
-        if r >= L0:
-            big_n += 1
-            big_max = max(big_max, hi)
-        if r <= fine_at:
-            fine_n += 1
-            fine_max = max(fine_max, hi)
-            if hi > 128:
+        ratio = rd.mul(enclose(mass), rd.powr(enclose(L0 / r), t, prec), prec)
+        hi_k = ratio.hi_float
+        if not ratio.certified_le(limit):
+            failures.append((x, r, hi_k))
+        if hi_k > max_ratio:
+            max_ratio, argmax = hi_k, (x, r)
+        if big[k]:
+            big_max = max(big_max, hi_k)
+        if fine[k]:
+            fine_max = max(fine_max, hi_k)
+            if hi_k > _FINE_LIMIT:
                 fine_ok = False
     return HolderReport(
-        len(samples),
+        count,
         limit,
         max_ratio,
         argmax,

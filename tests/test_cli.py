@@ -40,6 +40,8 @@ class TestParsing:
         assert parse_range("2..6") == (2, 6)
         assert parse_range("5") == (5, 5)
         assert parse_range([1, 4]) == (1, 4)
+        with pytest.raises(ValueError, match="reversed"):
+            parse_range("5..3")
 
 
 class TestSvgplot:
@@ -194,3 +196,20 @@ class TestErrors:
                      "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert err["error"]["type"] == "ExponentTooSmall"
+
+    def _assert_reversed_range_rejected(self, argv, out, capsys):
+        assert main(argv + ["--n", "5..3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.out.splitlines()[-1])
+        assert err["error"]["type"] == "ValueError"
+        assert "5..3" in err["error"]["message"]
+        assert captured.err == ""
+        assert not out.exists()
+
+    def test_reversed_range_cover(self, tmp_path, capsys):
+        # used to end in a ZeroDivisionError from the slope fit on no points
+        self._assert_reversed_range_rejected(["cover", "--s", "0.8"], tmp_path / "out", capsys)
+
+    def test_reversed_range_predim(self, tmp_path, capsys):
+        # used to write empty predim.csv/json, then fail with "nothing to plot"
+        self._assert_reversed_range_rejected(["predim"], tmp_path / "out", capsys)

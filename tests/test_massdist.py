@@ -5,12 +5,17 @@ mpmath findroot run against the same sums written out by hand.
 """
 
 import math
+from bisect import bisect_left
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfshrink import massdist as md
+from cfshrink import rounding as rd
 from cfshrink.errors import BudgetExceeded, NoRoot
 from cfshrink import (
     Ball,
@@ -76,6 +81,59 @@ def params_case_iii_padded():
     return WitnessParams(
         CASE_III, 0, (), 2, 2, 5, 4, TargetSpec.constant((3,)),
         Fraction(1, 25), Fraction(1, 4), relax=True,
+    )
+
+
+# -- references: the interval walk and the all-sample prec-bit loop ----------
+
+
+def _ball_mass_walk(w, x, r):
+    lo, hi = x - r, x + r
+    i = bisect_left(w.his, lo)
+    mass = Fraction(0)
+    while i < len(w.los) and w.los[i] < hi:
+        a = w.los[i] if w.los[i] > lo else lo
+        b = w.his[i] if w.his[i] < hi else hi
+        if b > a:
+            mass += w.masses[i] * (b - a) / (w.his[i] - w.los[i])
+        i += 1
+    return mass
+
+
+def _holder_every_sample(witness, samples, prec=md.RATIO_PREC):
+    p = witness.params
+    t = p.t
+    L0 = witness.root_length
+    limit = md.holder_limit(p)
+    fine_at = witness.min_gap() / 2
+    max_ratio, argmax = 0.0, None
+    big_n = fine_n = 0
+    big_max = fine_max = 0.0
+    fine_ok = True
+    failures = []
+    for x, r in samples:
+        x, r = Fraction(x), Fraction(r)
+        mass = _ball_mass_walk(witness, x, r)
+        if mass == 0:
+            hi = 0.0
+        else:
+            ratio = rd.mul(rd.enclose(mass), rd.powr(rd.enclose(L0 / r), t, prec), prec)
+            hi = ratio.hi_float
+            if not ratio.certified_le(limit):
+                failures.append((x, r, hi))
+        if hi > max_ratio:
+            max_ratio, argmax = hi, (x, r)
+        if r >= L0:
+            big_n += 1
+            big_max = max(big_max, hi)
+        if r <= fine_at:
+            fine_n += 1
+            fine_max = max(fine_max, hi)
+            if hi > md._FINE_LIMIT:
+                fine_ok = False
+    return md.HolderReport(
+        len(samples), limit, max_ratio, argmax, big_n, big_max, fine_n, fine_max,
+        tuple(failures), "PASS" if not failures else "FAIL", "PASS" if fine_ok else "FAIL",
     )
 
 
@@ -383,6 +441,213 @@ class TestHolder:
         for x, r in holder_samples(w_main, 200, seed=9):
             assert isinstance(x, Fraction) and isinstance(r, Fraction)
             assert 0 <= x <= 1 and r > 0
+
+
+def _ball_grid(w):
+    """Balls hitting no interval, one, several or all, ending exactly on
+    endpoints, and centred outside [0, 1]."""
+    ivs = w.intervals
+    out = [(Fraction(1, 2), Fraction(2)), (Fraction(-1, 2), Fraction(1, 4)),
+           (Fraction(3, 2), Fraction(1, 4)), (Fraction(-1, 2), 1 - ivs[0].lo / 2),
+           (Fraction(3, 2), Fraction(3, 2) - (ivs[-1].lo + ivs[-1].hi) / 2),
+           ((ivs[0].lo + ivs[-1].hi) / 2, (ivs[-1].hi - ivs[0].lo) / 2)]
+    for F, G in zip(ivs, ivs[1:]):
+        gap = G.lo - F.hi
+        for x in (F.lo, F.hi, (F.lo + F.hi) / 2, F.hi + gap / 2, F.lo + F.length / 3):
+            for r in (gap / 4, F.length / 7, F.length / 2, F.length, G.hi - x, G.lo - x,
+                      x - F.lo, 3 * F.length):
+                if r > 0:
+                    out.append((x, r))
+    return out
+
+
+class TestBallMassOracle:
+    def test_grid_matches_interval_walk(self, all_witnesses):
+        for w in all_witnesses:
+            for x, r in _ball_grid(w):
+                assert md._ball_mass(w, x, r) == _ball_mass_walk(w, x, r), (x, r)
+
+    def test_grid_covers_every_shape(self, w_main):
+        F, G = w_main.intervals[0], w_main.intervals[1]
+        gap = G.lo - F.hi
+        assert md._ball_mass(w_main, F.hi + gap / 2, gap / 2) == 0  # ends on both endpoints
+        assert md._ball_mass(w_main, F.hi + gap / 2, gap / 4) == 0  # inside a gap
+        assert md._ball_mass(w_main, F.lo + F.length / 2, F.length / 2) == w_main.masses[0]
+        assert md._ball_mass(w_main, Fraction(-1, 2), Fraction(1, 4)) == 0
+        assert md._ball_mass(w_main, Fraction(3, 2), Fraction(2)) == 1
+        mid = F.lo + F.length / 2
+        for r in (Fraction(0), -F.length / 4, Fraction(-3)):  # empty or reversed
+            assert md._ball_mass(w_main, mid, r) == _ball_mass_walk(w_main, mid, r) == 0
+
+    @given(st.integers(0, 80), st.integers(-300, 400), st.integers(1, 10**6),
+           st.sampled_from([1, 7, 64, 4096, 2**40]))
+    @settings(max_examples=300, deadline=None)
+    def test_random_balls_match_interval_walk(self, w_main, idx, xs, rs, scale):
+        F = w_main.intervals[idx]
+        x = F.lo + F.length * Fraction(xs, 100)
+        r = F.length * Fraction(rs, scale)
+        assert md._ball_mass(w_main, x, r) == _ball_mass_walk(w_main, x, r)
+
+    def test_prefix_sums_are_exact(self, all_witnesses):
+        for w in all_witnesses:
+            assert w.cum[0] == 0 and w.cum[-1] == w.total_mass == 1
+            assert [b - a for a, b in zip(w.cum, w.cum[1:])] == list(w.masses)
+
+
+def _prebound(w, masses, quotients):
+    m = np.array([md._float_or_inf(v) for v in masses])
+    q = np.array([md._float_or_inf(v) for v in quotients])
+    return md._ratio_prebound(m, q, np.array([v != 0 for v in masses]), w.params.t)
+
+
+def _t_near_one(w):
+    # same intervals and weights, t so close to 1 that t ln(L0/r) can leave
+    # [ivec.EXP_MIN, ivec.EXP_MAX] while L0/r is still a normal float
+    params = replace(w.params, t=Fraction(9999, 10000), relax=True)
+    return md.WitnessMeasure(params, w.intervals, w.block_weights, w.last_weights,
+                             w.block_sum_residual, w.nominal_last_total)
+
+
+class TestHolderOracle:
+    @pytest.mark.parametrize("seed", [1, 77, 2026])
+    def test_report_equals_every_sample_loop(self, all_witnesses, seed):
+        for w in all_witnesses:
+            samples = holder_samples(w, 700, seed=seed)
+            assert holder_check(w, samples) == _holder_every_sample(w, samples)
+
+    def test_ties_keep_the_first_argmax(self, w_main):
+        # equal balls inside one interval have equal ratios at different x;
+        # smaller balls there have smaller ratios (mass ~ r, ratio ~ r^(1-t))
+        F = w_main.intervals[40]
+        tied = [(F.lo + F.length * Fraction(k, 10), F.length / 20) for k in range(2, 9)]
+        small = [(F.lo + F.length * Fraction(k, 10), F.length / 40) for k in range(2, 9)]
+        for samples in (small + tied, tied[::-1] + small):
+            rep = holder_check(w_main, samples)
+            assert rep == _holder_every_sample(w_main, samples)
+            assert rep.argmax == next(s for s in samples if s in tied)
+
+    def test_limit_either_side_of_max(self, w_main, monkeypatch):
+        samples = holder_samples(w_main, 600, seed=7)
+        top = _holder_every_sample(w_main, samples).max_ratio
+        verdicts = set()
+        for limit in (math.nextafter(top, 0), top, math.nextafter(top, math.inf),
+                      top / 3, int(top)):
+            monkeypatch.setattr(md, "holder_limit", lambda p, v=limit: v)
+            rep = holder_check(w_main, samples)
+            assert rep == _holder_every_sample(w_main, samples), limit
+            assert rep.limit == limit
+            verdicts.add(rep.verdict)
+        assert verdicts == {"PASS", "FAIL"}
+
+    def test_fine_limit_either_side_of_max(self, w_main, monkeypatch):
+        samples = holder_samples(w_main, 600, seed=8)
+        top = _holder_every_sample(w_main, samples).fine_max
+        verdicts = set()
+        for limit in (math.nextafter(top, 0), top, math.nextafter(top, math.inf), top / 2):
+            monkeypatch.setattr(md, "_FINE_LIMIT", limit)
+            rep = holder_check(w_main, samples)
+            assert rep == _holder_every_sample(w_main, samples), limit
+            verdicts.add(rep.fine_verdict)
+        assert verdicts == {"PASS", "FAIL"}
+
+    def test_unformable_prebounds_fall_back(self, w_iii):
+        L0 = w_iii.root_length
+        F, G = w_iii.intervals[3], w_iii.intervals[4]
+        gap = G.lo - F.hi
+
+        def grazing(eps):  # a ball reaching eps * |F| into F from its right end
+            return F.hi - F.length * eps + gap / 4, gap / 4
+
+        odd = [
+            (F.lo + F.length / 2, L0 / 2**1100),  # L0/r beyond float64
+            grazing(Fraction(1, 2**1050)),  # subnormal float mass
+            grazing(Fraction(1, 2**1200)),  # mass rounds to float zero
+            # normal float mass, ratio below the normal range
+            (w_iii.intervals[0].lo - L0 * 2**200 + w_iii.intervals[0].length / 2**1014,
+             L0 * 2**200),
+        ]
+        w_t = _t_near_one(w_iii)
+        odd_t = [
+            (F.lo + F.length / 2, L0 / Fraction(math.exp(709.5))),  # t ln(L0/r) > EXP_MAX
+            (Fraction(1, 2), L0 * 2**1022),  # t ln(L0/r) < EXP_MIN
+        ]
+        for w, special in ((w_iii, odd), (w_t, odd_t)):
+            L0 = w.root_length
+            masses = [md._ball_mass(w, x, r) for x, r in special]
+            assert all(m > 0 for m in masses)
+            lo, hi = _prebound(w, masses, [L0 / r for _, r in special])
+            assert list(lo) == [0.0] * len(special) and list(hi) == [math.inf] * len(special)
+            samples = holder_samples(w, 300, seed=4)
+            mixed = samples[:100] + special + samples[100:]
+            assert holder_check(w, mixed) == _holder_every_sample(w, mixed)
+
+    def test_report_does_not_depend_on_chunking(self, w_iii, monkeypatch):
+        samples = holder_samples(w_iii, 500, seed=9)
+        ref = _holder_every_sample(w_iii, samples)
+        for chunk in (1, 7, 10**6):
+            monkeypatch.setattr(md, "_PREBOUND_CHUNK", chunk)
+            assert holder_check(w_iii, samples) == ref
+        assert holder_check(w_iii, []) == _holder_every_sample(w_iii, [])
+        F = w_iii.intervals[5]
+        degenerate = samples[:50] + [(F.lo + F.length / 2, r) for r in (0, -F.length / 4)]
+        assert holder_check(w_iii, degenerate) == _holder_every_sample(w_iii, degenerate)
+
+    def test_low_precision_checks_every_sample(self, w_ii):
+        samples = holder_samples(w_ii, 300, seed=6)
+        for prec in (53, 63, 64):
+            assert holder_check(w_ii, samples, prec=prec) == _holder_every_sample(
+                w_ii, samples, prec=prec
+            )
+
+    def test_prebound_contains_the_prec_bit_ratio(self, all_witnesses):
+        for w in all_witnesses:
+            samples = holder_samples(w, 300, seed=21)
+            masses = [md._ball_mass(w, x, r) for x, r in samples]
+            quotients = [w.root_length / r for _, r in samples]
+            lo, hi = _prebound(w, masses, quotients)
+            top = md.ivec.up(hi * md._PREBOUND_SLACK)
+            for k, (mass, q) in enumerate(zip(masses, quotients)):
+                if mass == 0:
+                    assert lo[k] == hi[k] == 0
+                    continue
+                ratio = rd.mul(rd.enclose(mass), rd.powr(rd.enclose(q), w.params.t, 256), 256)
+                assert ratio.lo_float <= hi[k] and lo[k] <= ratio.hi_float
+                fast = rd.mul(rd.enclose(mass), rd.powr(rd.enclose(q), w.params.t, 96), 96)
+                assert fast.hi_float <= top[k]
+
+    def test_rule_keeps_the_documented_gap(self):
+        # at 96 bits hi_float <= hi (1 + 2^-51): a pre-bound two floats under
+        # a floor or the limit can still reach it there
+        def below(f):
+            h = np.nextafter(np.nextafter(f, 0), 0)
+            assert Fraction(float(h)) * (1 + Fraction(1, 2**51)) >= f
+            return h
+
+        no = np.zeros(2, dtype=bool)
+        lo = np.array([1.0, 3.0])
+        hi = np.array([below(3.0), 3.5])
+        assert list(md._needs_exact(lo, hi, no, no, 1000)) == [True, True]
+        lo, hi = np.array([0.5]), np.array([below(1000.0)])
+        assert list(md._needs_exact(lo, hi, no[:1], no[:1], 1000)) == [True]
+
+    def test_rule_covers_each_group(self):
+        #            all-max  big     big    fine    fine   zero   trivial
+        lo = np.array([100.0, 0.5, 0.1, 50.0, 10.0, 0.0, 0.0])
+        hi = np.array([101.0, 0.6, 0.2, 51.0, 11.0, 0.0, np.inf])
+        big = np.array([False, True, True, False, False, False, False])
+        fine = np.array([False, False, False, True, True, True, False])
+        got = md._needs_exact(lo, hi, big, fine, 1000)
+        assert list(got) == [True, True, False, True, False, False, True]
+
+    def test_most_samples_skip_the_prec_bit_path(self, w_main):
+        samples = holder_samples(w_main, 2000, seed=3)
+        masses = [md._ball_mass(w_main, x, r) for x, r in samples]
+        lo, hi = _prebound(w_main, masses, [w_main.root_length / r for _, r in samples])
+        L0, fine_at = w_main.root_length, w_main.min_gap() / 2
+        big = np.array([r >= L0 for _, r in samples])
+        fine = np.array([r <= fine_at for _, r in samples])
+        exact = md._needs_exact(lo, hi, big, fine, holder_limit(w_main.params))
+        assert 0 < exact.sum() <= 20
 
 
 class TestContent:
