@@ -1,4 +1,4 @@
-"""Certified evaluation of continuant power sums by envelope iteration.
+"""Certified evaluation of continuant power sums by a chord envelope.
 
 The identity q_n(a_1..a_n) = prod_k (a_k + r_{k-1}), with r_k the value of
 the reversed prefix [0; a_k, ..., a_1], turns
@@ -6,14 +6,46 @@ the reversed prefix [0; a_k, ..., a_1], turns
     S_n(t) = sum over words of q_n^{-t}
 
 into (L^n f)(0) for the weighted shift (Lf)(r) = sum_a (a+r)^{-t} f(1/(a+r))
-and f = 1.  This module iterates rigorous upper/lower envelopes of L^k f
-over a uniform binning of r in [0,1], with digits grouped into cells
-(singletons, dyadic blocks, one analytic tail cell), every step in
-outward-rounded float64.  The result is a certified two-sided bound whose
-width shrinks as the layout is refined.
+and f = 1.  Seeded variants take other f, which the pressure sums need.
 
-Seeded variants evaluate (L^n f)(0) for other nonnegative f, which is what
-the pressure estimates need.
+The cone.  Let C be the positive combinations of g_c(r) = (1 + c r)^{-t}
+with 0 <= c <= 1.  L maps C into itself, because
+
+    (a+r)^{-t} g_c(1/(a+r)) = (a+r+c)^{-t} = (a+c)^{-t} g_{1/(a+c)}(r)
+
+and 1/(a+c) lies in (0, 1].  f = 1 is g_0 and the pressure seed is g_x with
+x = x_min(A) in (0, 1), so every iterate f_k = L^k f is in C.  On r >= 0
+each g_c has g_c' <= 0 and 0 <= g_c'' = t(t+1) c^2 (1+cr)^{-2} g_c <= K g_c
+with K = t(t+1); sums keep all three facts.  So every f_k is nonnegative,
+decreasing and convex on [0, 1], with f_k'' <= K f_k.
+
+The envelope.  Upper and lower bounds U_j >= f(j/N) >= L_j are kept at the
+N+1 nodes j/N.  Because f decreases, U is replaced by its running minimum
+from the left and L by its running maximum from the right.  For a node
+interval [y1, y2] of width W and x in it, write x = y1 + lam W.  Convexity
+puts f below its chord there, f(x) <= U(y1) - lam (U(y1) - U(y2)).  The
+interpolation remainder, f(x) - chord = f''(xi)/2 (x - y1)(x - y2), and
+f'' <= K f(y1) <= K U(y1) give f(x) >= L(y1) - lam (L(y1) - L(y2)) -
+lam (1 - lam) W^2/2 K U(y1), and lam (1 - lam) <= 1/4.  One step of L at a
+node r adds one term per digit cell:
+
+- singleton a, with x = 1/(a+r) enclosed in [xd, xu]: f(x) <= f(xd), the
+  chord of U at xd on its node interval; f(x) >= f(xu), the lowered chord
+  of L at xu on its node interval (W = h = 1/N).  Both are times the
+  weight (a+r)^{-t};
+- block or tail cell A1..A2: every image x_a = 1/(a+r) lies in one node
+  interval [y1, y2] covering [1/(A2+r), 1/(A1+r)] (y1 = 0 for the tail).
+  With the weights w_a = (a+r)^{-t}, sum_a w_a lam_a = (N S1 - j1 S0)/(j2 - j1)
+  for S0 = sum_a (a+r)^{-t}, S1 = sum_a (a+r)^{-t-1} and y1 = j1/N,
+  y2 = j2/N.  So the cell lies between S0 U(y1) - (U(y1) - U(y2)) M and
+  (L(y1) - K U(y1) W^2/8) S0 - (L(y1) - L(y2)) M, with M = sum_a w_a lam_a
+  enclosed from the two midpoint-rule sums.
+
+Each upper term is also capped by the zeroth-order bound S0 U(y1), each
+lower term floored by S0 L(y2), and the cells are added in layout order,
+so every bound lies inside the one the bin max/min envelope of the same
+layout gives.  The error is second order in the node spacing.  Every
+operation is outward-rounded float64.
 """
 
 from __future__ import annotations
@@ -22,21 +54,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ivec import dn, ipow_neg, up
+from .ivec import _ln_one_sided, dn, iexp, ipow_neg, up
 
-# escalation table: (bins, singleton digits, dyadic blocks)
+# layouts: (nodes - 1, singleton digits, dyadic blocks).  apply_power_estimate
+# reads the same rows, and the root solvers localize with rows 0 and 1.
 _LEVELS = [
     (256, 32, 12),
     (1024, 64, 14),
-    (4096, 128, 17),
-    (8192, 256, 20),
+    (1024, 128, 17),
 ]
 MAX_LEVEL = len(_LEVELS) - 1
 
 
 @dataclass(frozen=True)
 class Layout:
-    """Bin grid on [0,1] plus the digit cells of the alphabet."""
+    """Node grid j/nbins on [0,1] plus the digit cells of the alphabet."""
 
     nbins: int
     cells: tuple[tuple[int, int], ...]  # (A1, A2); A2 = 0 means infinite
@@ -44,19 +76,12 @@ class Layout:
 
     @property
     def edges(self) -> np.ndarray:
-        """The nbins + 1 bin edges j/nbins, exact because nbins is a power of 2."""
+        """The nbins + 1 nodes j/nbins, exact because nbins is a power of 2."""
         return np.arange(self.nbins + 1) / self.nbins
-
-    @property
-    def r_lo(self) -> np.ndarray:
-        return self.edges[:-1]
-
-    @property
-    def r_hi(self) -> np.ndarray:
-        return self.edges[1:]
 
 
 def make_layout(level: int = 1, amax: int | None = None) -> Layout:
+    """Layout of the given level; levels above MAX_LEVEL use MAX_LEVEL."""
     nbins, a0, ndyad = _LEVELS[min(level, MAX_LEVEL)]
     if nbins < 1 or nbins & (nbins - 1):
         raise ValueError(f"bin count {nbins} is not a power of 2, so j/nbins is inexact")
@@ -78,160 +103,183 @@ def make_layout(level: int = 1, amax: int | None = None) -> Layout:
     return Layout(nbins, tuple(cells), amax)
 
 
-def _integral_tail(x, clo, chi, t):
-    """Enclosure of int_x^inf (y+c)^{-t} dy = (x+c)^{1-t}/(t-1)."""
+def _pow_ln(ln, t):
+    """Enclosure of y^{-t} from the ln bounds of y; the bits of ipow_neg."""
+    return iexp(dn(ln[1] * (-t)), up(ln[0] * (-t)))
+
+
+def _tails(y_lo, y_hi, ln, t):
+    """Enclosures of int_y^inf x^{-t} dx = y^{1-t}/(t-1) (None at t = 1) and
+    of the same at t + 1, y^{-t}/t."""
     tm1 = t - 1.0
-    blo, bhi = dn(x + clo), up(x + chi)
-    plo, phi = ipow_neg(blo, bhi, tm1)
-    return dn(plo / tm1), up(phi / tm1)
+    plo, phi = _pow_ln(ln, tm1)  # swapped when t < 1: then both divisions flip
+    q_lo = dn(np.minimum(plo, phi) / y_hi)  # y^{-t} = y^{1-t} / y
+    q_hi = up(np.maximum(plo, phi) / y_lo)
+    return (dn(plo / tm1), up(phi / tm1)) if tm1 else None, (dn(q_lo / t), up(q_hi / t))
 
 
 def _cell_sum(A1, A2, c, t):
-    """Enclosure of sum_{a=A1..A2} (a+c)^{-t} at exact c >= 0; A2=None -> inf.
+    """Enclosures of sum_{a=A1..A2} (a+c)^{-t} and of the same sum at t + 1.
 
-    Midpoint rule: the sum lies in [I - C, I] with I the integral over
-    [A1-1/2, A2+1/2] and C = (|g'| + g'')(A1-1/2)/24, g(x) = (x+c)^{-t}.
-    A1, A2 and c broadcast against each other; every element is computed
-    as it would be alone.
+    c >= 0 is exact and A2 = None is infinite.  Midpoint rule: the sum of
+    g(a) = (a+c)^{-t} lies in [I - C, I] with I the integral of g over
+    [A1-1/2, A2+1/2] and C = (|g'| + g'')(A1-1/2)/24.  The sum at t + 1
+    takes its powers from those at t, with one division by the base y:
+    y^{-t} = y^{1-t}/y and y^{-t-3} = y^{-t-2}/y.  A1, A2 and c broadcast
+    against each other; every element is computed as it would be alone.
     """
     c = np.asarray(c, dtype=np.float64)
-    a_lo = A1 - 0.5
-    i_lo, i_hi = _integral_tail(a_lo, c, c, t)
+    y_lo, y_hi = dn(A1 - 0.5 + c), up(A1 - 0.5 + c)
+    ln = _ln_one_sided(y_lo, -1), _ln_one_sided(y_hi, +1)
+    i0, i1 = _tails(y_lo, y_hi, ln, t)
     if A2 is not None:
-        j_lo, j_hi = _integral_tail(A2 + 0.5, c, c, t)
-        i_lo, i_hi = dn(i_lo - j_hi), up(i_hi - j_lo)
-    blo, bhi = dn(a_lo + c), up(a_lo + c)
-    g1 = up(t * ipow_neg(blo, bhi, t + 1.0)[1])
-    g2 = up(t * (t + 1.0) * ipow_neg(blo, bhi, t + 2.0)[1])
-    corr = up(up(g1 + g2) / 24.0)
-    return np.maximum(dn(i_lo - corr), 0.0), i_hi
+        b_lo, b_hi = dn(A2 + 0.5 + c), up(A2 + 0.5 + c)
+        ln_b = _ln_one_sided(b_lo, -1), _ln_one_sided(b_hi, +1)
+        j0, j1 = _tails(b_lo, b_hi, ln_b, t)
+        if i0 is None:  # t = 1: the integral over [A1-1/2, A2+1/2] is a log ratio
+            i0 = dn(ln_b[0] - ln[1]), up(ln_b[1] - ln[0])
+        else:
+            i0 = dn(i0[0] - j0[1]), up(i0[1] - j0[0])
+        i1 = dn(i1[0] - j1[1]), up(i1[1] - j1[0])
+    p2 = _pow_ln(ln, t + 2.0)[1]  # y^{-t-2}
+    g1 = up(t * _pow_ln(ln, t + 1.0)[1])
+    g2 = up(t * (t + 1.0) * p2)
+    corr0 = up(up(g1 + g2) / 24.0)
+    h2 = up(up((t + 1.0) * (t + 2.0)) * up(p2 / y_lo))
+    corr1 = up(up(up((t + 1.0) * p2) + h2) / 24.0)
+    return (np.maximum(dn(i0[0] - corr0), 0.0), i0[1]), (np.maximum(dn(i1[0] - corr1), 0.0), i1[1])
 
 
-def _singleton_weight(A1, A2, c, t):
-    """Enclosure of (A1 + c)^{-t}; A2 = A1 is not read."""
-    return ipow_neg(dn(A1 + c), up(A1 + c), t)
-
-
-def _tail_weight(A1, A2, c, t):
-    """Enclosure of sum_{a >= A1} (a + c)^{-t}; A2 = 0 is not read."""
-    return _cell_sum(A1, None, c, t)
-
-
-# elements per batched kernel call: bounds the kernels' temporaries
+# elements per batched kernel call: bounds the temporaries of setup and steps
 _CHUNK = 8192
 
+_FLOAT_FIELDS = ("s_lo", "s_hi", "mu", "ml", "c")
+_INDEX_FIELDS = ("ju1", "ju2", "jl1", "jl2")
 
-def _cell_weights(layout, t, r):
-    """Weight enclosures (lo, hi) of every cell at every exact r, shape (cells, r).
 
-    Singleton cells, finite dyadic blocks and the infinite tail cell are
-    each evaluated by one kernel over (cells x r), in row chunks of about
-    _CHUNK elements.  Every element is computed exactly as it would be on
-    its own, so the bounds do not depend on the batching.
+def _node_of(x, N):
+    """Node interval j = floor(x N), clipped to N - 1, and lam = x N - j.
+
+    x N is exact (N is a power of 2) and so is the subtraction (Sterbenz,
+    or j = 0), so lam is the exact position of x in [j/N, (j+1)/N].
     """
+    xs = x * N
+    j = np.minimum(np.floor(xs), N - 1)
+    return j, xs - j
+
+
+def _singleton_chords(A1, A2, r, t, K, N):
+    """Chord data of singleton cells a = A1 at the points r; A2 is not read."""
+    s_lo, s_hi = ipow_neg(dn(A1 + r), up(A1 + r), t)
+    ju, lam_u = _node_of(dn(1.0 / up(A1 + r)), N)  # x = 1/(a+r) in [xd, xu]
+    jl, lam_l = _node_of(np.minimum(up(1.0 / dn(A1 + r)), 1.0), N)
+    return {
+        "s_lo": s_lo, "s_hi": s_hi,
+        "ju1": ju, "ju2": ju + 1, "mu": np.maximum(dn(s_hi * lam_u), 0.0),
+        "jl1": jl, "jl2": jl + 1, "ml": up(s_hi * lam_l),
+        "c": up(up(lam_l * up(1.0 - lam_l)) * up(K * (0.5 / N**2))),
+    }
+
+
+def _block_chords(A1, A2, r, t, K, N):
+    """Chord data of block cells A1..A2 at the points r; A2 = None is the tail."""
+    (s_lo, s_hi), (s1_lo, s1_hi) = _cell_sum(A1, A2, r, t)
+    x_lo = 0.0 if A2 is None else dn(1.0 / up(A2 + r))
+    j1 = np.minimum(np.floor(x_lo * N), N - 1)
+    j2 = np.minimum(np.maximum(np.ceil(up(1.0 / dn(A1 + r)) * N), j1 + 1.0), N)
+    span = j2 - j1
+    return {
+        "s_lo": s_lo, "s_hi": s_hi,
+        "ju1": j1, "ju2": j2, "jl1": j1, "jl2": j2,
+        "mu": np.maximum(dn(dn(N * s1_lo - up(j1 * s_hi)) / span), 0.0),
+        "ml": np.minimum(up(up(N * s1_hi - dn(j1 * s_lo)) / span), s_hi),
+        "c": up(K * (span * span / (8.0 * N * N))),
+    }
+
+
+def _chords(layout, t, r):
+    """Data of one envelope step at the exact points r, arrays of shape (cells, r).
+
+    Upper term of a cell: min(s_hi U[ju1] - D mu, s_hi U[ju1]) with
+    D = U[ju1] - U[ju2].  Lower term: max((L[jl1] - c U[jl1]) s - E ml,
+    s_lo L[jl2]) with E = L[jl1] - L[jl2] and s the weight sum [s_lo, s_hi].
+    mu bounds sum_a w_a lam_a from below, ml from above, and c is the
+    curvature allowance; see the module docstring.  Cells of one kind are
+    set up together, in row chunks of about _CHUNK elements; every element
+    is computed as it would be alone, so nothing depends on the chunking.
+    """
+    N = layout.nbins
+    K = up(t * up(t + 1.0))
     cells = np.array(layout.cells, dtype=np.float64)
     A1, A2 = cells[:, :1], cells[:, 1:]
     single = cells[:, 0] == cells[:, 1]
     tail = cells[:, 1] == 0
-    groups = (
-        (np.flatnonzero(single), _singleton_weight),
-        (np.flatnonzero(~single & ~tail), _cell_sum),
-        (np.flatnonzero(tail), _tail_weight),
-    )
-    lo = np.empty((len(cells), r.size))
-    hi = np.empty_like(lo)
+    shape = (len(cells), r.size)
+    ch = {f: np.empty(shape) for f in _FLOAT_FIELDS}
+    ch.update({f: np.empty(shape, dtype=np.int32) for f in _INDEX_FIELDS})
     step = max(1, round(_CHUNK / r.size))
-    for rows, weight in groups:
+    groups = ((single, _singleton_chords, False), (~single & ~tail, _block_chords, False),
+              (tail, _block_chords, True))
+    for mask, setup, infinite in groups:
+        rows = np.flatnonzero(mask)
         for k in range(0, rows.size, step):
             sel = rows[k : k + step]
-            lo[sel], hi[sel] = weight(A1[sel], A2[sel], r, t)
+            a2 = None if infinite else A2[sel]
+            for f, v in setup(A1[sel], a2, r, t, K, N).items():
+                ch[f][sel] = v  # index fields take whole-number floats
+    return ch
+
+
+def _terms(ch, L, U):
+    """Upper and lower terms of each cell at each point (see _chords)."""
+    U1, L1 = U[ch["ju1"]], L[ch["jl1"]]
+    D = np.maximum(dn(U1 - U[ch["ju2"]]), 0.0)
+    flat = up(U1 * ch["s_hi"])
+    t_hi = np.minimum(up(flat - dn(D * ch["mu"])), flat)
+    L2 = L[ch["jl2"]]
+    a = dn(L1 - up(ch["c"] * U[ch["jl1"]]))
+    t_lo = dn(dn(a * np.where(a >= 0.0, ch["s_lo"], ch["s_hi"])) - up(up(L1 - L2) * ch["ml"]))
+    return np.maximum(t_lo, dn(L2 * ch["s_lo"])), t_hi
+
+
+def _step(ch, L, U):
+    """Bounds (L, U) of Lf at the points of ch from node bounds of f."""
+    U = np.minimum.accumulate(U)
+    L = np.maximum.accumulate(np.maximum(L, 0.0)[::-1])[::-1]
+    ncells, npts = ch["s_lo"].shape
+    lo, hi = np.zeros(npts), np.zeros(npts)
+    rows = max(1, round(_CHUNK / npts))
+    for k in range(0, ncells, rows):
+        t_lo, t_hi = _terms({f: v[k : k + rows] for f, v in ch.items()}, L, U)
+        for row_lo, row_hi in zip(t_lo, t_hi):  # cells in layout order
+            lo = dn(lo + row_lo)
+            hi = up(hi + row_hi)
     return lo, hi
 
 
-def _image_bins(A1, A2, r_lo, r_hi, nbins):
-    """Conservative bin range [j1, j2] of x = 1/(a+r) over the cell."""
-    if A2 == 0:
-        im_lo = np.zeros_like(r_lo)
-    else:
-        im_lo = dn(1.0 / up(A2 + r_hi))
-    im_hi = up(1.0 / dn(A1 + r_lo))
-    j1 = np.clip(np.floor(im_lo * nbins).astype(np.int64), 0, nbins - 1)
-    j2 = np.clip(np.floor(im_hi * nbins).astype(np.int64), 0, nbins - 1)
-    return j1, j2
-
-
-def _sparse_table(values, op):
-    """Doubling table for exact range max/min queries."""
-    levels = [values]
-    k = 1
-    while 2 * k <= len(values):
-        prev = levels[-1]
-        levels.append(op(prev[: len(prev) - k], prev[k:]))
-        k *= 2
-    return levels
-
-
-def _range_query(levels, j1, j2, op):
-    """op over values[j1..j2] per slot, via two overlapping power-of-two blocks."""
-    w = j2 - j1 + 1
-    k = (np.frexp(w.astype(np.float64))[1] - 1).astype(np.int64)
-    out = np.empty(len(j1), dtype=np.float64)
-    for kk in np.unique(k):
-        m = k == kk
-        step = 1 << int(kk)
-        out[m] = op(levels[int(kk)][j1[m]], levels[int(kk)][j2[m] - step + 1])
-    return out
-
-
 def apply_power(n, t, layout, seed=None):
-    """Certified (lo, hi) of (L^n f)(0); f = 1 unless a seed envelope is given.
+    """Certified (lo, hi) of (L^n f)(0); f = 1 unless a seed is given.
 
-    seed: optional (lo_arr, hi_arr) with per-bin bounds of f over each bin.
+    seed: optional (lo_arr, hi_arr) of bounds of f at the nbins + 1 nodes.
+    f must lie in the cone of the module docstring, as (1 + x r)^{-t} for
+    0 <= x <= 1 does.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if layout.amax is None and not t > 1:
+        raise ValueError(f"the full-alphabet sum diverges for t <= 1; got t = {t}")
     N = layout.nbins
     if seed is None:
-        U = np.ones(N)
-        L = np.ones(N)
+        L = U = np.ones(N + 1)
     else:
-        L, U = np.asarray(seed[0], float), np.asarray(seed[1], float)
-
-    # weights at the bin edges; each cell's weight is decreasing in r, so
-    # bin i gets lo from its right edge and hi from its left edge
-    edges = layout.edges if n > 1 else np.zeros(1)
-    e_lo, e_hi = _cell_weights(layout, t, edges)
-
-    if n > 1:
-        r_lo, r_hi = edges[:-1], edges[1:]
-        cell_data = []
-        for k, (A1, A2) in enumerate(layout.cells):
-            j1, j2 = _image_bins(A1, A2, r_lo, r_hi, N)
-            cell_data.append((e_lo[k, 1:], e_hi[k, :-1], j1, j2))
-        for _ in range(n - 1):
-            tU = _sparse_table(U, np.maximum)
-            tL = _sparse_table(L, np.minimum)
-            Unew = np.zeros(N)
-            Lnew = np.zeros(N)
-            for w_lo, w_hi, j1, j2 in cell_data:
-                mU = _range_query(tU, j1, j2, np.maximum)
-                mL = _range_query(tL, j1, j2, np.minimum)
-                Unew = up(Unew + up(w_hi * mU))
-                Lnew = dn(Lnew + dn(w_lo * mL))
-            U, L = Unew, Lnew
-
-    # final application at r = 0 exactly: edge column 0
-    zero = np.zeros(1)
-    tot_lo, tot_hi = 0.0, 0.0
-    for k, (A1, A2) in enumerate(layout.cells):
-        w_lo, w_hi = float(e_lo[k, 0]), float(e_hi[k, 0])
-        j1, j2 = _image_bins(A1, A2, zero, zero, N)
-        j1, j2 = int(j1[0]), int(j2[0])
-        m_hi = float(np.max(U[j1 : j2 + 1]))
-        m_lo = float(np.min(L[j1 : j2 + 1]))
-        tot_hi = float(up(tot_hi + up(w_hi * m_hi)))
-        tot_lo = float(dn(tot_lo + dn(w_lo * m_lo)))
-    return max(tot_lo, 0.0), tot_hi
+        L, U = (np.asarray(v, dtype=np.float64) for v in seed)
+        if L.shape != (N + 1,) or U.shape != (N + 1,):
+            raise ValueError(f"a seed holds bounds at the {N + 1} nodes")
+    ch = _chords(layout, t, layout.edges if n > 1 else np.zeros(1))
+    for _ in range(n - 1):
+        L, U = _step(ch, L, U)
+    lo, hi = _step({f: v[:, :1] for f, v in ch.items()}, L, U)  # node 0: r = 0
+    return max(float(lo[0]), 0.0), float(hi[0])
 
 
 def _block_mid_weight(A1, A2, r, t):

@@ -897,6 +897,7 @@ def holder_check(witness: WitnessMeasure, samples, *, prec=RATIO_PREC) -> Holder
     groups' maxima and under the limit: it cannot set a maximum, the
     argmax, a failure or a verdict (fine_verdict reads the fine maximum).
     The report is the one that the prec-bit path on every sample gives.
+    A sample of radius r <= 0 raises ValueError, as measure_of does.
 
     delta = 2^-40 covers the gap between the exact ratio (<= hi) and the
     prec-bit path's hi_float.  A nontrivial pre-bound has |t ln(L0/r)| <=
@@ -918,10 +919,12 @@ def holder_check(witness: WitnessMeasure, samples, *, prec=RATIO_PREC) -> Holder
     nonzero, big, fine = (np.empty(count, dtype=bool) for _ in range(3))
     for k, (x, r) in enumerate(samples):
         r = Fraction(r)
+        if r <= 0:
+            raise ValueError("ball radius must be positive")
         mass = _ball_mass(witness, Fraction(x), r)
         nonzero[k] = mass != 0
         m[k] = _float_or_inf(mass)
-        q[k] = _float_or_inf(L0 / r) if nonzero[k] else 0.0  # massless balls include r = 0
+        q[k] = _float_or_inf(L0 / r) if nonzero[k] else 0.0
         big[k], fine[k] = r >= L0, r <= fine_at
     lo, hi = np.empty(count), np.empty(count)
     for a in range(0, count, _PREBOUND_CHUNK):

@@ -183,7 +183,7 @@ def solve_predim(n: int, B, kind: int, a1z=None, *, M=None, tol: float = 1e-4):
         if a1z < 1:
             raise ValueError("a1z must be a positive integer or +inf")
 
-    levels = [0] if (n == 1 and M is None) else [1, 2, 3]
+    levels = [0] if (n == 1 and M is None) else [0, 1, 2]
 
     if _log_f_est(n, B, kind, a1z, M, 1.0) >= -1e-9:
         # probably no root below 1; settle it with certified evaluations

@@ -192,7 +192,8 @@ def _const_float(kind, s, B, ab) -> float:
 # ---------------------------------------------------------------------------
 # exact enumeration of continuant data over A^n
 
-_ENUM_CACHE: dict = {}
+# an entry holds every level of A^depth: at most the budget's 2e6 words
+_ENUM_CACHE = sums.BoundedCache(16)
 
 
 def _enumerate(alpha: tuple, depth: int, budget: int):
@@ -203,10 +204,10 @@ def _enumerate(alpha: tuple, depth: int, budget: int):
         )
     if (max(alpha) + 1) ** depth >= 2**53:
         raise DepthTooLarge("continuants would outgrow exact float64 range")
-    key = (alpha, depth)
-    cached = _ENUM_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _ENUM_CACHE.get_or_compute((alpha, depth), lambda: _enumerate_levels(alpha, depth))
+
+
+def _enumerate_levels(alpha: tuple, depth: int):
     digits = np.array(alpha, dtype=np.int64)
     q = np.array([1], dtype=np.int64)
     qp = np.array([0], dtype=np.int64)
@@ -222,7 +223,6 @@ def _enumerate(alpha: tuple, depth: int, budget: int):
             p, digits.size
         )
         levels.append((q, qp, p, pp))
-    _ENUM_CACHE[key] = levels
     return levels
 
 
@@ -247,10 +247,10 @@ def _sigma_exact(alpha, n, s, xe, budget) -> tuple:
 # envelope route for contiguous alphabets
 
 def _sup_seed(layout, xe, t):
+    """Bounds of (1 + x r)^{-t} at the layout's nodes, for x in the enclosure xe."""
     xlo, xhi = rd.to_f64(xe)
-    base_lo = dn(1.0 + dn(xlo * layout.r_lo))
-    base_hi = up(1.0 + up(xhi * layout.r_hi))
-    return ipow_neg(base_lo, base_hi, t)
+    r = layout.edges
+    return ipow_neg(dn(1.0 + dn(xlo * r)), up(1.0 + up(xhi * r)), t)
 
 
 def _sigma_dp(M, n, s, xe, level) -> tuple:

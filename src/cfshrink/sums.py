@@ -9,6 +9,8 @@ continuant power sums come from one evaluator, the envelope iteration of
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -109,7 +111,44 @@ def lemma_sum_batch(a_values, t: float, cutoff: int = 100_000) -> list[Enclosure
 # ---------------------------------------------------------------------------
 # continuant power sums (envelope iteration)
 
-_LAMBDA_CACHE: dict = {}
+
+class BoundedCache:
+    """Least-recently-used map of at most maxsize entries, shared across threads.
+
+    A lock guards every lookup and insertion.  get_or_compute runs compute
+    outside the lock, so two threads that miss on one key may both compute
+    it; the cached values are deterministic, so either result may stay.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._data: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._data)
+
+    def __contains__(self, key) -> bool:
+        with self._lock:
+            return key in self._data
+
+    def get_or_compute(self, key, compute):
+        with self._lock:
+            if key in self._data:
+                self._data.move_to_end(key)
+                return self._data[key]
+        value = compute()
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            while len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
+        return value
+
+
+# one entry is two floats; a full-roots pass stores about a hundred
+_LAMBDA_CACHE = BoundedCache(4096)
 
 
 def lambda_enclosure(
@@ -117,24 +156,26 @@ def lambda_enclosure(
 ) -> Enclosure:
     """Certified enclosure of sum_w q_n(w)^(-2s), w over {1..alphabet_max}^n
     (the full alphabet when alphabet_max is None).  The width shrinks as
-    level grows (0..MAX_LEVEL).
+    level grows (0..MAX_LEVEL); higher levels use MAX_LEVEL.
     """
     sf = float(s)
     if sf <= 0.5 and alphabet_max is None:
         raise ExponentTooSmall(f"full-alphabet sum diverges for s <= 1/2; got {sf}")
-    key = (n, sf, alphabet_max, level)
-    if key not in _LAMBDA_CACHE:
-        layout = _transfer.make_layout(level, amax=alphabet_max)
-        _LAMBDA_CACHE[key] = _transfer.apply_power(n, 2.0 * sf, layout)
-    return rd.from_f64(*_LAMBDA_CACHE[key])
+    level = min(level, MAX_LEVEL)
+    return rd.from_f64(*_LAMBDA_CACHE.get_or_compute(
+        (n, sf, alphabet_max, level),
+        lambda: _transfer.apply_power(n, 2.0 * sf, _transfer.make_layout(level, amax=alphabet_max)),
+    ))
 
 
 def lambda_estimate(
     n: int, s: float, *, alphabet_max: int | None = None, level: int = 1
 ) -> float:
     """Fast point estimate of the continuant power sum (not certified)."""
-    key = ("est", n, float(s), alphabet_max, level)
-    if key not in _LAMBDA_CACHE:
-        layout = _transfer.make_layout(level, amax=alphabet_max)
-        _LAMBDA_CACHE[key] = _transfer.apply_power_estimate(n, 2.0 * float(s), layout)
-    return _LAMBDA_CACHE[key]
+    sf = float(s)
+    level = min(level, MAX_LEVEL)
+    return _LAMBDA_CACHE.get_or_compute(
+        ("est", n, sf, alphabet_max, level),
+        lambda: _transfer.apply_power_estimate(
+            n, 2.0 * sf, _transfer.make_layout(level, amax=alphabet_max)),
+    )

@@ -112,6 +112,16 @@ class TestCertifiedRoots:
         assert fine.hi_float <= coarse.hi_float
 
 
+    def test_tight_full_alphabet_root_certifies(self):
+        # the bin envelope spent about a minute on this call and then
+        # raised PrecisionExhausted; the chord envelope certifies it
+        e = solve_predim(3, 4, 1, tol=2e-5)
+        assert 0 < e.width_float <= 2e-5
+        assert_straddles(3, 4, 1, None, None, e)
+        assert _f_enclosure(3, 4, 1, None, None, e.lo_float, 2).certified_ge(1)
+        assert _f_enclosure(3, 4, 1, None, None, e.hi_float, 2).certified_le(1)
+
+
 class TestValidation:
     def test_bad_kind(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,9 @@
+import contextlib
+import io
 import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath as mp
@@ -255,3 +259,71 @@ class TestEnvelopeContainment:
                     a = sums.lambda_enclosure(n, s, alphabet_max=M, level=level)
                     b = sums.lambda_enclosure(n, s + 0.0101, alphabet_max=M, level=level)
                     assert a.lo > b.hi, (M, n, level, s)
+
+
+class TestBoundedCache:
+    def test_evicts_least_recently_used(self):
+        cache = sums.BoundedCache(2)
+        calls = []
+
+        def value(k):
+            calls.append(k)
+            return k * 10
+
+        assert cache.get_or_compute("a", lambda: value(1)) == 10
+        assert cache.get_or_compute("b", lambda: value(2)) == 20
+        assert cache.get_or_compute("a", lambda: value(99)) == 10  # hit, now most recent
+        assert cache.get_or_compute("c", lambda: value(3)) == 30  # evicts b
+        assert len(cache) == 2 and "a" in cache and "c" in cache and "b" not in cache
+        assert cache.get_or_compute("b", lambda: value(4)) == 40
+        assert calls == [1, 2, 3, 4]
+
+    def test_threads_keep_the_bound_and_the_values(self):
+        cache = sums.BoundedCache(8)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(cache.get_or_compute, k % 23, lambda k=k: (k % 23) ** 2)
+                           for k in range(3000)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        assert results == [(k % 23) ** 2 for k in range(3000)]
+        assert len(cache) == 8
+
+    def test_lambda_cache_is_bounded_and_keyed_on_the_clamped_level(self, monkeypatch):
+        monkeypatch.setattr(sums, "_LAMBDA_CACHE", sums.BoundedCache(3))
+        top = sums.lambda_enclosure(2, 0.9, alphabet_max=4, level=sums.MAX_LEVEL)
+        assert sums.lambda_enclosure(2, 0.9, alphabet_max=4, level=sums.MAX_LEVEL + 5) == top
+        assert len(sums._LAMBDA_CACHE) == 1
+        for s in (0.91, 0.92, 0.93):
+            sums.lambda_enclosure(2, s, alphabet_max=4, level=0)
+        assert len(sums._LAMBDA_CACHE) == 3
+        assert (2, 0.9, 4, sums.MAX_LEVEL) not in sums._LAMBDA_CACHE
+        assert sums.lambda_enclosure(2, 0.9, alphabet_max=4, level=sums.MAX_LEVEL) == top
+
+    def test_enumeration_cache_is_bounded(self, monkeypatch):
+        from cfshrink import pressure
+
+        monkeypatch.setattr(pressure, "_ENUM_CACHE", sums.BoundedCache(2))
+        first = pressure._enumerate((1, 2, 3), 4, 10**6)
+        for depth in (1, 2, 3):
+            pressure._enumerate((1, 2, 3), depth, 10**6)
+        assert len(pressure._ENUM_CACHE) == 2
+        again = pressure._enumerate((1, 2, 3), 4, 10**6)
+        assert again is not first
+        assert all(np.array_equal(a, b) for x, y in zip(first, again) for a, b in zip(x, y))
+
+    def test_lemmas_identical_across_threads_with_tiny_caches(self, monkeypatch, tmp_path):
+        from cfshrink import cli, pressure
+
+        monkeypatch.setattr(sums, "_LAMBDA_CACHE", sums.BoundedCache(1))
+        monkeypatch.setattr(pressure, "_ENUM_CACHE", sums.BoundedCache(1))
+        outputs = {}
+        for threads in (1, 3):
+            out = tmp_path / f"threads{threads}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["lemmas", "--out", str(out), "--threads", str(threads)]) == 0
+            outputs[threads] = (out / "lemmas.json").read_bytes()
+        assert outputs[1] == outputs[3]

@@ -1,11 +1,20 @@
-"""The envelope's batched cell-weight setup against the per-cell loop it replaced.
+"""The chord envelope against the bin max/min envelope it replaced.
 
-`apply_power` evaluates every cell's weight once per bin edge, batched over
-cells.  The oracle below is the per-cell setup: each cell's weight on the
-bins' right ends (lower bounds), on their left ends (upper bounds), and
-once more at r = 0 for the final step.  The two must agree bit for bit.
+`apply_power` keeps bounds of L^k f at the nodes j/N and interpolates them
+by chords (see the `cfshrink._transfer` docstring).  The oracle below is
+the method it replaced: bounds of L^k f over each bin, every step taking
+the max and min over the bins a cell's image covers.  It reads the same
+cell weights, so on one layout every chord enclosure must lie inside the
+oracle's.  The cell weights are checked bit for bit against a per-cell
+setup, and the oracle against the float.hex pins of the parent's
+`apply_power`.
 """
 
+import itertools
+import math
+from fractions import Fraction
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,25 +23,109 @@ from cfshrink import rounding as rd
 from cfshrink.ivec import dn, ipow_neg, up
 from cfshrink.pressure import _sup_seed
 
+# the level table before the chord envelope: (bins, singleton digits, dyadic blocks)
+BIN_LEVELS = [(256, 32, 12), (1024, 64, 14), (4096, 128, 17), (8192, 256, 20)]
+
+
+def _bin_layout(monkeypatch, level, amax):
+    """The layout the bin method used at `level`."""
+    monkeypatch.setattr(_transfer, "_LEVELS", [BIN_LEVELS[level]])
+    return _transfer.make_layout(0, amax)
+
+
+# -- the bin envelope (the parent's apply_power) --------------------------------
+
+def _image_bins(A1, A2, r_lo, r_hi, nbins):
+    """Conservative bin range [j1, j2] of x = 1/(a+r) over the cell."""
+    if A2 == 0:
+        im_lo = np.zeros_like(r_lo)
+    else:
+        im_lo = dn(1.0 / up(A2 + r_hi))
+    im_hi = up(1.0 / dn(A1 + r_lo))
+    j1 = np.clip(np.floor(im_lo * nbins).astype(np.int64), 0, nbins - 1)
+    j2 = np.clip(np.floor(im_hi * nbins).astype(np.int64), 0, nbins - 1)
+    return j1, j2
+
+
+def _sparse_table(values, op):
+    """Doubling table for exact range max/min queries."""
+    levels = [values]
+    k = 1
+    while 2 * k <= len(values):
+        prev = levels[-1]
+        levels.append(op(prev[: len(prev) - k], prev[k:]))
+        k *= 2
+    return levels
+
+
+def _range_query(levels, j1, j2, op):
+    """op over values[j1..j2] per slot, via two overlapping power-of-two blocks."""
+    w = j2 - j1 + 1
+    k = (np.frexp(w.astype(np.float64))[1] - 1).astype(np.int64)
+    out = np.empty(len(j1), dtype=np.float64)
+    for kk in np.unique(k):
+        m = k == kk
+        step = 1 << int(kk)
+        out[m] = op(levels[int(kk)][j1[m]], levels[int(kk)][j2[m] - step + 1])
+    return out
+
+
+def bin_apply_power(n, t, layout, seed=None):
+    """(lo, hi) of (L^n f)(0) by bin max/min; seed: bounds of f over each bin."""
+    N = layout.nbins
+    if seed is None:
+        U = np.ones(N)
+        L = np.ones(N)
+    else:
+        L, U = np.asarray(seed[0], float), np.asarray(seed[1], float)
+    edges = layout.edges if n > 1 else np.zeros(1)
+    ch = _transfer._chords(layout, t, edges)  # the cell weights at every edge
+    e_lo, e_hi = ch["s_lo"], ch["s_hi"]
+    if n > 1:
+        r_lo, r_hi = edges[:-1], edges[1:]
+        cell_data = []
+        for k, (A1, A2) in enumerate(layout.cells):
+            j1, j2 = _image_bins(A1, A2, r_lo, r_hi, N)
+            cell_data.append((e_lo[k, 1:], e_hi[k, :-1], j1, j2))
+        for _ in range(n - 1):
+            tU = _sparse_table(U, np.maximum)
+            tL = _sparse_table(L, np.minimum)
+            Unew = np.zeros(N)
+            Lnew = np.zeros(N)
+            for w_lo, w_hi, j1, j2 in cell_data:
+                mU = _range_query(tU, j1, j2, np.maximum)
+                mL = _range_query(tL, j1, j2, np.minimum)
+                Unew = up(Unew + up(w_hi * mU))
+                Lnew = dn(Lnew + dn(w_lo * mL))
+            U, L = Unew, Lnew
+    zero = np.zeros(1)
+    tot_lo, tot_hi = 0.0, 0.0
+    for k, (A1, A2) in enumerate(layout.cells):
+        w_lo, w_hi = float(e_lo[k, 0]), float(e_hi[k, 0])
+        j1, j2 = _image_bins(A1, A2, zero, zero, N)
+        j1, j2 = int(j1[0]), int(j2[0])
+        m_hi = float(np.max(U[j1 : j2 + 1]))
+        m_lo = float(np.min(L[j1 : j2 + 1]))
+        tot_hi = float(up(tot_hi + up(w_hi * m_hi)))
+        tot_lo = float(dn(tot_lo + dn(w_lo * m_lo)))
+    return max(tot_lo, 0.0), tot_hi
+
+
+def bin_sup_seed(layout, xe, t):
+    """Bounds of (1 + x r)^{-t} over each bin."""
+    xlo, xhi = rd.to_f64(xe)
+    edges = layout.edges
+    return ipow_neg(dn(1.0 + dn(xlo * edges[:-1])), up(1.0 + up(xhi * edges[1:])), t)
+
+
+# -- cell weights ---------------------------------------------------------------
 
 def _cell_weight(A1, A2, c, t):
     """Weight enclosure of one cell (A1, A2) at the exact points c; A2 = 0 is infinite."""
     if A1 == A2:
         a = float(A1)
         return ipow_neg(dn(a + c), up(a + c), t)
-    return _transfer._cell_sum(A1, A2 if A2 else None, c, t)
-
-
-def _oracle_weights(layout, t):
-    """Per cell: (lo on the bins, hi on the bins, lo at 0, hi at 0)."""
-    zero = np.zeros(1)
-    out = []
-    for A1, A2 in layout.cells:
-        w_lo = _cell_weight(A1, A2, layout.r_hi, t)[0]  # weight decreasing in r
-        w_hi = _cell_weight(A1, A2, layout.r_lo, t)[1]
-        z_lo, z_hi = _cell_weight(A1, A2, zero, t)
-        out.append((w_lo, w_hi, z_lo[0], z_hi[0]))
-    return out
+    return _transfer._cell_sum(A1, A2 if A2 else None, c, t)[0]
 
 
 def _same_bits(a, b):
@@ -41,14 +134,11 @@ def _same_bits(a, b):
 
 
 def _check_against_oracle(layout, t):
-    e_lo, e_hi = _transfer._cell_weights(layout, t, layout.edges)
-    z_lo, z_hi = _transfer._cell_weights(layout, t, np.zeros(1))  # the n = 1 path
-    for k, (w_lo, w_hi, o_lo, o_hi) in enumerate(_oracle_weights(layout, t)):
-        cell = layout.cells[k]
-        assert _same_bits(e_lo[k, 1:], w_lo), cell
-        assert _same_bits(e_hi[k, :-1], w_hi), cell
-        assert _same_bits(e_lo[k, 0], o_lo) and _same_bits(e_hi[k, 0], o_hi), cell
-        assert _same_bits(z_lo[k, 0], o_lo) and _same_bits(z_hi[k, 0], o_hi), cell
+    for r in (layout.edges, np.zeros(1)):  # every node, and the n = 1 path
+        ch = _transfer._chords(layout, t, r)
+        for k, (A1, A2) in enumerate(layout.cells):
+            lo, hi = _cell_weight(A1, A2, r, t)
+            assert _same_bits(ch["s_lo"][k], lo) and _same_bits(ch["s_hi"][k], hi), (A1, A2)
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
@@ -61,26 +151,53 @@ def test_edge_weights_match_per_cell_oracle(level, amax):
         _check_against_oracle(_transfer.make_layout(level, amax), t)
 
 
-def test_edge_weights_match_oracle_level3_subset():
-    full = _transfer.make_layout(3)
+def test_edge_weights_match_oracle_level3_subset(monkeypatch):
+    full = _bin_layout(monkeypatch, 3, None)
     cells = full.cells[:2] + full.cells[254:258] + full.cells[-3:]
+    assert len(cells) == 9
     layout = _transfer.Layout(full.nbins, cells, None)
     for t in (1.1, 1.9):
         _check_against_oracle(layout, t)
 
 
 def test_edge_weights_do_not_depend_on_chunking(monkeypatch):
-    layout = _transfer.make_layout(1)
-    ref = _transfer._cell_weights(layout, 1.6, layout.edges)
+    layout = _transfer.make_layout(0)
+    ref = _transfer._chords(layout, 1.6, layout.edges)
+    ref_power = _transfer.apply_power(3, 1.6, layout)
     for chunk in (1, 100, 3000, 10**7):
         monkeypatch.setattr(_transfer, "_CHUNK", chunk)
-        got = _transfer._cell_weights(layout, 1.6, layout.edges)
-        assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
+        got = _transfer._chords(layout, 1.6, layout.edges)
+        assert got.keys() == ref.keys()
+        assert all(np.array_equal(got[f], ref[f]) for f in ref)
+        assert _transfer.apply_power(3, 1.6, layout) == ref_power
 
 
-# apply_power results of the per-cell setup with np.nextafter rounding,
-# as float.hex: (level, amax, n, t, seeded) -> (lo, hi).  The seed is the
-# pressure sup seed at x = 0.3.
+@pytest.mark.parametrize("A1, A2", [(33, 64), (65, 100), (129, 256), (4097, None)])
+@pytest.mark.parametrize("t", [0.7, 1.02, 1.5, 2.2])
+def test_cell_sum_at_t_plus_one_contains_the_sum(A1, A2, t):
+    """The sum at t + 1, built from the powers at t, against mpmath and a direct evaluation."""
+    if A2 is None and t < 1:
+        return  # the tail sum at t diverges
+    c = np.array([0.0, 0.25, 1.0])
+    (lo, hi), (lo1, hi1) = _transfer._cell_sum(float(A1), None if A2 is None else float(A2), c, t)
+    d_lo, d_hi = _transfer._cell_sum(float(A1), None if A2 is None else float(A2), c, t + 1.0)[0]
+    with mp.workdps(30):
+        for k, ck in enumerate(c):
+            for e, (l, h) in ((t, (lo, hi)), (t + 1.0, (lo1, hi1))):
+                g = lambda a: (a + mp.mpf(ck)) ** (-mp.mpf(e))
+                exact = mp.zeta(e, A1 + mp.mpf(ck)) if A2 is None else mp.fsum(
+                    g(a) for a in range(A1, A2 + 1))
+                assert mp.mpf(l[k]) <= exact <= mp.mpf(h[k]), (e, ck)
+            assert max(lo1[k], d_lo[k]) <= min(hi1[k], d_hi[k])
+            assert hi1[k] - lo1[k] <= 1.01 * (d_hi[k] - d_lo[k]) + 1e-15 * hi1[k]
+
+
+# -- the parent's apply_power, pinned -------------------------------------------
+
+# results of the parent's apply_power (the bin method) with the per-cell
+# setup and np.nextafter rounding, as float.hex: (level, amax, n, t, seeded)
+# -> (lo, hi), on the layouts of BIN_LEVELS.  The seed is the pressure sup
+# seed at x = 0.3.
 PARENT_FLOATS = {
     (0, None, 1, 1.6, False): ("0x1.2493e529de98cp+1", "0x1.249439b3aa5f0p+1"),
     (0, None, 2, 1.3, False): ("0x1.ba62aae7a0bdbp+3", "0x1.bb6c7c8fcdd5fp+3"),
@@ -96,15 +213,186 @@ PARENT_FLOATS = {
 
 
 @pytest.mark.parametrize("key", sorted(PARENT_FLOATS, key=repr))
-def test_apply_power_keeps_parent_floats(key):
+def test_apply_power_keeps_parent_floats(key, monkeypatch):
+    """The oracle reproduces the parent's bits; the chord envelope nests inside."""
     level, amax, n, t, seeded = key
-    layout = _transfer.make_layout(level, amax)
-    seed = _sup_seed(layout, rd.enclose(0.3), t) if seeded else None
-    lo, hi = _transfer.apply_power(n, t, layout, seed=seed)
+    layout = _bin_layout(monkeypatch, level, amax)
+    xe = rd.enclose(0.3)
+    seed = bin_sup_seed(layout, xe, t) if seeded else None
+    lo, hi = bin_apply_power(n, t, layout, seed=seed)
     assert (float(lo).hex(), float(hi).hex()) == PARENT_FLOATS[key]
+    c_lo, c_hi = _transfer.apply_power(
+        n, t, layout, seed=_sup_seed(layout, xe, t) if seeded else None)
+    assert lo <= c_lo <= c_hi <= hi
 
+
+# -- nesting, containment and width ---------------------------------------------
+
+@pytest.fixture
+def shared_weights(monkeypatch):
+    """Memoize the step data, whose weights both envelopes read, across one test."""
+    memo = {}
+    chords = _transfer._chords
+
+    def cached(layout, t, r):
+        key = (layout, t, r.size)
+        if key not in memo:
+            memo[key] = chords(layout, t, r)
+        return memo[key]
+
+    monkeypatch.setattr(_transfer, "_chords", cached)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("amax", [None, 5, 20, 100])
+def test_chord_nests_inside_bin_envelope(level, amax, shared_weights):
+    layout = _transfer.make_layout(level, amax)
+    ts = (1.02, 1.5, 2.2) if amax is None else (0.7, 1.02, 1.5, 2.2)
+    xe = rd.enclose(0.3)
+    for t, seeded in itertools.product(ts, (False, True)):
+        seed = _sup_seed(layout, xe, t) if seeded else None
+        bseed = bin_sup_seed(layout, xe, t) if seeded else None
+        for n in range(1, 7):
+            lo, hi = _transfer.apply_power(n, t, layout, seed=seed)
+            b_lo, b_hi = bin_apply_power(n, t, layout, seed=bseed)
+            assert b_lo <= lo <= hi <= b_hi, (t, seeded, n, (lo, hi), (b_lo, b_hi))
+            if n > 1:
+                assert hi - lo < 0.1 * (b_hi - b_lo), (t, seeded, n)
+
+
+def _exact_sup_sum(M, n, t, x):
+    """sum over {1..M}^n of (q_n + x q_{n-1})^{-t}, at 60 digits."""
+    with mp.workdps(60):
+        tot = mp.mpf(0)
+        for w in itertools.product(range(1, M + 1), repeat=n):
+            q, qp = 1, 0
+            for a in w:
+                q, qp = a * q + qp, q
+            tot += (q + mp.mpf(x.numerator) / x.denominator * qp) ** (-mp.mpf(t))
+        return tot
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_contains_exact_sums(level):
+    layout = _transfer.make_layout(level, 5)
+    for t, x, n in itertools.product((0.7, 1.5), (Fraction(0), Fraction(3, 10)), (1, 2, 4)):
+        xe = rd.enclose(x)
+        seed = _sup_seed(layout, xe, t) if x else None
+        lo, hi = _transfer.apply_power(n, t, layout, seed=seed)
+        exact = _exact_sup_sum(5, n, t, x)
+        assert mp.mpf(lo) <= exact <= mp.mpf(hi), (t, x, n)
+
+
+def test_second_order_width():
+    """Widths fall like the square of the node spacing, not like the spacing."""
+    w = []
+    for nbins in (256, 1024):
+        layout = _transfer.Layout(nbins, tuple((a, a) for a in range(1, 6)), 5)
+        lo, hi = _transfer.apply_power(4, 1.5, layout)
+        w.append((hi - lo) / hi)
+    assert w[0] < 2e-5 and w[1] < w[0] / 8
+
+
+def test_full_alphabet_level0_width():
+    lo, hi = _transfer.apply_power(5, 1.5, _transfer.make_layout(0))
+    assert 0 < (hi - lo) / hi < 2e-4
+
+
+# -- layouts and seeds ------------------------------------------------------------
 
 def test_make_layout_needs_dyadic_bins(monkeypatch):
     monkeypatch.setattr(_transfer, "_LEVELS", [(1000, 32, 12)])
     with pytest.raises(ValueError, match="power of 2"):
         _transfer.make_layout(0)
+
+
+def test_levels_clamp_and_keep_the_estimate_rows():
+    assert _transfer._LEVELS[:2] == BIN_LEVELS[:2]  # the float estimates read them
+    assert _transfer.make_layout(3) == _transfer.make_layout(_transfer.MAX_LEVEL)
+    assert _transfer.make_layout(7, amax=9) == _transfer.make_layout(_transfer.MAX_LEVEL, amax=9)
+
+
+def test_seed_needs_node_bounds():
+    layout = _transfer.make_layout(0, 5)
+    per_bin = np.ones(layout.nbins)
+    with pytest.raises(ValueError, match="nodes"):
+        _transfer.apply_power(2, 1.5, layout, seed=(per_bin, per_bin))
+
+
+def test_chord_step_is_outward_at_a_constant():
+    """f = 1 at n = 1: the bound equals the plain weight sum, so nothing is lost."""
+    layout = _transfer.make_layout(0, 20)
+    lo, hi = _transfer.apply_power(1, 1.5, layout)
+    b_lo, b_hi = bin_apply_power(1, 1.5, layout)
+    assert (lo, hi) == (b_lo, b_hi)
+    exact = math.fsum(a**-1.5 for a in range(1, 21))
+    assert lo <= exact <= hi
+
+
+def test_blocks_at_t_equal_one():
+    """At t = 1 the block integral is a log ratio; the bounds stay finite and certified."""
+    exact = {1: sum(Fraction(1, a) for a in range(1, 101)),
+             2: sum(Fraction(1, a * b + 1) for a in range(1, 101) for b in range(1, 101))}
+    for level, n in itertools.product((0, 1), (1, 2)):
+        lo, hi = _transfer.apply_power(n, 1.0, _transfer.make_layout(level, 100))
+        assert Fraction(lo) <= exact[n] <= Fraction(hi), (level, n)
+        assert hi - lo < 1e-3 * hi
+
+
+@pytest.mark.parametrize("t", [0.7, 1.0])
+def test_full_alphabet_needs_t_above_one(t):
+    with pytest.raises(ValueError, match="diverges"):
+        _transfer.apply_power(2, t, _transfer.make_layout(0))
+
+
+def test_block_term_needs_its_curvature_allowance():
+    """At the edge of the cone, f(r) = (1 + r)^{-t} has f'' = t(t+1) f at r = 0.
+
+    With the block's sums enclosed tightly, its lower term must stay below
+    the exact cell sum, and without the K W^2/8 allowance it would not.
+    """
+    t, N = 2.2, 256
+    K = up(t * up(t + 1.0))
+    ch = _transfer._block_chords(np.array([[33.0]]), np.array([[64.0]]), np.zeros(1), t, K, N)
+    j1, j2 = int(ch["ju1"][0, 0]), int(ch["ju2"][0, 0])
+    with mp.workdps(40):
+        s0 = mp.fsum(mp.mpf(a) ** -t for a in range(33, 65))
+        s1 = mp.fsum(mp.mpf(a) ** (-t - 1) for a in range(33, 65))
+        m = (N * s1 - j1 * s0) / (j2 - j1)
+        exact = mp.fsum(mp.mpf(a + 1) ** -t for a in range(33, 65))  # sum of a^-t f(1/a)
+        nodes = [(1 + mp.mpf(j) / N) ** -t for j in range(N + 1)]
+    tight = {"s_lo": dn(float(s0)), "s_hi": up(float(s0)), "mu": dn(float(m)), "ml": up(float(m))}
+    ch = {f: np.array([[tight.get(f, v[0, 0])]]) for f, v in ch.items()}
+    ch.update({f: ch[f].astype(np.int32) for f in _transfer._INDEX_FIELDS})
+    L = np.array([dn(float(v)) for v in nodes])
+    U = np.array([up(float(v)) for v in nodes])
+    t_lo, t_hi = _transfer._terms(ch, L, U)
+    assert t_lo[0, 0] <= exact <= t_hi[0, 0]
+    ch["c"] = np.zeros((1, 1))
+    assert _transfer._terms(ch, L, U)[0][0, 0] > exact
+
+
+@pytest.mark.parametrize("amax", [None, 100])
+def test_block_chord_data_bracket_the_exact_sums(amax):
+    """Per block and tail cell: s_lo <= S0 <= s_hi, mu <= sum_a w_a lam_a <= ml, and
+    every image 1/(a+r) lies in the node interval [ju1/N, ju2/N]."""
+    layout = _transfer.make_layout(0, amax)
+    t = 1.5
+    r = layout.edges[::37]
+    ch = _transfer._chords(layout, t, r)
+    N = layout.nbins
+    with mp.workdps(30):
+        for k, (A1, A2) in enumerate(layout.cells):
+            if A1 == A2:
+                continue
+            for i, ri in enumerate(r):
+                c = mp.mpf(float(ri))
+                s0, s1 = (mp.zeta(e, A1 + c) - (mp.zeta(e, A2 + 1 + c) if A2 else 0)
+                          for e in (t, t + 1))
+                j1, j2 = int(ch["ju1"][k, i]), int(ch["ju2"][k, i])
+                assert (j1, j2) == (int(ch["jl1"][k, i]), int(ch["jl2"][k, i]))
+                assert j1 <= N / (A2 + c) if A2 else j1 == 0
+                assert N / (A1 + c) <= j2
+                m = (N * s1 - j1 * s0) / (j2 - j1)
+                assert ch["s_lo"][k, i] <= s0 <= ch["s_hi"][k, i]
+                assert ch["mu"][k, i] <= m <= ch["ml"][k, i], (A1, A2, ri)
