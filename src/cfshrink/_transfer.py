@@ -7,6 +7,8 @@ the reversed prefix [0; a_k, ..., a_1], turns
 
 into (L^n f)(0) for the weighted shift (Lf)(r) = sum_a (a+r)^{-t} f(1/(a+r))
 and f = 1.  Seeded variants take other f, which the pressure sums need.
+The digits a run over all of N or over any finite digit set; the argument
+below holds for either.
 
 The cone.  Let C be the positive combinations of g_c(r) = (1 + c r)^{-t}
 with 0 <= c <= 1.  L maps C into itself, because
@@ -72,7 +74,6 @@ class Layout:
 
     nbins: int
     cells: tuple[tuple[int, int], ...]  # (A1, A2); A2 = 0 means infinite
-    amax: int | None
 
     @property
     def edges(self) -> np.ndarray:
@@ -80,27 +81,33 @@ class Layout:
         return np.arange(self.nbins + 1) / self.nbins
 
 
-def make_layout(level: int = 1, amax: int | None = None) -> Layout:
-    """Layout of the given level; levels above MAX_LEVEL use MAX_LEVEL."""
+def make_layout(level: int = 1, digits=None) -> Layout:
+    """Layout of the given level for a finite digit set, or all of N (None).
+
+    Each digit up to the level's singleton count is its own cell; each run
+    of consecutive digits above it is split into dyadic blocks, and only
+    the full alphabet gets the infinite tail.  Levels above MAX_LEVEL use
+    MAX_LEVEL.
+    """
     nbins, a0, ndyad = _LEVELS[min(level, MAX_LEVEL)]
     if nbins < 1 or nbins & (nbins - 1):
         raise ValueError(f"bin count {nbins} is not a power of 2, so j/nbins is inexact")
-    cells: list[tuple[int, int]] = []
-    if amax is None:
-        cells += [(a, a) for a in range(1, a0 + 1)]
+    if digits is None:
+        cells = [(a, a) for a in range(1, a0 + 1)]
         A = a0
         for _ in range(ndyad):
             cells.append((A + 1, 2 * A))
             A *= 2
         cells.append((A + 1, 0))
-    else:
-        cells += [(a, a) for a in range(1, min(a0, amax) + 1)]
-        A = min(a0, amax)
-        while A < amax:
-            nxt = min(2 * A, amax)
-            cells.append((A + 1, nxt))
-            A = nxt
-    return Layout(nbins, tuple(cells), amax)
+        return Layout(nbins, tuple(cells))
+    cells = []
+    for a in sorted({int(a) for a in digits}):
+        A1, A2 = cells[-1] if cells else (0, 0)
+        if a0 < A1 and a == A2 + 1 and a <= 2 * (A1 - 1):
+            cells[-1] = (A1, a)  # extend the block A1..2(A1 - 1)
+        else:
+            cells.append((a, a))
+    return Layout(nbins, tuple(cells))
 
 
 def _pow_ln(ln, t):
@@ -257,6 +264,21 @@ def _step(ch, L, U):
     return lo, hi
 
 
+def _start(n, t, layout, seed):
+    """Checked node bounds of f, from the seed or f = 1."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if layout.cells and layout.cells[-1][1] == 0 and not t > 1:
+        raise ValueError(f"the full-alphabet sum diverges for t <= 1; got t = {t}")
+    N = layout.nbins
+    if seed is None:
+        return np.ones(N + 1), np.ones(N + 1)
+    L, U = (np.asarray(v, dtype=np.float64) for v in seed)
+    if L.shape != (N + 1,) or U.shape != (N + 1,):
+        raise ValueError(f"a seed holds bounds at the {N + 1} nodes")
+    return L, U
+
+
 def apply_power(n, t, layout, seed=None):
     """Certified (lo, hi) of (L^n f)(0); f = 1 unless a seed is given.
 
@@ -264,22 +286,25 @@ def apply_power(n, t, layout, seed=None):
     f must lie in the cone of the module docstring, as (1 + x r)^{-t} for
     0 <= x <= 1 does.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if layout.amax is None and not t > 1:
-        raise ValueError(f"the full-alphabet sum diverges for t <= 1; got t = {t}")
-    N = layout.nbins
-    if seed is None:
-        L = U = np.ones(N + 1)
-    else:
-        L, U = (np.asarray(v, dtype=np.float64) for v in seed)
-        if L.shape != (N + 1,) or U.shape != (N + 1,):
-            raise ValueError(f"a seed holds bounds at the {N + 1} nodes")
+    L, U = _start(n, t, layout, seed)
     ch = _chords(layout, t, layout.edges if n > 1 else np.zeros(1))
     for _ in range(n - 1):
         L, U = _step(ch, L, U)
     lo, hi = _step({f: v[:, :1] for f, v in ch.items()}, L, U)  # node 0: r = 0
     return max(float(lo[0]), 0.0), float(hi[0])
+
+
+def apply_powers(n, t, layout, seed=None):
+    """[apply_power(k, t, layout, seed) for k = 1..n], bit for bit, from one
+    setup: node 0 of a full step is r = 0, and every point is computed as
+    it would be alone."""
+    L, U = _start(n, t, layout, seed)
+    ch = _chords(layout, t, layout.edges)
+    out = []
+    for _ in range(n):
+        L, U = _step(ch, L, U)
+        out.append((max(float(L[0]), 0.0), float(U[0])))
+    return out
 
 
 def _block_mid_weight(A1, A2, r, t):

@@ -92,22 +92,25 @@ def _certified_sign(diff: Enclosure, what: str) -> int:
     raise PrecisionExhausted(f"sign of {what} undecidable at working precision")
 
 
-def _sum_at(case, ell, M, B, rate, s: Fraction, qcounts, prec) -> Enclosure:
-    # common per-word factor pulled out of the q-sum
+def _block_factor(case, ell, B, rate, s: Fraction, prec) -> Enclosure:
+    """The per-block factor multiplying q^(-2s): B^(-ell s^2) in case I,
+    e^(rate ell (1-s)) B^(-ell s) in case II, e^(-rate ell s) B^(-ell s/2) in III."""
     if case == CASE_I:
-        common = rd.powr(enclose(B, prec), -ell * s * s, prec)
-    elif case == CASE_II:
-        common = rd.mul(
+        return rd.powr(enclose(B, prec), -ell * s * s, prec)
+    if case == CASE_II:
+        return rd.mul(
             rd.exp_(enclose(rate * ell * (1 - s), prec), prec),
             rd.powr(enclose(B, prec), -ell * s, prec),
             prec,
         )
-    else:
-        common = rd.mul(
-            rd.exp_(enclose(-rate * ell * s, prec), prec),
-            rd.powr(enclose(B, prec), -ell * s / 2, prec),
-            prec,
-        )
+    return rd.mul(
+        rd.exp_(enclose(-rate * ell * s, prec), prec),
+        rd.powr(enclose(B, prec), -ell * s / 2, prec),
+        prec,
+    )
+
+
+def _sum_at(case, ell, M, B, rate, s: Fraction, qcounts, prec) -> Enclosure:
     head = rd.sum_enclosures(
         (
             rd.mul(enclose(cnt, prec), rd.powr(enclose(q, prec), -2 * s, prec), prec)
@@ -115,7 +118,7 @@ def _sum_at(case, ell, M, B, rate, s: Fraction, qcounts, prec) -> Enclosure:
         ),
         prec,
     )
-    return rd.mul(common, head, prec)
+    return rd.mul(_block_factor(case, ell, B, rate, s, prec), head, prec)
 
 
 def _solve_bracket(case, ell, M, B, rate, tol=Fraction(1, 10**13), budget=1_000_000):
@@ -508,18 +511,7 @@ class WitnessMeasure:
 def _raw_block_weight(params: WitnessParams, q: int) -> Fraction:
     p = params
     s = (p.s_lo + p.s_hi) / 2
-    if p.case == CASE_I:
-        extra = rd.powr(enclose(p.B), -p.ell * s * s)
-    elif p.case == CASE_II:
-        extra = rd.mul(
-            rd.exp_(enclose(p.rate * p.ell * (1 - s))),
-            rd.powr(enclose(p.B), -p.ell * s),
-        )
-    else:
-        extra = rd.mul(
-            rd.exp_(enclose(-p.rate * p.ell * s)),
-            rd.powr(enclose(p.B), -p.ell * s / 2),
-        )
+    extra = _block_factor(p.case, p.ell, p.B, p.rate, s, rd.PREC)
     return Fraction(rd.mul(rd.powr(enclose(q), -2 * s), extra).mid_float)
 
 

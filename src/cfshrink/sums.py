@@ -151,6 +151,11 @@ class BoundedCache:
 _LAMBDA_CACHE = BoundedCache(4096)
 
 
+def _layout(level: int, alphabet_max: int | None) -> _transfer.Layout:
+    return _transfer.make_layout(
+        level, None if alphabet_max is None else range(1, alphabet_max + 1))
+
+
 def lambda_enclosure(
     n: int, s: float, *, alphabet_max: int | None = None, level: int = 1
 ) -> Enclosure:
@@ -164,7 +169,7 @@ def lambda_enclosure(
     level = min(level, MAX_LEVEL)
     return rd.from_f64(*_LAMBDA_CACHE.get_or_compute(
         (n, sf, alphabet_max, level),
-        lambda: _transfer.apply_power(n, 2.0 * sf, _transfer.make_layout(level, amax=alphabet_max)),
+        lambda: _transfer.apply_power(n, 2.0 * sf, _layout(level, alphabet_max)),
     ))
 
 
@@ -176,6 +181,5 @@ def lambda_estimate(
     level = min(level, MAX_LEVEL)
     return _LAMBDA_CACHE.get_or_compute(
         ("est", n, sf, alphabet_max, level),
-        lambda: _transfer.apply_power_estimate(
-            n, 2.0 * sf, _transfer.make_layout(level, amax=alphabet_max)),
+        lambda: _transfer.apply_power_estimate(n, 2.0 * sf, _layout(level, alphabet_max)),
     )

@@ -170,6 +170,19 @@ class TestSimulate:
         assert payload["hits"]  # the early digits match, so some hit exists
 
 
+class TestPressure:
+    def test_pinned_root_and_bracket(self, tmp_path):
+        # {1..6}^7 = 279,936 words: the envelope route
+        assert main(["pressure", "--M", "6", "--depth", "7", "--out", str(tmp_path)]) == 0
+        payload = read_json(tmp_path / "pressure.json")
+        assert payload["root"] == 0.59673095703125
+        assert payload["bracket"] == [0.5725897779383453, 0.6050928598642349]
+        assert payload["certified"] is False
+        rows = read_csv(tmp_path / "pressure.csv")
+        assert [float(rows[0][k]) for k in ("root", "bracket_lo", "bracket_hi")] == [
+            payload["root"], *payload["bracket"]]
+
+
 class TestLemmas:
     def test_all_pass_and_thread_determinism(self, tmp_path):
         # spec determinism clause: byte-identical outputs across thread counts

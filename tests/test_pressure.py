@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cfshrink import predim
 from cfshrink import pressure as pr
 from cfshrink import rounding as rd
+from cfshrink import sums
 from cfshrink.errors import DepthTooLarge, NoRoot
 from cfshrink.surd import Quad
 
@@ -88,15 +89,28 @@ class TestRoutes:
         for a, b in zip(ex.sup_values + ex.x0_values, dp.sup_values + dp.x0_values):
             assert a.lo_float <= b.hi_float and b.lo_float <= a.hi_float
 
-    def test_dp_rejects_gappy_alphabet(self):
+    def test_dp_contains_exact_on_gappy_alphabet(self):
         phi = pr.PotentialSpec(pr.PHI1, 0.8, 2)
-        with pytest.raises(DepthTooLarge):
-            pr.pressure_estimate(phi, {1, 3}, 4, method="dp")
+        ex = pr.pressure_estimate(phi, (1, 3, 4, 5), 5, method="exact")
+        dp = pr.pressure_estimate(phi, (1, 3, 4, 5), 5, method="dp")
+        for a, b in zip(ex.sup_values + ex.x0_values, dp.sup_values + dp.x0_values):
+            assert b.lo_float <= a.lo_float <= a.hi_float <= b.hi_float
 
-    def test_budget_exceeded_without_dp_fallback(self):
+    def test_gappy_alphabet_past_the_exact_limit_takes_the_envelope(self):
+        # 2^30 words: the envelope route, for a digit set that is not {1..M}
         phi = pr.PotentialSpec(pr.PHI1, 0.8, 2)
-        with pytest.raises(DepthTooLarge):
-            pr.pressure_estimate(phi, {1, 3}, 30)
+        est = pr.pressure_estimate(phi, {1, 3}, 30)
+        assert len(est.sup_values) == len(est.x0_values) == 30
+        for v in est.sup_values + est.x0_values:
+            assert math.isfinite(v.lo_float) and math.isfinite(v.hi_float)
+            assert v.lo_float <= v.hi_float < 0
+
+    def test_exact_route_enumerates_once(self, monkeypatch):
+        # every depth reads the levels of the one depth-7 enumeration
+        monkeypatch.setattr(pr, "_ENUM_CACHE", sums.BoundedCache(16))
+        phi = pr.PotentialSpec(pr.PHI1, 0.8, 2)
+        pr.pressure_estimate(phi, (1, 2, 3, 5), 7, method="exact")
+        assert len(pr._ENUM_CACHE) == 1
 
     def test_exact_overflow_guard(self):
         phi = pr.PotentialSpec(pr.PHI1, 0.8, 2)
@@ -157,6 +171,16 @@ class TestRoot:
         res = pr.pressure_root(pr.PHI1, 4, None, {1}, depth=6)
         assert res.root <= 0.05
         assert res.certified_bracket.hi_float <= 0.05
+
+    def test_gappy_alphabet_takes_the_envelope(self):
+        # 4^10 words: the envelope route.  The pins come from exact
+        # enumeration of all 4^10 words: the envelope keeps the point value
+        # and moves each bracket end by less than 1e-6
+        res = pr.pressure_root(pr.PHI1, 4, 0.0, (1, 3, 4, 5), depth=10)
+        assert res.root == 0.4955249023437501
+        br = res.certified_bracket
+        assert br.lo_float == pytest.approx(0.48015882851525715, abs=1e-6)
+        assert br.hi_float == pytest.approx(0.5009036250412464, abs=1e-6)
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):

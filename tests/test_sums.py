@@ -307,11 +307,11 @@ class TestBoundedCache:
         from cfshrink import pressure
 
         monkeypatch.setattr(pressure, "_ENUM_CACHE", sums.BoundedCache(2))
-        first = pressure._enumerate((1, 2, 3), 4, 10**6)
+        first = pressure._enumerate((1, 2, 3), 4)
         for depth in (1, 2, 3):
-            pressure._enumerate((1, 2, 3), depth, 10**6)
+            pressure._enumerate((1, 2, 3), depth)
         assert len(pressure._ENUM_CACHE) == 2
-        again = pressure._enumerate((1, 2, 3), 4, 10**6)
+        again = pressure._enumerate((1, 2, 3), 4)
         assert again is not first
         assert all(np.array_equal(a, b) for x, y in zip(first, again) for a, b in zip(x, y))
 

@@ -27,10 +27,15 @@ from cfshrink.pressure import _sup_seed
 BIN_LEVELS = [(256, 32, 12), (1024, 64, 14), (4096, 128, 17), (8192, 256, 20)]
 
 
+def _upto(amax):
+    """The digit set {1..amax}, or None (the full alphabet)."""
+    return None if amax is None else range(1, amax + 1)
+
+
 def _bin_layout(monkeypatch, level, amax):
     """The layout the bin method used at `level`."""
     monkeypatch.setattr(_transfer, "_LEVELS", [BIN_LEVELS[level]])
-    return _transfer.make_layout(0, amax)
+    return _transfer.make_layout(0, _upto(amax))
 
 
 # -- the bin envelope (the parent's apply_power) --------------------------------
@@ -148,14 +153,14 @@ def test_edge_weights_match_per_cell_oracle(level, amax):
     if amax is not None:
         ts += (0.7,)
     for t in ts:
-        _check_against_oracle(_transfer.make_layout(level, amax), t)
+        _check_against_oracle(_transfer.make_layout(level, _upto(amax)), t)
 
 
 def test_edge_weights_match_oracle_level3_subset(monkeypatch):
     full = _bin_layout(monkeypatch, 3, None)
     cells = full.cells[:2] + full.cells[254:258] + full.cells[-3:]
     assert len(cells) == 9
-    layout = _transfer.Layout(full.nbins, cells, None)
+    layout = _transfer.Layout(full.nbins, cells)
     for t in (1.1, 1.9):
         _check_against_oracle(layout, t)
 
@@ -246,7 +251,7 @@ def shared_weights(monkeypatch):
 @pytest.mark.parametrize("level", [0, 1, 2])
 @pytest.mark.parametrize("amax", [None, 5, 20, 100])
 def test_chord_nests_inside_bin_envelope(level, amax, shared_weights):
-    layout = _transfer.make_layout(level, amax)
+    layout = _transfer.make_layout(level, _upto(amax))
     ts = (1.02, 1.5, 2.2) if amax is None else (0.7, 1.02, 1.5, 2.2)
     xe = rd.enclose(0.3)
     for t, seeded in itertools.product(ts, (False, True)):
@@ -260,11 +265,11 @@ def test_chord_nests_inside_bin_envelope(level, amax, shared_weights):
                 assert hi - lo < 0.1 * (b_hi - b_lo), (t, seeded, n)
 
 
-def _exact_sup_sum(M, n, t, x):
-    """sum over {1..M}^n of (q_n + x q_{n-1})^{-t}, at 60 digits."""
+def _exact_sup_sum(digits, n, t, x):
+    """sum over digits^n of (q_n + x q_{n-1})^{-t}, at 60 digits."""
     with mp.workdps(60):
         tot = mp.mpf(0)
-        for w in itertools.product(range(1, M + 1), repeat=n):
+        for w in itertools.product(digits, repeat=n):
             q, qp = 1, 0
             for a in w:
                 q, qp = a * q + qp, q
@@ -274,12 +279,28 @@ def _exact_sup_sum(M, n, t, x):
 
 @pytest.mark.parametrize("level", [0, 1])
 def test_contains_exact_sums(level):
-    layout = _transfer.make_layout(level, 5)
+    layout = _transfer.make_layout(level, range(1, 6))
     for t, x, n in itertools.product((0.7, 1.5), (Fraction(0), Fraction(3, 10)), (1, 2, 4)):
         xe = rd.enclose(x)
         seed = _sup_seed(layout, xe, t) if x else None
         lo, hi = _transfer.apply_power(n, t, layout, seed=seed)
-        exact = _exact_sup_sum(5, n, t, x)
+        exact = _exact_sup_sum(range(1, 6), n, t, x)
+        assert mp.mpf(lo) <= exact <= mp.mpf(hi), (t, x, n)
+
+
+# a gappy set of singletons, and one whose runs above level 0's 32
+# singletons become the blocks 40..78 and 79..90
+@pytest.mark.parametrize("digits, depths", [
+    ((1, 3, 4, 5), (1, 2, 4)),
+    ((1, 3, *range(40, 91), 200), (1, 2)),
+])
+def test_contains_exact_sums_over_gappy_digits(digits, depths):
+    layout = _transfer.make_layout(0, digits)
+    for t, x, n in itertools.product((0.7, 1.5), (Fraction(0), Fraction(3, 10)), depths):
+        xe = rd.enclose(x)
+        seed = _sup_seed(layout, xe, t) if x else None
+        lo, hi = _transfer.apply_power(n, t, layout, seed=seed)
+        exact = _exact_sup_sum(digits, n, t, x)
         assert mp.mpf(lo) <= exact <= mp.mpf(hi), (t, x, n)
 
 
@@ -287,7 +308,7 @@ def test_second_order_width():
     """Widths fall like the square of the node spacing, not like the spacing."""
     w = []
     for nbins in (256, 1024):
-        layout = _transfer.Layout(nbins, tuple((a, a) for a in range(1, 6)), 5)
+        layout = _transfer.Layout(nbins, tuple((a, a) for a in range(1, 6)))
         lo, hi = _transfer.apply_power(4, 1.5, layout)
         w.append((hi - lo) / hi)
     assert w[0] < 2e-5 and w[1] < w[0] / 8
@@ -309,11 +330,58 @@ def test_make_layout_needs_dyadic_bins(monkeypatch):
 def test_levels_clamp_and_keep_the_estimate_rows():
     assert _transfer._LEVELS[:2] == BIN_LEVELS[:2]  # the float estimates read them
     assert _transfer.make_layout(3) == _transfer.make_layout(_transfer.MAX_LEVEL)
-    assert _transfer.make_layout(7, amax=9) == _transfer.make_layout(_transfer.MAX_LEVEL, amax=9)
+    assert _transfer.make_layout(7, range(1, 10)) == _transfer.make_layout(
+        _transfer.MAX_LEVEL, range(1, 10))
+
+
+def _contiguous_cells(level, amax):
+    """Reference cells for {1..amax}, or the full alphabet (None), built
+    from the singleton count upward as the level table describes."""
+    _, a0, ndyad = _transfer._LEVELS[min(level, _transfer.MAX_LEVEL)]
+    if amax is None:
+        cells = [(a, a) for a in range(1, a0 + 1)]
+        A = a0
+        for _ in range(ndyad):
+            cells.append((A + 1, 2 * A))
+            A *= 2
+        return tuple(cells) + ((A + 1, 0),)
+    cells = [(a, a) for a in range(1, min(a0, amax) + 1)]
+    A = min(a0, amax)
+    while A < amax:
+        nxt = min(2 * A, amax)
+        cells.append((A + 1, nxt))
+        A = nxt
+    return tuple(cells)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_make_layout_keeps_the_contiguous_cells(level):
+    for amax in (None, 1, 5, 31, 32, 33, 64, 65, 100, 128, 129, 257, 300, 5000, 10**5):
+        assert _transfer.make_layout(level, _upto(amax)).cells == _contiguous_cells(level, amax)
+
+
+def test_make_layout_of_a_gappy_digit_set():
+    cells = _transfer.make_layout(0, {5, 1, 3, 40, *range(41, 101), 150, 151}).cells
+    assert cells == ((1, 1), (3, 3), (5, 5), (40, 78), (79, 100), (150, 151))
+
+
+GAPPY = (1, 3, 4, 5, 9, 30, *range(33, 50), *range(60, 200), 1000)
+
+
+@pytest.mark.parametrize("digits", [None, range(1, 21), GAPPY])
+def test_apply_powers_has_the_bits_of_apply_power(digits):
+    layout = _transfer.make_layout(0, digits)
+    xe = rd.enclose(Fraction(3, 10))
+    for t in (1.5,) if digits is None else (0.7, 1.5):
+        for seed in (None, _sup_seed(layout, xe, t)):
+            got = _transfer.apply_powers(5, t, layout, seed=seed)
+            want = [_transfer.apply_power(k, t, layout, seed=seed) for k in range(1, 6)]
+            assert [(lo.hex(), hi.hex()) for lo, hi in got] == [
+                (lo.hex(), hi.hex()) for lo, hi in want]
 
 
 def test_seed_needs_node_bounds():
-    layout = _transfer.make_layout(0, 5)
+    layout = _transfer.make_layout(0, range(1, 6))
     per_bin = np.ones(layout.nbins)
     with pytest.raises(ValueError, match="nodes"):
         _transfer.apply_power(2, 1.5, layout, seed=(per_bin, per_bin))
@@ -321,7 +389,7 @@ def test_seed_needs_node_bounds():
 
 def test_chord_step_is_outward_at_a_constant():
     """f = 1 at n = 1: the bound equals the plain weight sum, so nothing is lost."""
-    layout = _transfer.make_layout(0, 20)
+    layout = _transfer.make_layout(0, range(1, 21))
     lo, hi = _transfer.apply_power(1, 1.5, layout)
     b_lo, b_hi = bin_apply_power(1, 1.5, layout)
     assert (lo, hi) == (b_lo, b_hi)
@@ -334,7 +402,7 @@ def test_blocks_at_t_equal_one():
     exact = {1: sum(Fraction(1, a) for a in range(1, 101)),
              2: sum(Fraction(1, a * b + 1) for a in range(1, 101) for b in range(1, 101))}
     for level, n in itertools.product((0, 1), (1, 2)):
-        lo, hi = _transfer.apply_power(n, 1.0, _transfer.make_layout(level, 100))
+        lo, hi = _transfer.apply_power(n, 1.0, _transfer.make_layout(level, range(1, 101)))
         assert Fraction(lo) <= exact[n] <= Fraction(hi), (level, n)
         assert hi - lo < 1e-3 * hi
 
@@ -376,7 +444,7 @@ def test_block_term_needs_its_curvature_allowance():
 def test_block_chord_data_bracket_the_exact_sums(amax):
     """Per block and tail cell: s_lo <= S0 <= s_hi, mu <= sum_a w_a lam_a <= ml, and
     every image 1/(a+r) lies in the node interval [ju1/N, ju2/N]."""
-    layout = _transfer.make_layout(0, amax)
+    layout = _transfer.make_layout(0, _upto(amax))
     t = 1.5
     r = layout.edges[::37]
     ch = _transfer._chords(layout, t, r)
