@@ -87,7 +87,8 @@ def make_layout(level: int = 1, digits=None) -> Layout:
     Each digit up to the level's singleton count is its own cell; each run
     of consecutive digits above it is split into dyadic blocks, and only
     the full alphabet gets the infinite tail.  Levels above MAX_LEVEL use
-    MAX_LEVEL.
+    MAX_LEVEL.  An empty digit set, or a digit below 1, raises ValueError:
+    a cell (0, 0) would read as the tail.
     """
     nbins, a0, ndyad = _LEVELS[min(level, MAX_LEVEL)]
     if nbins < 1 or nbins & (nbins - 1):
@@ -100,8 +101,11 @@ def make_layout(level: int = 1, digits=None) -> Layout:
             A *= 2
         cells.append((A + 1, 0))
         return Layout(nbins, tuple(cells))
+    digits = sorted({int(a) for a in digits})
+    if not digits or digits[0] < 1:
+        raise ValueError("digit set must be a nonempty set of positive digits")
     cells = []
-    for a in sorted({int(a) for a in digits}):
+    for a in digits:
         A1, A2 = cells[-1] if cells else (0, 0)
         if a0 < A1 and a == A2 + 1 and a <= 2 * (A1 - 1):
             cells[-1] = (A1, a)  # extend the block A1..2(A1 - 1)

@@ -224,11 +224,11 @@ def _run_sstar(cfg: RunConfig) -> int:
 
 
 def _run_pressure(cfg: RunConfig) -> int:
-    kind = cfg.options.get("kind", "phi1").upper()
+    kind = cfg.options["kind"].upper()
     if kind not in (pressure_mod.PHI1, pressure_mod.PHI2, pressure_mod.PHI3):
         raise ValueError(f"unknown potential kind {kind!r}")
-    rate = float(cfg.options.get("rate", 0.0))
-    depth = int(cfg.options.get("depth", 8))
+    rate = float(cfg.options["rate"])
+    depth = int(cfg.options["depth"])
     M = cfg.M if cfg.M is not None else 20
     res = pressure_mod.pressure_root(
         kind, cfg.B, rate, range(1, M + 1), depth=depth, tol=cfg.tol
@@ -253,8 +253,8 @@ def _run_cover(cfg: RunConfig) -> int:
     spec = cfg.spec()
     lo, hi = cfg.n_range
     ns = range(lo, hi + 1)
-    s_opt = str(cfg.options.get("s", "auto+0.05"))
-    level = int(cfg.options.get("level", 1))
+    s_opt = str(cfg.options["s"])
+    level = int(cfg.options["level"])
     if s_opt.startswith("auto"):
         side = "below" if "-" in s_opt else "above"
         offset = float(s_opt[4:].lstrip("+")) if len(s_opt) > 4 else 0.05
@@ -311,13 +311,13 @@ def _run_cover(cfg: RunConfig) -> int:
 
 def _run_witness(cfg: RunConfig) -> int:
     o = cfg.options
-    u = tuple(int(d) for d in str(o.get("u", "")).split(",") if d != "")
+    u = tuple(int(d) for d in str(o["u"]).split(",") if d != "")
     n_lo, n_hi = cfg.n_range
     if n_lo != n_hi:
         raise ValueError("witness needs a single level, e.g. --n 5")
-    rate = o.get("rate")
+    rate = o["rate"]
     params = md.WitnessParams(
-        str(o.get("case", "I")).upper(),
+        str(o["case"]).upper(),
         len(u),
         u,
         cfg.ell,
@@ -325,13 +325,13 @@ def _run_witness(cfg: RunConfig) -> int:
         n_lo,
         cfg.B,
         cfg.spec(),
-        Fraction(str(o.get("t", "1/100"))),
-        Fraction(str(o.get("eps", "1/2"))),
+        Fraction(str(o["t"])),
+        Fraction(str(o["eps"])),
         rate=None if rate is None else Fraction(str(rate)),
-        relax=bool(o.get("relax", False)),
+        relax=bool(o["relax"]),
     )
-    witness = md.build_witness(params, exact=not o.get("core", False))
-    samples = int(o.get("samples", 2000))
+    witness = md.build_witness(params, exact=not o["core"])
+    samples = int(o["samples"])
     spot = md.membership_spotcheck(witness.intervals, params, points=5)
     gaps = md.gap_check(witness.intervals, params)
     masses = md.mass_bounds_check(witness)
@@ -386,12 +386,12 @@ def _run_witness(cfg: RunConfig) -> int:
 
 def _run_simulate(cfg: RunConfig) -> int:
     o = cfg.options
-    x_text = str(o.get("x", "1/2"))
+    x_text = str(o["x"])
     if x_text.startswith("w:"):
         x = eval_word(tuple(int(d) for d in x_text[2:].split(",")))
     else:
         x = Fraction(x_text)
-    horizon = int(o.get("N", 20))
+    horizon = int(o["N"])
     rep = shrink_mod.hit_times(x, cfg.spec(), cfg.B, horizon)
     hits = set(rep.hits)
     _write_csv(

@@ -29,6 +29,7 @@ from . import ivec
 from . import rounding as rd
 from .cf_core import Word, continuants, cylinder
 from .errors import BudgetExceeded, InvalidWitness, NoRoot, PrecisionExhausted
+from .pressure import log_weight
 from .rounding import Enclosure, enclose
 from .shrink import _map_piece, _sign, extremal_interval, membership
 from .surd import quad_to_enclosure, sqrt_value
@@ -93,21 +94,10 @@ def _certified_sign(diff: Enclosure, what: str) -> int:
 
 
 def _block_factor(case, ell, B, rate, s: Fraction, prec) -> Enclosure:
-    """The per-block factor multiplying q^(-2s): B^(-ell s^2) in case I,
-    e^(rate ell (1-s)) B^(-ell s) in case II, e^(-rate ell s) B^(-ell s/2) in III."""
-    if case == CASE_I:
-        return rd.powr(enclose(B, prec), -ell * s * s, prec)
-    if case == CASE_II:
-        return rd.mul(
-            rd.exp_(enclose(rate * ell * (1 - s), prec), prec),
-            rd.powr(enclose(B, prec), -ell * s, prec),
-            prec,
-        )
-    return rd.mul(
-        rd.exp_(enclose(-rate * ell * s, prec), prec),
-        rd.powr(enclose(B, prec), -ell * s / 2, prec),
-        prec,
-    )
+    """The per-block factor multiplying q^(-2s): the level-ell weight of
+    potential kind 1, 2, 3 for case I, II, III, growth ell * rate."""
+    growth = None if case == CASE_I else ell * Fraction(rate)
+    return rd.exp_(log_weight(_CASES.index(case) + 1, ell, s, B, growth, prec), prec)
 
 
 def _sum_at(case, ell, M, B, rate, s: Fraction, qcounts, prec) -> Enclosure:

@@ -16,6 +16,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
+from . import pressure
 from . import rounding as rd
 from . import sums
 from .errors import (
@@ -80,34 +81,21 @@ def _lambda_est(n: int, s: float, M) -> float:
 
 
 def _weight_enclosure(n, B, kind, a1z, s) -> Enclosure:
-    """Certified weight of the kind-1..3 equation (the constant in _log_f_est).
+    """Certified weight of the kind-1..3 equation: exp of pressure.log_weight
+    with growth log a1z.
 
     kind 1: B^(-n s^2);  kind 2: a1z^(1-s) B^(-n s);  kind 3: a1z^(-s) B^(-n s/2).
     a1z = +inf weights are conventional and must never be summed.
     """
-    s = Fraction(s)
-    base = enclose(Fraction(B))
-    if kind == 1:
-        return rd.powr(base, enclose(-n * s * s))
-    if a1z == math.inf:
+    if kind != 1 and a1z == math.inf:
         raise ValueError("a1z = +inf weights are conventional and never summed")
-    a1 = enclose(int(a1z))
-    if kind == 2:
-        return rd.mul(rd.powr(a1, enclose(1 - s)), rd.powr(base, enclose(-n * s)))
-    return rd.mul(
-        rd.powr(a1, enclose(-s)), rd.powr(base, enclose(Fraction(-n, 2) * s))
-    )
+    growth = None if kind == 1 else rd.log_(enclose(int(a1z)))
+    return rd.exp_(pressure.log_weight(kind, n, s, B, growth))
 
 
 def _log_f_est(n, B, kind, a1z, M, s: float) -> float:
-    logB = math.log(B)
-    if kind == 1:
-        c = -n * s * s * logB
-    elif kind == 2:
-        c = (1.0 - s) * math.log(a1z) - n * s * logB
-    else:
-        c = -s * math.log(a1z) - 0.5 * n * s * logB
-    return c + math.log(_lambda_est(n, s, M))
+    growth = None if kind == 1 else math.log(a1z)
+    return pressure.log_weight_float(kind, n, s, B, growth) + math.log(_lambda_est(n, s, M))
 
 
 def _f_enclosure(n, B, kind, a1z, M, s: float, level: int) -> Enclosure:
@@ -404,8 +392,6 @@ def em_dimension(m: int, B, *, M: int = 20, depth: int = 8, tol: float = 1e-3):
     m = 2 gives the quadratic-exponent potential, m = 1 the linear one
     with zero growth rate.  Cross-checks the level-root trajectory.
     """
-    from . import pressure
-
     if m == 1:
         res = pressure.pressure_root(
             pressure.PHI2, B, 0.0, range(1, M + 1), depth=depth, tol=tol

@@ -30,6 +30,7 @@ from .surd import quad_to_enclosure, sqrt_value
 PHI1 = "PHI1"
 PHI2 = "PHI2"
 PHI3 = "PHI3"
+_KIND = {PHI1: 1, PHI2: 2, PHI3: 3}
 
 _BUDGET = 2_000_000  # most words an enumeration may hold
 _EXACT_FAST = 150_000  # above this, "auto" takes the envelope route
@@ -91,6 +92,38 @@ class PotentialSpec:
         return msgs
 
 
+def log_weight(kind: int, n: int, s, B, growth=None, prec: int = rd.PREC) -> Enclosure:
+    """Certified log of the level-n weight of potential `kind` at exponent s.
+
+    kind 1: -n s^2 log B;  kind 2: (1-s) G - n s log B;  kind 3: -s G - (n/2) s log B.
+    G is the growth term, an Enclosure or an exact number: log a1(z_n) for
+    the level roots, the rate alpha or beta at n = 1 for pressure, ell times
+    the rate for the block measures.  Kind 1 reads no growth.
+    """
+    s = Fraction(s)
+    logB = rd.log_(enclose(Fraction(B), prec), prec)
+    if kind == 1:
+        return rd.neg(rd.mul(enclose(n * s * s, prec), logB, prec))
+    if kind not in (2, 3):
+        raise ValueError(f"potential kind must be 1, 2 or 3, got {kind!r}")
+    g = growth if isinstance(growth, Enclosure) else enclose(Fraction(growth), prec)
+    if kind == 2:
+        return rd.add(rd.neg(rd.mul(enclose(n * s, prec), logB, prec)),
+                      rd.mul(enclose(1 - s, prec), g, prec), prec)
+    return rd.neg(rd.add(rd.mul(enclose(n * s / 2, prec), logB, prec),
+                         rd.mul(enclose(s, prec), g, prec), prec))
+
+
+def log_weight_float(kind: int, n: int, s: float, B, growth=None) -> float:
+    """Float twin of log_weight, not certified; for root localization."""
+    logB = math.log(B)
+    if kind == 1:
+        return -n * s * s * logB
+    if kind == 2:
+        return (1.0 - s) * float(growth) - n * s * logB
+    return -s * float(growth) - 0.5 * n * s * logB
+
+
 @dataclass(frozen=True)
 class PressureEstimate:
     """Per-depth pressure data: (1/n) log Sigma_n for both sum versions.
@@ -144,28 +177,6 @@ def _norm_alphabet(A) -> tuple:
     if not alpha or alpha[0] < 1:
         raise ValueError("alphabet must be a nonempty set of positive digits")
     return alpha
-
-
-def _const_enclosure(phi: PotentialSpec) -> Enclosure:
-    s = enclose(Fraction(phi.s))
-    logB = rd.log_(enclose(Fraction(phi.B)))
-    if phi.kind == PHI1:
-        return rd.neg(rd.mul(rd.mul(s, s), logB))
-    if phi.kind == PHI2:
-        alpha = enclose(Fraction(phi.alpha))
-        gain = rd.mul(rd.sub(enclose(1), s), alpha)
-        return rd.add(rd.neg(rd.mul(s, logB)), gain)
-    beta = enclose(Fraction(phi.beta))
-    return rd.neg(rd.add(rd.mul(rd.div(s, enclose(2)), logB), rd.mul(s, beta)))
-
-
-def _const_float(kind, s, B, ab) -> float:
-    logB = math.log(B)
-    if kind == PHI1:
-        return -s * s * logB
-    if kind == PHI2:
-        return -s * logB + (1.0 - s) * float(ab)
-    return -0.5 * s * logB - s * float(ab)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +295,8 @@ def pressure_estimate(
     route = _route(alpha, depth, method)
 
     xe = quad_to_enclosure(x_min_value(alpha))
-    c = _const_enclosure(phi)
+    c = log_weight(_KIND[phi.kind], 1, phi.s, phi.B,
+                   phi.beta if phi.kind == PHI3 else phi.alpha)
     sup_vals, x0_vals, log_sups = [], [], []
     for n, (sup_raw, x0_raw) in enumerate(_sums(route, depth, phi.s, xe), start=1):
         nc = rd.mul(enclose(n), c)
@@ -327,10 +339,12 @@ def pressure_root(
     alpha = _norm_alphabet(A)
     if depth < 2:
         raise ValueError("depth must be >= 2 for a ratio root")
+    PotentialSpec(kind, _S_HI, B, alpha=alpha_or_beta, beta=alpha_or_beta)  # validates once
+    k = _KIND[kind]
     route = _route(alpha, depth, "auto")
 
     def ratio(s: float) -> float:
-        c = _const_float(kind, s, B, alpha_or_beta)
+        c = log_weight_float(k, 1, s, B, alpha_or_beta)
         lo = _x0_estimate(route, depth - 1, s)
         hi = _x0_estimate(route, depth, s)
         return math.log(hi) - math.log(lo) + c
@@ -351,10 +365,8 @@ def pressure_root(
 
     def value(s: float) -> Enclosure:
         """(1/n) log Sigma_n^(x0) at exponent s and n = depth, certified."""
-        phi = PotentialSpec(kind, s, B, alpha=alpha_or_beta if kind == PHI2 else None,
-                            beta=alpha_or_beta if kind == PHI3 else None)
         log_sig = rd.add(rd.log_(_x0_sum(route, depth, s)),
-                         rd.mul(enclose(depth), _const_enclosure(phi)))
+                         rd.mul(enclose(depth), log_weight(k, 1, s, B, alpha_or_beta)))
         return rd.div(log_sig, enclose(depth))
 
     def upper_ok(s: float) -> bool:

@@ -25,7 +25,6 @@ from mpmath.libmp import (
     from_rational,
     fone,
     fzero,
-    mpf_abs,
     mpf_add,
     mpf_cmp,
     mpf_div,
@@ -262,17 +261,6 @@ def div(a: Enclosure, b: Enclosure, prec: int = PREC) -> Enclosure:
     if b.lo <= 0 <= b.hi:
         raise ZeroDivisionError("divisor enclosure contains zero")
     return _corner_hull(mpf_div, a, b, prec)
-
-
-def abs_(a: Enclosure, prec: int = PREC) -> Enclosure:
-    if a.lo >= 0:
-        return a
-    if a.hi <= 0:
-        return neg(a)
-    hi = mpf_abs(a.lo._mpf_)
-    if mpf_cmp(mpf_abs(a.hi._mpf_), hi) > 0:
-        hi = mpf_abs(a.hi._mpf_)
-    return _mk(fzero, hi)
 
 
 def sqrt_(a: Enclosure, prec: int = PREC) -> Enclosure:

@@ -18,6 +18,7 @@ from . import rounding as rd
 from . import sums
 from .cf_core import Word, continuants, cylinder, eval_word, gauss_step
 from .errors import AmbiguousBranch, ExponentTooSmall, Inapplicable
+from .pressure import log_weight
 from .rounding import Enclosure, enclose
 from .surd import Quad, quad_to_enclosure, sqrt_value
 from .targets import TargetSpec, first_digit, z_value
@@ -271,10 +272,6 @@ class ExtremalPiece:
         return rd.sub(quad_to_enclosure(self.x_hi, prec),
                       quad_to_enclosure(self.x_lo, prec), prec)
 
-    def contains_x(self, x) -> bool:
-        x = Fraction(x)
-        return _sign(x - self.x_lo) >= 0 and _sign(self.x_hi - x) >= 0
-
 
 def _poly_le_zero(a2, a1, a0, u: Fraction, v: Fraction) -> list:
     """Solution of a2 t^2 + a1 t + a0 <= 0 on [u, v], exact endpoints."""
@@ -420,10 +417,6 @@ def _frac_pow(x: Fraction, s) -> Enclosure:
     return _pow_enc(enclose(x), s)
 
 
-def _imin(a: Enclosure, b: Enclosure) -> Enclosure:
-    return rd.neg(rd.imax(rd.neg(a), rd.neg(b)))
-
-
 def _coef_pow(v, a: int, s) -> Enclosure:
     """(min(v, cylinder coefficient))^s; a piece never exceeds its cylinder.
 
@@ -530,9 +523,9 @@ def cover_svolume(n: int, B, spec: TargetSpec, s: float, M=None, *,
 
     branch = BRANCH_MAX
     a1z = int(a1z)
-    far = rd.mul(rd.powr(enclose(a1z), 1 - sf), _frac_pow(1 / Bn, s))
-    eq = rd.mul(rd.powr(enclose(a1z), -sf),
-                rd.powr(Benc, Fraction(-n, 2) * sf))
+    log_a1z = rd.log_(enclose(a1z))
+    far = rd.exp_(log_weight(2, n, sf, B, log_a1z))
+    eq = rd.exp_(log_weight(3, n, sf, B, log_a1z))
     parts = {"far": rd.mul(lam, far), "equal": rd.mul(lam, eq)}
     total = rd.add(parts["far"], parts["equal"])
     bound = _bound_sums_b2(n, B, a1z, s, Bn)

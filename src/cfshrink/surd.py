@@ -62,9 +62,6 @@ class Quad:
             return 1 if lhs > rhs else -1
         return -1 if lhs > rhs else 1
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def __eq__(self, other):
         return (self - other).sign() == 0
 

@@ -188,8 +188,11 @@ def first_digit(spec: TargetSpec, n: int):
 
 
 def alpha_beta(spec: TargetSpec, window) -> tuple[float, float]:
-    """Empirical growth rate log a1(z_n)/n over the window.
+    """Limit growth rate of log a1(z_n)/n, the per-level growth term of
+    `pressure.log_weight` (whose G at level n is n times this rate).
 
+    It is gamma for exp:gamma, (log B)/2 for exp:half and 0 for constant
+    and periodic targets.  The window is read only to reject an empty one.
     The same rate serves as alpha (second-branch potential) and beta
     (third-branch potential); both entries are returned for callers that
     name them differently.

@@ -4,11 +4,13 @@ Roots of the finite-alphabet defining sums were frozen from a 40-digit
 mpmath findroot run against the same sums written out by hand.
 """
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,6 +201,32 @@ class TestSolver:
             solve_finite_s(CASE_I, 2, 3, 4, rate=Fraction(1, 2))
         with pytest.raises(BudgetExceeded):
             solve_finite_s(CASE_I, 9, 30, 4, budget=1000)
+
+
+def _block_factor_oracle(case, ell, B, rate, s):
+    """The per-block factors as products of powers, in mpmath."""
+    s, Bm = mp.mpf(s.numerator) / s.denominator, mp.mpf(B)
+    if case == CASE_I:
+        return Bm ** (-ell * s * s)
+    g = ell * mp.mpf(rate.numerator) / rate.denominator
+    if case == CASE_II:
+        return mp.exp(g * (1 - s)) * Bm ** (-ell * s)
+    return mp.exp(-g * s) * Bm ** (-ell * s / 2)
+
+
+class TestBlockFactor:
+    @pytest.mark.parametrize("prec", [128, 256, 512])
+    @pytest.mark.parametrize("case", [CASE_I, CASE_II, CASE_III])
+    def test_contains_mpmath(self, case, prec):
+        rates = (None,) if case == CASE_I else (Fraction(1, 5), Fraction(math.log(3)) / 4)
+        for ell, B, s, rate in itertools.product(
+                (1, 3), (2, 4), (Fraction(5, 8), Fraction(1, 3), Fraction(1)), rates):
+            e = md._block_factor(case, ell, B, rate, s, prec)
+            with mp.workprec(prec + 64):
+                ref = _block_factor_oracle(case, ell, B, rate, s)
+                # B^(-ell) at s = 1 is dyadic: allow the oracle its own rounding
+                slack = ref * mp.mpf(2) ** -(prec + 32)
+                assert e.lo <= ref + slack and ref - slack <= e.hi, (case, ell, B, s, rate)
 
 
 class TestParams:

@@ -1,8 +1,10 @@
 """Pressure sums over restricted digit sets: exact laws, routes, roots."""
 
+import itertools
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -224,6 +226,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             pr.pressure_estimate(phi, {1, 2}, 3, method="magic")
 
+    def test_root_validates_the_potential(self):
+        with pytest.raises(ValueError):
+            pr.pressure_root("PHI9", 4, 0.0, {1, 2}, depth=3)
+        with pytest.raises(ValueError):
+            pr.pressure_root(pr.PHI2, 4, None, {1, 2}, depth=3)
+
     def test_beta_warning(self):
         with pytest.warns(UserWarning):
             pr.PotentialSpec(pr.PHI3, 0.7, 4, beta=1.0)
@@ -235,6 +243,72 @@ class TestValidation:
         assert msgs and "alpha" in msgs[0]
         quiet = pr.PotentialSpec(pr.PHI2, 0.7, 4, alpha=0.7)
         assert quiet.range_warnings(0.6, 0.8) == []
+
+
+def _log_weight_oracle(kind, n, s, B, G):
+    """The kind's level-n log-weight in mpmath, at the caller's precision."""
+    s, logB = mp.mpf(s), mp.log(B)
+    if kind == 1:
+        return -n * s * s * logB
+    if kind == 2:
+        return (1 - s) * G - n * s * logB
+    return -s * G - n * s * logB / 2
+
+
+# the parent's bits of pressure's constants: (kind, s, B, alpha or beta) ->
+# (lo, hi) as raw mpf tuples at 128 bits, and the float constant as hex
+PARENT_CONSTANTS = [
+    ((pr.PHI1, 0.7, 4, None),
+     (1, 57787111990250749731615485472207219711, -126, 126),
+     (1, 115574223980501499463230970944414439419, -127, 127), "-0x1.5bcb24bcc4303p-1"),
+    ((pr.PHI1, 1.0, 2, None),
+     (1, 117932881612756647068972071382077242201, -127, 127),
+     (1, 235865763225513294137944142764154484397, -128, 128), "-0x1.62e42fefa39efp-1"),
+    ((pr.PHI2, 0.55, 3, 0.3),
+     (1, 79836497459850423724824752953938955501, -127, 126),
+     (1, 39918248729925211862412376476969477749, -126, 125), "-0x1.e07f99d3f2fa8p-2"),
+    ((pr.PHI2, 1.25, 10, Fraction(1, 5)),
+     (1, 124553187524643844584980229218862202869, -125, 127),
+     (1, 124553187524643844584980229218862202865, -125, 127), "-0x1.76d04910910c2p+1"),
+    ((pr.PHI3, 0.8, 2, 0.2),
+     (1, 297582967995110966182437426885797014293, -129, 128),
+     (1, 18598935499694435386402339180362313393, -125, 124), "-0x1.bfc0ca3059efdp-2"),
+    ((pr.PHI3, 0.3, 7, Fraction(3, 5)),
+     (1, 321149325492343288674297081682810328915, -129, 128),
+     (1, 321149325492343288674297081682810328909, -129, 128), "-0x1.e3363873cee86p-2"),
+]
+
+
+class TestLogWeight:
+    @pytest.mark.parametrize("prec", [128, 256, 512])
+    @pytest.mark.parametrize("kind", [1, 2, 3])
+    def test_contains_mpmath(self, kind, prec):
+        log3 = rd.log_(rd.enclose(3, prec), prec)
+        growths = [(log3, lambda: mp.log(3)), (Fraction(7, 5), lambda: mp.mpf(7) / 5),
+                   (0, lambda: mp.mpf(0))]
+        for n, s, B, (g, g_ref) in itertools.product(
+                (1, 2, 7), (0.3, 0.5, 0.77, 1.0, 1.3), (2, 3, 4, 10), growths):
+            e = pr.log_weight(kind, n, s, B, g, prec)
+            w = rd.exp_(e, prec)
+            with mp.workprec(max(200, prec + 64)):  # at least 60 digits
+                ref = _log_weight_oracle(kind, n, s, B, g_ref())
+                assert e.lo <= ref <= e.hi, (kind, n, s, B, g, prec)
+                assert w.lo <= mp.exp(ref) <= w.hi, (kind, n, s, B, g, prec)
+            f = pr.log_weight_float(kind, n, s, B, float(g_ref()))
+            assert abs(f - e.mid_float) <= 1e-12 * max(1.0, abs(f))
+
+    @pytest.mark.parametrize("case", PARENT_CONSTANTS,
+                             ids=lambda c: "-".join(map(str, c[0])))
+    def test_keeps_the_parent_pressure_constants(self, case):
+        (kind, s, B, ab), lo, hi, fhex = case
+        k = {pr.PHI1: 1, pr.PHI2: 2, pr.PHI3: 3}[kind]
+        e = pr.log_weight(k, 1, s, B, ab)
+        assert (e.lo._mpf_, e.hi._mpf_) == (lo, hi)
+        assert pr.log_weight_float(k, 1, s, B, ab).hex() == fhex
+
+    def test_rejects_an_unknown_kind(self):
+        with pytest.raises(ValueError):
+            pr.log_weight(4, 1, 0.7, 4, 0.1)
 
 
 class TestVariation:

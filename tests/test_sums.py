@@ -239,6 +239,17 @@ class TestEnvelopeEvaluator:
         assert abs(est - mid) / mid < 0.01
 
 
+class TestEmptyAlphabet:
+    @pytest.mark.parametrize("alphabet_max", [0, -3])
+    def test_enclosure_rejects_an_empty_alphabet(self, alphabet_max):
+        with pytest.raises(ValueError, match="nonempty"):
+            sums.lambda_enclosure(2, 0.8, alphabet_max=alphabet_max)
+
+    def test_estimate_rejects_an_empty_alphabet(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            sums.lambda_estimate(2, 0.8, alphabet_max=0)
+
+
 class TestEnvelopeContainment:
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 6])
     def test_overlaps_exact_finite_sum(self, M):

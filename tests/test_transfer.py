@@ -365,6 +365,12 @@ def test_make_layout_of_a_gappy_digit_set():
     assert cells == ((1, 1), (3, 3), (5, 5), (40, 78), (79, 100), (150, 151))
 
 
+def test_make_layout_rejects_a_digit_below_one():
+    # a cell (0, 0) would read as both a singleton and the infinite tail
+    with pytest.raises(ValueError, match="positive digits"):
+        _transfer.make_layout(0, [0, 1])
+
+
 GAPPY = (1, 3, 4, 5, 9, 30, *range(33, 50), *range(60, 200), 1000)
 
 
