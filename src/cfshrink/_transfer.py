@@ -298,16 +298,19 @@ def apply_power(n, t, layout, seed=None):
     return max(float(lo[0]), 0.0), float(hi[0])
 
 
-def apply_powers(n, t, layout, seed=None):
-    """[apply_power(k, t, layout, seed) for k = 1..n], bit for bit, from one
-    setup: node 0 of a full step is r = 0, and every point is computed as
-    it would be alone."""
-    L, U = _start(n, t, layout, seed)
+def apply_powers(n, t, layout, seeds):
+    """[apply_power(k, t, layout, seed) for k = 1..n] for each seed in turn
+    (None for f = 1), bit for bit, all from one setup at t: node 0 of a
+    full step is r = 0, and every point is computed as it would be alone."""
+    starts = [_start(n, t, layout, seed) for seed in seeds]
     ch = _chords(layout, t, layout.edges)
     out = []
-    for _ in range(n):
-        L, U = _step(ch, L, U)
-        out.append((max(float(L[0]), 0.0), float(U[0])))
+    for L, U in starts:
+        sums = []
+        for _ in range(n):
+            L, U = _step(ch, L, U)
+            sums.append((max(float(L[0]), 0.0), float(U[0])))
+        out.append(sums)
     return out
 
 

@@ -149,7 +149,11 @@ class PressureRootResult:
 
     root comes from bisecting the ratio-extrapolated pressure and carries
     no certificate; certified_bracket is derived from the depth-n sandwich
-    (1/n)(log Sigma_n - s log 4) <= P <= (1/n) log Sigma_n.
+    (1/n)(log Sigma_n - s log 4) <= P <= (1/n) log Sigma_n.  Each end
+    takes 26 halvings, certified near the crossing and at the ends; the
+    float twin decides the halvings it clears by the margin (see
+    pressure_root), and each returned end has its own certified
+    evaluation.
     """
 
     kind: str
@@ -246,8 +250,7 @@ def _sums(route, depth: int, s, xe) -> list:
     constants excluded; sup takes the tail value x in the enclosure xe."""
     t = 2.0 * float(s)
     if isinstance(route, _transfer.Layout):
-        sup = _transfer.apply_powers(depth, t, route, seed=_sup_seed(route, xe, t))
-        x0 = _transfer.apply_powers(depth, t, route)
+        sup, x0 = _transfer.apply_powers(depth, t, route, [_sup_seed(route, xe, t), None])
     else:
         xlo, xhi = rd.to_f64(xe)
         sup, x0 = [], []
@@ -330,12 +333,24 @@ def pressure_root(
     """Exponent where the alphabet-restricted pressure crosses zero.
 
     The point value bisects the ratio-extrapolated pressure
-    log(Sigma_d / Sigma_{d-1}) to width tol (flagged non-certified); tol
-    sets nothing else.  The bracket sandwiches the true root using
-    (1/n)(log Sigma_n - s log 4) <= P <= (1/n) log Sigma_n at n = depth;
-    each end takes 26 certified bisection steps on [0.02, 1.49].  The sums
-    take the route of pressure_estimate's "auto".
+    log(Sigma_d / Sigma_{d-1}) to width tol, or until the midpoint stops
+    moving (flagged non-certified); tol sets nothing else and must be
+    positive and finite.  The bracket sandwiches the true root using
+    (1/n)(log Sigma_n - s log 4) <= P <= (1/n) log Sigma_n at n = depth.
+    Each end takes 26 halvings on [0.02, 1.49], certified near the
+    crossing and at the ends: a halving is decided by the float twin of
+    the bound when the twin is farther from 0 than a margin, 4 times the
+    largest gap between the twin and a certified value seen so far in the
+    call (the first two are the checks at 1.49 and 0.02), and by a
+    certified value otherwise.  An end last moved by the twin is certified
+    once more; if that fails, its 26 halvings are rerun all certified.
+    So each returned end has its own certified evaluation in the call,
+    and the bracket is the all-certified one unless the twin misjudges a
+    step by more than the margin.  The sums take the route of
+    pressure_estimate's "auto".
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     alpha = _norm_alphabet(A)
     if depth < 2:
         raise ValueError("depth must be >= 2 for a ratio root")
@@ -357,17 +372,30 @@ def pressure_root(
     else:
         while b - a > tol:
             mid = 0.5 * (a + b)
+            if mid in (a, b):
+                break  # no float left between a and b
             if ratio(mid) > 0.0:
                 a = mid
             else:
                 b = mid
         root = 0.5 * (a + b)
 
+    def twin(s: float) -> float:
+        """Float twin of value(s), not certified."""
+        return (math.log(_x0_estimate(route, depth, s))
+                + depth * log_weight_float(k, 1, s, B, alpha_or_beta)) / depth
+
+    gap = 0.0  # largest distance from twin(s) to value(s) seen in this call
+
     def value(s: float) -> Enclosure:
         """(1/n) log Sigma_n^(x0) at exponent s and n = depth, certified."""
+        nonlocal gap
         log_sig = rd.add(rd.log_(_x0_sum(route, depth, s)),
                          rd.mul(enclose(depth), log_weight(k, 1, s, B, alpha_or_beta)))
-        return rd.div(log_sig, enclose(depth))
+        v = rd.div(log_sig, enclose(depth))
+        w = twin(s)
+        gap = max(gap, v.hi_float - w, w - v.lo_float)
+        return v
 
     def upper_ok(s: float) -> bool:
         return value(s).certified_le(0)
@@ -376,26 +404,34 @@ def pressure_root(
         slack = rd.div(rd.mul(enclose(Fraction(s)), rd.log_(enclose(4))), enclose(depth))
         return rd.sub(value(s), slack).certified_ge(0)
 
+    def halve(keep: float, other: float, ok, est=None) -> float:
+        """The end `keep` of [keep, other] (ok there certified) after 26
+        halvings: ok(mid) moves it to mid, else `other` moves.  With a twin
+        est of the tested bound (positive where ok holds), a step whose
+        |est| exceeds 4 gaps is decided by its sign; an end it moved last
+        is certified once more, and if that fails the halvings rerun
+        without est."""
+        start = keep, other
+        floated = False
+        for _ in range(26):
+            mid = 0.5 * (keep + other)
+            e = est(mid) if est is not None else 0.0
+            by_twin = abs(e) > 4.0 * gap
+            if (e > 0.0) if by_twin else ok(mid):
+                keep, floated = mid, by_twin
+            else:
+                other = mid
+        if floated and not ok(keep):
+            return halve(*start, ok)
+        return keep
+
     if not upper_ok(_S_HI):
         raise NoRoot(f"cannot certify nonpositive pressure by s = {_S_HI}")
-    a, b = _S_LO, _S_HI
-    for _ in range(26):
-        mid = 0.5 * (a + b)
-        if upper_ok(mid):
-            b = mid
-        else:
-            a = mid
-    hi_end = b
+    floor_ok = lower_ok(_S_LO)  # before any halving, so both checks set the margin
+    hi_end = halve(_S_HI, _S_LO, upper_ok, lambda s: -twin(s))
     lo_end = 0.0
-    if lower_ok(_S_LO):
-        a, b = _S_LO, hi_end
-        for _ in range(26):
-            mid = 0.5 * (a + b)
-            if lower_ok(mid):
-                a = mid
-            else:
-                b = mid
-        lo_end = a
+    if floor_ok:
+        lo_end = halve(_S_LO, hi_end, lower_ok, lambda s: twin(s) - s * math.log(4.0) / depth)
     return PressureRootResult(
         kind=kind,
         alphabet=alpha,

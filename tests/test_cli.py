@@ -183,6 +183,26 @@ class TestPressure:
             payload["root"], *payload["bracket"]]
 
 
+    def test_pinned_default_run(self, tmp_path):
+        # M = 20 at depth 8: the envelope route; the float.hex pins are the
+        # outputs of the all-certified bisections
+        assert main(["pressure", "--out", str(tmp_path)]) == 0
+        payload = read_json(tmp_path / "pressure.json")
+        assert (payload["M"], payload["depth"]) == (20, 8)
+        assert payload["root"].hex() == "0x1.5dfe666666666p-1"
+        assert [v.hex() for v in payload["bracket"]] == [
+            "0x1.537fe1ba6ae52p-1", "0x1.60ddde347ae14p-1"]
+
+    def test_zero_tol_is_rejected_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["pressure", "--tol", "0", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.out.splitlines()[-1])
+        assert err["error"]["type"] == "ValueError"
+        assert "tol" in err["error"]["message"]
+        assert not out.exists()
+
+
 class TestLemmas:
     def test_all_pass_and_thread_determinism(self, tmp_path):
         # spec determinism clause: byte-identical outputs across thread counts

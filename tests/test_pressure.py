@@ -1,5 +1,6 @@
 """Pressure sums over restricted digit sets: exact laws, routes, roots."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfshrink import predim
+from cfshrink import _transfer, predim
 from cfshrink import pressure as pr
 from cfshrink import rounding as rd
 from cfshrink import sums
@@ -187,6 +188,185 @@ class TestRoot:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             pr.pressure_root(pr.PHI1, 4, None, {1, 2}, depth=1)
+
+
+def _sandwich_tests(kind, B, ab, A, depth):
+    """The certified ends' tests: upper(s) when (1/d) log Sigma_d <= 0 and
+    lower(s) when (1/d)(log Sigma_d - s log 4) >= 0, at d = depth."""
+    k = {pr.PHI1: 1, pr.PHI2: 2, pr.PHI3: 3}[kind]
+    route = pr._route(pr._norm_alphabet(A), depth, "auto")
+
+    def value(s):
+        log_sig = rd.add(rd.log_(pr._x0_sum(route, depth, s)),
+                         rd.mul(rd.enclose(depth), pr.log_weight(k, 1, s, B, ab)))
+        return rd.div(log_sig, rd.enclose(depth))
+
+    def upper(s):
+        return value(s).certified_le(0)
+
+    def lower(s):
+        slack = rd.div(rd.mul(rd.enclose(Fraction(s)), rd.log_(rd.enclose(4))),
+                       rd.enclose(depth))
+        return rd.sub(value(s), slack).certified_ge(0)
+
+    return upper, lower
+
+
+@functools.cache
+def _all_certified_root(kind, B, ab, A, depth, tol=1e-3):
+    """(root, lo_end, hi_end) by the all-certified method pressure_root had
+    before it steered by the float twin: the ratio bisection for the point
+    value, then two 26-step bisections with every step certified."""
+    k = {pr.PHI1: 1, pr.PHI2: 2, pr.PHI3: 3}[kind]
+    route = pr._route(pr._norm_alphabet(A), depth, "auto")
+
+    def ratio(s):
+        return (math.log(pr._x0_estimate(route, depth, s))
+                - math.log(pr._x0_estimate(route, depth - 1, s))
+                + pr.log_weight_float(k, 1, s, B, ab))
+
+    a, b = pr._S_LO, pr._S_HI
+    if ratio(a) <= 0.0:
+        root = a
+    else:
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            if ratio(mid) > 0.0:
+                a = mid
+            else:
+                b = mid
+        root = 0.5 * (a + b)
+    upper, lower = _sandwich_tests(kind, B, ab, A, depth)
+    assert upper(pr._S_HI)
+    a, b = pr._S_LO, pr._S_HI
+    for _ in range(26):
+        mid = 0.5 * (a + b)
+        if upper(mid):
+            b = mid
+        else:
+            a = mid
+    hi_end, lo_end = b, 0.0
+    if lower(pr._S_LO):
+        a, b = pr._S_LO, hi_end
+        for _ in range(26):
+            mid = 0.5 * (a + b)
+            if lower(mid):
+                a = mid
+            else:
+                b = mid
+        lo_end = a
+    return root, lo_end, hi_end
+
+
+# (kind, B, rate, alphabet, depth): three potentials on each route, the
+# single digit whose lower end is 0, and a gappy alphabet on the envelope
+ROOT_CASES = [
+    (pr.PHI1, 4, None, (1, 2, 3), 6),
+    (pr.PHI2, 4, 0.3, (1, 2, 3), 6),
+    (pr.PHI3, 4, 0.2, (1, 2, 3), 6),
+    (pr.PHI1, 4, None, (1,), 6),
+    (pr.PHI1, 4, None, (1, 2, 3, 4, 5), 8),
+    (pr.PHI2, 4, 0.3, (1, 2), 18),
+    (pr.PHI3, 4, 0.2, (1, 2, 3, 4, 5, 6), 7),
+    (pr.PHI1, 4, 0.0, (1, 3, 4, 5), 10),
+]
+
+
+def _on_envelope(A, depth):
+    return isinstance(pr._route(pr._norm_alphabet(A), depth, "auto"), _transfer.Layout)
+
+
+def _counting_x0_sum(monkeypatch):
+    """Record the exponent of every certified sum pressure_root evaluates."""
+    seen = []
+    inner = pr._x0_sum
+
+    def counted(route, n, s):
+        seen.append(s)
+        return inner(route, n, s)
+
+    monkeypatch.setattr(pr, "_x0_sum", counted)
+    return seen
+
+
+def _ends(res):
+    return res.certified_bracket.lo_float, res.certified_bracket.hi_float
+
+
+class TestSteeredBisection:
+    @pytest.mark.parametrize("case", ROOT_CASES, ids=lambda c: f"{c[0]}-{len(c[3])}-d{c[4]}")
+    def test_matches_the_all_certified_bisections(self, case, monkeypatch):
+        want = _all_certified_root(*case)
+        seen = _counting_x0_sum(monkeypatch)
+        res = pr.pressure_root(*case[:4], depth=case[4])
+        assert (res.root, *_ends(res)) == want
+        assert len(seen) <= (30 if _on_envelope(*case[3:]) else 8)
+
+    def test_the_cases_cover_both_routes_and_a_zero_lower_end(self):
+        assert _all_certified_root(*ROOT_CASES[3])[1] == 0.0
+        assert _on_envelope(*ROOT_CASES[7][3:]) and _on_envelope(*ROOT_CASES[4][3:])
+        assert not _on_envelope(*ROOT_CASES[0][3:])
+
+    @pytest.mark.parametrize("case", [ROOT_CASES[0], ROOT_CASES[4]], ids=["exact", "envelope"])
+    def test_a_biased_twin_keeps_the_bracket(self, case, monkeypatch):
+        # an s-dependent error widens the margin; every end is still certified
+        # in the call and the bracket is the all-certified one
+        want = _all_certified_root(*case)[1:]
+        twin = pr._x0_estimate
+        monkeypatch.setattr(pr, "_x0_estimate", lambda r, n, s: twin(r, n, s) * (1 + 1e-2 * s))
+        seen = _counting_x0_sum(monkeypatch)
+        res = pr.pressure_root(*case[:4], depth=case[4])
+        lo, hi = _ends(res)
+        assert (lo, hi) == want
+        assert hi in seen and lo in seen
+
+    @pytest.mark.parametrize("case", [ROOT_CASES[0], ROOT_CASES[4]], ids=["exact", "envelope"])
+    def test_a_wrong_ok_falls_back_to_all_certified(self, case, monkeypatch):
+        # just below the root the twin claims P <= 0 by far: the upper end
+        # lands below the root, fails its check, and is bisected again
+        _, lo_want, hi_want = _all_certified_root(*case)
+        twin = pr._x0_estimate
+
+        def wrong(r, n, s):
+            return twin(r, n, s) * (math.exp(-n) if hi_want - 0.05 < s < hi_want else 1.0)
+
+        monkeypatch.setattr(pr, "_x0_estimate", wrong)
+        seen = _counting_x0_sum(monkeypatch)
+        res = pr.pressure_root(*case[:4], depth=case[4])
+        assert _ends(res) == (lo_want, hi_want)
+        assert len(seen) >= 2 + 1 + 26  # the two checks, the failed end, the rerun
+
+    @pytest.mark.parametrize("case", [ROOT_CASES[0], ROOT_CASES[4]], ids=["exact", "envelope"])
+    def test_a_wrong_not_ok_still_certifies_each_end(self, case, monkeypatch):
+        # just above the root the twin claims P > 0 by far: the upper end
+        # lands higher than the all-certified one, with its own certificate
+        _, lo_want, hi_want = _all_certified_root(*case)
+        twin = pr._x0_estimate
+
+        def wrong(r, n, s):
+            return twin(r, n, s) * (math.exp(n) if hi_want <= s < hi_want + 0.05 else 1.0)
+
+        monkeypatch.setattr(pr, "_x0_estimate", wrong)
+        seen = _counting_x0_sum(monkeypatch)
+        lo, hi = _ends(pr.pressure_root(*case[:4], depth=case[4]))
+        assert hi > hi_want
+        upper, lower = _sandwich_tests(*case)
+        assert hi in seen and upper(hi)
+        assert lo in seen and lower(lo)
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_bad_tol_before_any_work(self, tol, monkeypatch):
+        monkeypatch.setattr(pr, "_route", None)  # reaching it would raise TypeError
+        with pytest.raises(ValueError, match="tol"):
+            pr.pressure_root(pr.PHI1, 4, None, (1, 2, 3), depth=4, tol=tol)
+
+    def test_a_tiny_tol_stops_when_the_midpoint_stops_moving(self):
+        res = pr.pressure_root(pr.PHI1, 4, None, (1, 2, 3), depth=4, tol=1e-300)
+        coarse = pr.pressure_root(pr.PHI1, 4, None, (1, 2, 3), depth=4, tol=1e-12)
+        assert res.root == pytest.approx(coarse.root, abs=1e-12)
+        assert _ends(res) == _ends(coarse)
 
 
 class TestEmDimension:

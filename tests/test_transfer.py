@@ -380,10 +380,23 @@ def test_apply_powers_has_the_bits_of_apply_power(digits):
     xe = rd.enclose(Fraction(3, 10))
     for t in (1.5,) if digits is None else (0.7, 1.5):
         for seed in (None, _sup_seed(layout, xe, t)):
-            got = _transfer.apply_powers(5, t, layout, seed=seed)
+            [got] = _transfer.apply_powers(5, t, layout, [seed])
             want = [_transfer.apply_power(k, t, layout, seed=seed) for k in range(1, 6)]
             assert [(lo.hex(), hi.hex()) for lo, hi in got] == [
                 (lo.hex(), hi.hex()) for lo, hi in want]
+
+
+@pytest.mark.parametrize("digits", [None, range(1, 21), GAPPY])
+def test_apply_powers_runs_each_seed_as_alone(digits):
+    layout = _transfer.make_layout(2, digits)
+    xe = rd.enclose(Fraction(3, 10))
+    for t in (1.5,) if digits is None else (0.7, 1.5):
+        seed = _sup_seed(layout, xe, t)
+        got = _transfer.apply_powers(6, t, layout, [seed, None])
+        want = [_transfer.apply_powers(6, t, layout, [seed])[0],
+                _transfer.apply_powers(6, t, layout, [None])[0]]
+        assert [[(lo.hex(), hi.hex()) for lo, hi in run] for run in got] == [
+            [(lo.hex(), hi.hex()) for lo, hi in run] for run in want]
 
 
 def test_seed_needs_node_bounds():
