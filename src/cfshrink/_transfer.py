@@ -321,14 +321,14 @@ def _block_mid_weight(A1, A2, r, t):
     return (f1 - (A2 + 0.5 + r) ** (1.0 - t)) / (t - 1.0)
 
 
-def apply_power_estimate(n, t, layout, seed_mid=None):
+def apply_power_estimate(n, t, layout):
     """Fast midpoint estimate of (L^n f)(0).  NOT certified; used only to
     localize roots before the enclosure machinery confirms them."""
     if n < 1:
         raise ValueError("need n >= 1")
     N = layout.nbins
     r = (np.arange(N) + 0.5) / N
-    U = np.ones(N) if seed_mid is None else np.asarray(seed_mid, float)
+    U = np.ones(N)
 
     def step(rv, vals):
         acc = np.zeros_like(rv)

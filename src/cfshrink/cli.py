@@ -21,7 +21,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import massdist as md
@@ -40,16 +40,16 @@ SCHEMA = 1
 @dataclass
 class RunConfig:
     subcommand: str
-    B: int = 4
-    target: str = "zero"
-    n_range: tuple = (1, 6)
-    M: object = 20
-    ell: int = 2
-    tol: float = 1e-3
-    out: str = "."
-    seed: int = 0
-    threads: int = 1
-    options: dict = field(default_factory=dict)
+    B: int
+    target: str
+    n_range: tuple
+    M: object
+    ell: int
+    tol: float
+    out: str
+    seed: int
+    threads: int
+    options: dict
 
     def spec(self) -> TargetSpec:
         return parse_target(self.target, self.B)

@@ -114,6 +114,9 @@ def _sum_at(case, ell, M, B, rate, s: Fraction, qcounts, prec) -> Enclosure:
 def _solve_bracket(case, ell, M, B, rate, tol=Fraction(1, 10**13), budget=1_000_000):
     if case not in _CASES:
         raise ValueError(f"case must be one of {_CASES}, got {case!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    tol = Fraction(tol)
     if ell < 1 or M < 1:
         raise ValueError("ell and M must be positive")
     if B < 2:
@@ -162,7 +165,7 @@ def solve_finite_s(case, ell, M, B, rate=None, *, tol=Fraction(1, 10**13), budge
     e^(-rate ell s) B^(-ell s / 2).  The sum is strictly decreasing in s,
     so certified-sign bisection brackets the root; the midpoint is returned.
     """
-    lo, hi = _solve_bracket(case, ell, M, B, rate, tol=Fraction(tol), budget=budget)
+    lo, hi = _solve_bracket(case, ell, M, B, rate, tol=tol, budget=budget)
     return float((lo + hi) / 2)
 
 

@@ -4,7 +4,9 @@ All three equation kinds share the shape weight(s) * Lambda_n(s) = 1 with
 Lambda_n the continuant power sum, strictly decreasing in s.  Each root is
 located with a fast float estimate, then certified by evaluating the sum's
 enclosure at the two bracket endpoints: value >= 1 on the left endpoint,
-<= 1 on the right, so the bracket provably contains the root.
+<= 1 on the right, so the bracket provably contains the root.  Every n,
+n = 1 included, goes through the envelope, and each endpoint escalates its
+level 0 -> 1 -> 2 on its own, only until its side of 1 is certified.
 """
 
 from __future__ import annotations
@@ -99,47 +101,44 @@ def _log_f_est(n, B, kind, a1z, M, s: float) -> float:
 
 
 def _f_enclosure(n, B, kind, a1z, M, s: float, level: int) -> Enclosure:
-    if M is None:
-        lam = (
-            sums.zeta_enclosure(s, 4096)
-            if n == 1
-            else sums.lambda_enclosure(n, s, level=level)
-        )
-    else:
-        lam = sums.lambda_enclosure(n, s, alphabet_max=M, level=level)
+    lam = sums.lambda_enclosure(n, s, alphabet_max=M, level=level)
     return rd.mul(_weight_enclosure(n, B, kind, a1z, s), lam)
 
 
-def _certify_bracket(n, B, kind, a1z, M, r_hat, delta, levels):
-    for level in levels:
-        r = r_hat
-        for _ in range(8):
-            lo = max(r - delta, LEFT_EDGE)
-            hi = min(r + delta, 1.0)
-            f_lo = _f_enclosure(n, B, kind, a1z, M, lo, level)
-            f_hi = _f_enclosure(n, B, kind, a1z, M, hi, level)
-            if f_lo.certified_ge(1) and f_hi.certified_le(1):
-                return rd.from_f64(lo, hi)
-            if f_lo.certified_lt(1):
-                if lo <= LEFT_EDGE:
-                    raise NoRoot(
-                        f"sum already below 1 at s = {LEFT_EDGE} "
-                        f"(n={n}, kind={kind}, M={M}): no root in the domain"
-                    )
-                r -= delta
-                continue
-            if f_hi.certified_gt(1):
-                if hi >= 1.0:
-                    raise NoRootInUnitInterval(
-                        f"sum at s=1 is certified > 1 (n={n}, B={B}, kind={kind})"
-                    )
-                r += delta
-                continue
-            break  # endpoint enclosures straddle 1: need a sharper level
+def _f_sided(n, B, kind, a1z, M, s: float) -> Enclosure:
+    """The defining sum at s from the coarsest level (0, 1, 2) that certifies
+    it >= 1 or <= 1."""
+    for level in (0, 1, 2):
+        f = _f_enclosure(n, B, kind, a1z, M, s, level)
+        if f.certified_ge(1) or f.certified_le(1):
+            return f
     raise PrecisionExhausted(
-        f"cannot certify a width-{2 * delta:.2g} bracket at the sharpest level "
-        f"(n={n}, kind={kind}); try a larger tol"
-    )
+        f"sum at s = {s!r} straddles 1 at the sharpest level (n={n}, kind={kind}); "
+        "try a larger tol")
+
+
+def _certify_bracket(n, B, kind, a1z, M, r, delta):
+    """Shift [r - delta, r + delta], clipped to [LEFT_EDGE, 1], at most 8 times
+    until the sum is certified <= 1 at hi and >= 1 at lo.  It decreases in s,
+    so >= 1 at hi puts the root at or above hi, and <= 1 at lo at or below lo."""
+    for _ in range(8):
+        lo, hi = max(r - delta, LEFT_EDGE), min(r + delta, 1.0)
+        f_hi = _f_sided(n, B, kind, a1z, M, hi)
+        if not f_hi.certified_le(1):
+            if hi >= 1.0:
+                raise NoRootInUnitInterval(
+                    f"sum at s=1 lies in [{f_hi.lo_float:.6g}, {f_hi.hi_float:.6g}], "
+                    f"above 1 (n={n}, B={B}, kind={kind})")
+            r += delta
+        elif not _f_sided(n, B, kind, a1z, M, lo).certified_ge(1):
+            if lo <= LEFT_EDGE:
+                raise NoRoot(f"sum at s = {LEFT_EDGE} is below 1 (n={n}, kind={kind}, M={M})")
+            r -= delta
+        else:
+            return rd.from_f64(lo, hi)
+    raise PrecisionExhausted(
+        f"no width-{2 * delta:.2g} bracket within 8 shifts of the estimate "
+        f"(n={n}, kind={kind}); try a larger tol")
 
 
 def solve_predim(n: int, B, kind: int, a1z=None, *, M=None, tol: float = 1e-4):
@@ -171,28 +170,6 @@ def solve_predim(n: int, B, kind: int, a1z=None, *, M=None, tol: float = 1e-4):
         if a1z < 1:
             raise ValueError("a1z must be a positive integer or +inf")
 
-    levels = [0] if (n == 1 and M is None) else [0, 1, 2]
-
-    if _log_f_est(n, B, kind, a1z, M, 1.0) >= -1e-9:
-        # probably no root below 1; settle it with certified evaluations
-        for level in levels:
-            f1 = _f_enclosure(n, B, kind, a1z, M, 1.0, level)
-            if f1.certified_gt(1):
-                raise NoRootInUnitInterval(
-                    f"sum at s=1 lies in [{f1.lo_float:.6g}, {f1.hi_float:.6g}], "
-                    f"above 1 (n={n}, B={B}, kind={kind})"
-                )
-            if f1.certified_le(1):
-                break
-        else:
-            raise PrecisionExhausted("sum enclosure at s=1 straddles 1 at every level")
-    if _log_f_est(n, B, kind, a1z, M, LEFT_EDGE) <= 0.0:
-        f_left = _f_enclosure(n, B, kind, a1z, M, LEFT_EDGE, levels[-1])
-        if f_left.certified_lt(1):
-            raise NoRoot(
-                f"sum at s = {LEFT_EDGE} is below 1 (n={n}, kind={kind}, M={M})"
-            )
-
     a, b = LEFT_EDGE, 1.0
     for _ in range(60):
         mid = 0.5 * (a + b)
@@ -202,7 +179,7 @@ def solve_predim(n: int, B, kind: int, a1z=None, *, M=None, tol: float = 1e-4):
             b = mid
         if b - a < 0.02 * tol:
             break
-    return _certify_bracket(n, B, kind, a1z, M, 0.5 * (a + b), 0.45 * tol, levels)
+    return _certify_bracket(n, B, kind, a1z, M, 0.5 * (a + b), 0.45 * tol)
 
 
 def select_sn(s1: Enclosure, s2: Enclosure, s3: Enclosure, refine=None):

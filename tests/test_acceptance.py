@@ -95,9 +95,9 @@ def _certified_ends(n, B, kind, a1z, e):
     """Whether the defining sum is certified >= 1 at e.lo and <= 1 at e.hi.
 
     The sum decreases in s, so a root then lies in e.  Levels are tried
-    from the coarsest, as the solver does; n = 1 uses the zeta route.
+    from the coarsest, as the solver does, for every n.
     """
-    for level in (0,) if n == 1 else (0, 1, 2):
+    for level in (0, 1, 2):
         f_lo = _f_enclosure(n, B, kind, a1z, None, e.lo_float, level)
         f_hi = _f_enclosure(n, B, kind, a1z, None, e.hi_float, level)
         if f_lo.certified_ge(1) and f_hi.certified_le(1):

@@ -202,6 +202,16 @@ class TestSolver:
         with pytest.raises(BudgetExceeded):
             solve_finite_s(CASE_I, 9, 30, 4, budget=1000)
 
+    @pytest.mark.parametrize("tol", [0, -1, math.nan, math.inf, Fraction(0)])
+    def test_bad_tol_is_rejected_before_any_work(self, tol, monkeypatch):
+        monkeypatch.setattr(md, "_block_words", lambda *a: pytest.fail("words enumerated"))
+        with pytest.raises(ValueError, match="tol"):
+            solve_finite_s(CASE_I, 2, 3, 4, tol=tol)
+
+    def test_float_tol(self):
+        s = solve_finite_s(CASE_I, 2, 3, 4, tol=1e-9)
+        assert s == pytest.approx(S_I_2_3_B4, abs=1e-9)
+
 
 def _block_factor_oracle(case, ell, B, rate, s):
     """The per-block factors as products of powers, in mpmath."""

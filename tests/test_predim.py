@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from cfshrink import _transfer, sums
 from cfshrink import rounding as rd
-from cfshrink.errors import AmbiguousBranch, NoRoot, NoRootInUnitInterval
+from cfshrink.errors import AmbiguousBranch, NoRoot, NoRootInUnitInterval, PrecisionExhausted
 from cfshrink.predim import (
     CASE_MAX_S2_S3,
     CASE_S1,
@@ -34,9 +35,8 @@ ZETA_ROOTS = {
 
 def assert_straddles(n, B, kind, a1z, M, e):
     """Defining sum must be >= 1 somewhere and <= 1 somewhere inside e."""
-    level = 0 if (n == 1 and M is None) else 2
-    f_lo = _f_enclosure(n, B, kind, a1z, M, e.lo_float, level)
-    f_hi = _f_enclosure(n, B, kind, a1z, M, e.hi_float, level)
+    f_lo = _f_enclosure(n, B, kind, a1z, M, e.lo_float, 2)
+    f_hi = _f_enclosure(n, B, kind, a1z, M, e.hi_float, 2)
     assert f_lo.hi_float >= 1.0
     assert f_hi.lo_float <= 1.0
 
@@ -76,6 +76,77 @@ class TestNoRootCases:
     def test_truncated_alphabet_root_below_domain(self):
         with pytest.raises(NoRoot):
             solve_predim(3, 4, 1, M=1)
+
+
+# float.hex of n = 1 brackets by (B, kind, a1z, tol), the same bits a zeta(2s)
+# head-plus-tail evaluator certifies: a bracket does not depend on which
+# certified evaluator decides its ends.  None marks the root clipped to 1
+# (the kind-3 sum at s = 1 is zeta(2)/sqrt(2) > 1)
+LEVEL_ONE_BRACKETS = {
+    (2, 1, None, 1e-3): ("0x1.d99caa2339c0fp-1", "0x1.da12a1205bc01p-1"),
+    (2, 2, 1, 1e-3): ("0x1.ce8247525460bp-1", "0x1.cef83e4f765fdp-1"),
+    (2, 2, 3, 1e-3): ("0x1.df073e1b0899fp-1", "0x1.df7d35182a991p-1"),
+    (2, 3, 1, 1e-3): None,
+    (2, 3, 3, 1e-3): ("0x1.723b064c2f837p-1", "0x1.72b0fd4951829p-1"),
+    (4, 1, None, 1e-3): ("0x1.92b294a2339c3p-1", "0x1.93288b9f559b5p-1"),
+    (4, 2, 1, 1e-3): ("0x1.76ce002752547p-1", "0x1.7743f72474539p-1"),
+    (4, 2, 3, 1e-3): ("0x1.92dc1e5c91d15p-1", "0x1.93521559b3d07p-1"),
+    (4, 3, 1, 1e-3): ("0x1.ce8247525460bp-1", "0x1.cef83e4f765fdp-1"),
+    (4, 3, 3, 1e-3): ("0x1.5be69ac710cb1p-1", "0x1.5c5c91c432ca3p-1"),
+    (2, 1, None, 1e-6): ("0x1.d9d84a4883707p-1", "0x1.d9d8687b745e9p-1"),
+    (4, 1, None, 1e-6): ("0x1.92ece387bed4dp-1", "0x1.92ed01baafc2fp-1"),
+    (2, 3, 3, 1e-7): ("0x1.72764e914d0a8p-1", "0x1.7276519665224p-1"),
+    (4, 2, 1, 1e-7): ("0x1.7709395761859p-1", "0x1.77093c5c799d5p-1"),
+}
+
+
+class TestLevelOneBrackets:
+    @pytest.mark.parametrize("key", list(LEVEL_ONE_BRACKETS))
+    def test_pinned_bracket(self, key):
+        B, kind, a1z, tol = key
+        if LEVEL_ONE_BRACKETS[key] is None:
+            with pytest.raises(NoRootInUnitInterval, match=r"sum at s=1 lies in \[1\.1631"):
+                solve_predim(1, B, kind, a1z, tol=tol)
+            return
+        e = solve_predim(1, B, kind, a1z, tol=tol)
+        assert (e.lo_float.hex(), e.hi_float.hex()) == LEVEL_ONE_BRACKETS[key]
+
+
+class TestFailFast:
+    @pytest.fixture
+    def evals(self, monkeypatch):
+        """Counts envelope evaluations, none of them served from the cache."""
+        monkeypatch.setattr(sums, "_LAMBDA_CACHE", sums.BoundedCache(64))
+        count = [0]
+        apply_power = _transfer.apply_power
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return apply_power(*args, **kwargs)
+
+        monkeypatch.setattr(_transfer, "apply_power", counted)
+        return count
+
+    @pytest.mark.parametrize("n,tol", [(3, 1e-7), (2, 1e-8), (5, 1e-6)])
+    def test_shifts_run_out(self, evals, n, tol):
+        # the float estimate is off by more than 8 half-widths; each shift
+        # is still certified, most of them at level 0
+        with pytest.raises(PrecisionExhausted, match="within 8 shifts"):
+            solve_predim(n, 4, 1, tol=tol)
+        assert evals[0] <= 12
+
+    def test_straddle_at_level_two(self, evals):
+        # level 2 resolves the n = 1 root to about 5e-8, so the first
+        # bracket end already straddles 1 at every level
+        with pytest.raises(PrecisionExhausted, match="straddles 1 at the sharpest level"):
+            solve_predim(1, 4, 1, tol=1e-8)
+        assert evals[0] == 3
+
+    def test_shifted_bracket_keeps_its_bits(self, evals):
+        e = solve_predim(3, 4, 1, tol=1e-6)
+        assert (e.lo_float.hex(), e.hi_float.hex()) == (
+            "0x1.830d344552cecp-1", "0x1.830d527843bcep-1")
+        assert evals[0] <= 14
 
 
 class TestCertifiedRoots:
