@@ -4,9 +4,10 @@ All three equation kinds share the shape weight(s) * Lambda_n(s) = 1 with
 Lambda_n the continuant power sum, strictly decreasing in s.  Each root is
 located with a fast float estimate, then certified by evaluating the sum's
 enclosure at the two bracket endpoints: value >= 1 on the left endpoint,
-<= 1 on the right, so the bracket provably contains the root.  Every n,
-n = 1 included, goes through the envelope, and each endpoint escalates its
-level 0 -> 1 -> 2 on its own, only until its side of 1 is certified.
+<= 1 on the right, so the bracket provably contains the root.  Each
+endpoint escalates the envelope level 0 -> 1 -> 2 on its own, only until its
+side of 1 is certified; n = 1 on the full alphabet takes zeta(2s) from its
+head-plus-tail enclosure instead, which has no levels.
 """
 
 from __future__ import annotations
@@ -101,7 +102,12 @@ def _log_f_est(n, B, kind, a1z, M, s: float) -> float:
 
 
 def _f_enclosure(n, B, kind, a1z, M, s: float, level: int) -> Enclosure:
-    lam = sums.lambda_enclosure(n, s, alphabet_max=M, level=level)
+    if n == 1 and M is None:
+        # zeta(2s) head plus tail resolves s to about 1e-10, the envelope
+        # only to about 5e-8; the level does not apply here
+        lam = sums.zeta_enclosure(s, 4096)
+    else:
+        lam = sums.lambda_enclosure(n, s, alphabet_max=M, level=level)
     return rd.mul(_weight_enclosure(n, B, kind, a1z, s), lam)
 
 

@@ -95,7 +95,8 @@ def _certified_ends(n, B, kind, a1z, e):
     """Whether the defining sum is certified >= 1 at e.lo and <= 1 at e.hi.
 
     The sum decreases in s, so a root then lies in e.  Levels are tried
-    from the coarsest, as the solver does, for every n.
+    from the coarsest, as the solver does; n = 1 takes zeta(2s) from its
+    head-plus-tail enclosure at every level.
     """
     for level in (0, 1, 2):
         f_lo = _f_enclosure(n, B, kind, a1z, None, e.lo_float, level)

@@ -35,8 +35,9 @@ ZETA_ROOTS = {
 
 def assert_straddles(n, B, kind, a1z, M, e):
     """Defining sum must be >= 1 somewhere and <= 1 somewhere inside e."""
-    f_lo = _f_enclosure(n, B, kind, a1z, M, e.lo_float, 2)
-    f_hi = _f_enclosure(n, B, kind, a1z, M, e.hi_float, 2)
+    level = 0 if (n == 1 and M is None) else 2
+    f_lo = _f_enclosure(n, B, kind, a1z, M, e.lo_float, level)
+    f_hi = _f_enclosure(n, B, kind, a1z, M, e.hi_float, level)
     assert f_lo.hi_float >= 1.0
     assert f_hi.lo_float <= 1.0
 
@@ -78,10 +79,10 @@ class TestNoRootCases:
             solve_predim(3, 4, 1, M=1)
 
 
-# float.hex of n = 1 brackets by (B, kind, a1z, tol), the same bits a zeta(2s)
-# head-plus-tail evaluator certifies: a bracket does not depend on which
-# certified evaluator decides its ends.  None marks the root clipped to 1
-# (the kind-3 sum at s = 1 is zeta(2)/sqrt(2) > 1)
+# float.hex of full-alphabet n = 1 brackets by (B, kind, a1z, tol); None
+# marks the root clipped to 1 (the kind-3 sum at s = 1 is zeta(2)/sqrt(2)
+# > 1).  The tol 1e-8 and 1e-10 rows lie beyond the reach of the envelope at
+# n = 1 (about 5e-8 in s), so only the zeta(2s) route certifies them
 LEVEL_ONE_BRACKETS = {
     (2, 1, None, 1e-3): ("0x1.d99caa2339c0fp-1", "0x1.da12a1205bc01p-1"),
     (2, 2, 1, 1e-3): ("0x1.ce8247525460bp-1", "0x1.cef83e4f765fdp-1"),
@@ -97,6 +98,11 @@ LEVEL_ONE_BRACKETS = {
     (4, 1, None, 1e-6): ("0x1.92ece387bed4dp-1", "0x1.92ed01baafc2fp-1"),
     (2, 3, 3, 1e-7): ("0x1.72764e914d0a8p-1", "0x1.7276519665224p-1"),
     (4, 2, 1, 1e-7): ("0x1.7709395761859p-1", "0x1.77093c5c799d5p-1"),
+    (2, 2, 1, 1e-8): ("0x1.cebdec95ec3c4p-1", "0x1.cebdece33b71ep-1"),
+    (4, 1, None, 1e-8): ("0x1.92ecf2a39ad3ep-1", "0x1.92ecf2f0ea098p-1"),
+    (4, 3, 3, 1e-8): ("0x1.5c219f1101bd2p-1", "0x1.5c219f5e50f2cp-1"),
+    (2, 1, None, 1e-10): ("0x1.d9d85954a7cc6p-1", "0x1.d9d859556db5ep-1"),
+    (4, 2, 3, 1e-10): ("0x1.9317ab0954b0ap-1", "0x1.9317ab0a1a9a2p-1"),
 }
 
 
@@ -136,11 +142,32 @@ class TestFailFast:
         assert evals[0] <= 12
 
     def test_straddle_at_level_two(self, evals):
-        # level 2 resolves the n = 1 root to about 5e-8, so the first
-        # bracket end already straddles 1 at every level
+        # the fourth point straddles 1 at levels 0, 1 and 2
         with pytest.raises(PrecisionExhausted, match="straddles 1 at the sharpest level"):
-            solve_predim(1, 4, 1, tol=1e-8)
-        assert evals[0] == 3
+            solve_predim(4, 4, 1, tol=3e-6)
+        assert evals[0] == 7
+
+    def test_level_two_decides_an_end(self, evals):
+        # the second point is certified only at level 2; the bracket does
+        # not depend on which level decides each end
+        e = solve_predim(5, 4, 1, tol=1e-5)
+        assert (e.lo_float.hex(), e.hi_float.hex()) == (
+            "0x1.81277cf99d452p-1", "0x1.8128aaf70691ep-1")
+        assert evals[0] == 4
+
+    def test_tight_level_one_skips_the_envelope(self, evals):
+        # zeta(2s) decides both ends at tol 1e-8, beyond the envelope's reach
+        e = solve_predim(1, 4, 1, tol=1e-8)
+        assert (e.lo_float.hex(), e.hi_float.hex()) == (
+            "0x1.92ecf2a39ad3ep-1", "0x1.92ecf2f0ea098p-1")
+        assert evals[0] == 0
+
+    def test_straddle_at_the_sharpest_evaluator(self, evals):
+        # zeta(2s) resolves the n = 1 root to about 1e-10, so the first
+        # bracket end of a tol-1e-12 bracket straddles 1
+        with pytest.raises(PrecisionExhausted, match="straddles 1 at the sharpest level"):
+            solve_predim(1, 4, 1, tol=1e-12)
+        assert evals[0] == 0
 
     def test_shifted_bracket_keeps_its_bits(self, evals):
         e = solve_predim(3, 4, 1, tol=1e-6)

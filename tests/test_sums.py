@@ -31,77 +31,37 @@ def contains(enc, x):
     return enc.lo_float <= x <= enc.hi_float
 
 
-# zeta(2s) as an exact head to K plus a certified integral tail: an oracle
-# for the envelope evaluator at n = 1, which the level roots use.
-
-
-def _power_tail(K: int, two_s: Fraction) -> Enclosure:
-    """Enclosure of sum_{b > K} b^(-2s) by the midpoint rule.
-
-    The tail lies in [I - C, I] with I = (K + 1/2)^(1-2s)/(2s - 1) and
-    C = (|g'| + g'')(K + 1/2)/24 for g(x) = x^(-2s); in particular it
-    sits inside the crude [0, K^(1-2s)/(2s-1)].
-    """
-    x0 = enclose(Fraction(2 * K + 1, 2))
-    denom = enclose(two_s - 1)
-    big_i = rd.div(rd.powr(x0, enclose(1 - two_s)), denom)
-    g1 = rd.mul(enclose(two_s), rd.powr(x0, enclose(-two_s - 1)))
-    g2 = rd.mul(rd.mul(enclose(two_s), enclose(two_s + 1)), rd.powr(x0, enclose(-two_s - 2)))
-    corr = rd.div(rd.add(g1, g2), enclose(24))
-    lo = rd.sub(big_i, corr).lo
-    zero = enclose(0).lo
-    if lo < zero:
-        lo = zero
-    return Enclosure(lo, big_i.hi)
-
-
-def zeta_enclosure(s: float, K: int) -> Enclosure:
-    """Enclosure of zeta(2s), exact head to K plus certified tail."""
-    sf = float(s)
-    if sf <= 0.5:
-        raise ExponentTooSmall(f"zeta(2s) diverges for s <= 1/2; got s = {sf}")
-    if K < 2:
-        raise ValueError("head length K must be >= 2")
-    return rd.add(_zeta_head(sf, K), _power_tail(K, 2 * Fraction(sf)))
-
-
-def _zeta_head(s: float, M: int) -> Enclosure:
-    b = np.arange(1, M + 1, dtype=np.float64)
-    lo, hi = ipow_neg(b, b, 2.0 * float(s))
-    return rd.from_f64(*tree_sum(lo, hi))
-
-
 class TestZeta:
     def test_zeta2(self):
-        z = zeta_enclosure(1.0, 10_000)
+        z = sums.zeta_enclosure(1.0, 10_000)
         assert contains(z, math.pi**2 / 6)
         assert z.width_float < 1e-9
 
     def test_zeta_15(self):
-        z = zeta_enclosure(0.75, 10_000)
+        z = sums.zeta_enclosure(0.75, 10_000)
         assert contains(z, ZETA_15)
 
     def test_width_shrinks_with_K(self):
-        widths = [zeta_enclosure(0.8, K).width_float for K in (10, 100, 1000)]
+        widths = [sums.zeta_enclosure(0.8, K).width_float for K in (10, 100, 1000)]
         assert widths[0] > widths[1] > widths[2]
 
     def test_divergent_exponent_rejected(self):
         with pytest.raises(ExponentTooSmall):
-            zeta_enclosure(0.5, 100)
+            sums.zeta_enclosure(0.5, 100)
 
     def test_tail_inside_crude_bound(self):
         # stated contract: tail lies in [0, K^(1-2s)/(2s-1)]
         s, K = 0.8, 50
-        head = _zeta_head(s, K)
-        z = zeta_enclosure(s, K)
+        head = sums._zeta_head(s, K)
+        z = sums.zeta_enclosure(s, K)
         crude = K ** (1 - 2 * s) / (2 * s - 1)
         assert head.lo_float <= z.lo_float
         assert z.hi_float <= head.hi_float + crude * (1 + 1e-12)
 
     @pytest.mark.parametrize("s", [0.51, 0.6, 0.786964, 0.925479, 1.0])
-    def test_envelope_at_n1_meets_the_oracle(self, s):
-        # the level roots take zeta(2s) from the envelope at n = 1
-        z = zeta_enclosure(s, 4096)
+    def test_envelope_at_n1_meets_zeta(self, s):
+        # the two certified evaluators of zeta(2s) must overlap
+        z = sums.zeta_enclosure(s, 4096)
         with mp.workdps(40):
             exact = mp.zeta(2 * mp.mpf(s))
         for level in range(3):
@@ -193,8 +153,8 @@ def _head(n, s, M):
 
 def _zeta_tail_route(n, s, M):
     """Certified sum of q_n(w)^(-2s) over all words w in N^n."""
-    z = zeta_enclosure(s, max(4096, M + 1))
-    diff = rd.sub(rd.pow_int(z, n), rd.pow_int(_zeta_head(s, M), n))
+    z = sums.zeta_enclosure(s, max(4096, M + 1))
+    diff = rd.sub(rd.pow_int(z, n), rd.pow_int(sums._zeta_head(s, M), n))
     zero = enclose(0)
     return rd.add(_head(n, s, M), Enclosure(zero.lo, max(diff.hi, zero.hi)))
 
