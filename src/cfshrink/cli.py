@@ -31,7 +31,7 @@ from . import shrink as shrink_mod
 from . import sums as sums_mod
 from . import svgplot
 from .cf_core import continuants, cylinder, eval_word
-from .errors import CfshrinkError
+from .errors import CfshrinkError, Inapplicable
 from .targets import TargetSpec, first_digit
 
 SCHEMA = 1
@@ -193,6 +193,9 @@ def _run_sstar(cfg: RunConfig) -> int:
     spec = cfg.spec()
     lo, hi = cfg.n_range
     est = predim_mod.sstar_estimate(spec, cfg.B, range(lo, hi + 1), M=cfg.M, tol=cfg.tol)
+    if not est.results:
+        raise Inapplicable("every level was skipped: "
+                           + "; ".join(f"n={n}: {msg}" for n, msg in est.skipped))
     rows, jrows, pts_sn, pts_run = [], [], [], []
     for r, rl, rh in zip(est.results, est.running_lo, est.running_hi):
         rows.append([r.n] + _pair(r.sn) + [rl, rh, r.branch])
@@ -437,7 +440,7 @@ def _lemma_sum_window(seed):
         ratio_hi = e.hi_float / a**0.25
         worst_lo, worst_hi = min(worst_lo, ratio_lo), max(worst_hi, ratio_hi)
     ok = 1.5 < worst_lo and worst_hi < 12.0
-    unit = sums_mod.lemma_sum(1, 1.0, cutoff=200_000)
+    unit = sums_mod.lemma_sum(1, 1.0)
     ok = ok and abs(unit.lo_float - 1.0) < 1e-10 and abs(unit.hi_float - 1.0) < 1e-10
     return ok, f"ratio window [{worst_lo:.4f}, {worst_hi:.4f}]"
 

@@ -358,22 +358,13 @@ def sstar_estimate(
     )
 
 
-def f_m_iterate(m: int, s):
-    """f_1(s) = s, f_{k+1}(s) = s f_k(s) / (1 - s + f_k(s)); exact on Fractions."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    f = s
-    for _ in range(m - 1):
-        f = s * f / (1 - s + f)
-    return f
-
-
 def em_dimension(m: int, B, *, M: int = 20, depth: int = 8, tol: float = 1e-3):
     """Certified bracket for the order-m set dimension at alphabet cutoff M.
 
-    The defining pressure potential carries the constant -f_m(s) log B;
-    m = 2 gives the quadratic-exponent potential, m = 1 the linear one
-    with zero growth rate.  Cross-checks the level-root trajectory.
+    The defining pressure potential carries the constant -f_m(s) log B,
+    with f_1(s) = s and f_{k+1}(s) = s f_k(s) / (1 - s + f_k(s)); m = 2
+    gives the quadratic-exponent potential, m = 1 the linear one with zero
+    growth rate.  Cross-checks the level-root trajectory.
     """
     if m == 1:
         res = pressure.pressure_root(

@@ -2,16 +2,19 @@
 
 Everything here returns an Enclosure that is guaranteed to contain the
 mathematically exact value.  Heads are finite sums evaluated with directed
-rounding; tails are closed-form integral comparisons, also directed.  The
-continuant power sums come from one evaluator, the envelope iteration of
-`_transfer`, fronted by lambda_enclosure and lambda_estimate.  At n = 1 on
-the full alphabet that sum is zeta(2s), and zeta_enclosure (head plus tail)
-is far sharper than the envelope (width about 3e-11 against 3e-7 at level 2
-near s = 0.79); the level roots use it there.
+rounding.  The zeta tail is a first-order midpoint bound; the lemma-sum
+tail is midpoint Euler-Maclaurin to third order (proof in lemma_sum_batch),
+so its head stops at 256 terms.  The continuant power sums come from one
+evaluator, the envelope iteration of `_transfer`, fronted by
+lambda_enclosure and lambda_estimate.  At n = 1 on the full alphabet that
+sum is zeta(2s), and zeta_enclosure (head plus tail) is far sharper than
+the envelope (width about 3e-11 against 3e-7 at level 2 near s = 0.79);
+the level roots use it there.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from fractions import Fraction
@@ -21,7 +24,7 @@ import numpy as np
 from . import _transfer
 from . import rounding as rd
 from .errors import ExponentTooSmall
-from .ivec import dn, ipow_neg, tree_sum, up
+from .ivec import dir_const, dn, ipow_neg, tree_sum, up
 from .rounding import Enclosure, enclose
 
 MAX_LEVEL = _transfer.MAX_LEVEL
@@ -63,52 +66,80 @@ def _zeta_head(s: float, M: int) -> Enclosure:
     return rd.from_f64(*tree_sum(lo, hi))
 
 
-def lemma_sum(a: int, t: float, cutoff: int = 100_000) -> Enclosure:
-    """Enclosure of sum_{b != a} a^t / (b^t |a - b|^t); needs t > 1/2."""
+def lemma_sum(a: int, t: float, cutoff: int | None = None) -> Enclosure:
+    """Enclosure of sum_{b != a} a^t / (b^t |a - b|^t), t > 1/2; see lemma_sum_batch."""
     return lemma_sum_batch([a], t, cutoff)[0]
 
 
-def lemma_sum_batch(a_values, t: float, cutoff: int = 100_000) -> list[Enclosure]:
-    """lemma_sum over many a with one shared digit-power table."""
+def lemma_sum_batch(a_values, t: float, cutoff: int | None = None) -> list[Enclosure]:
+    """lemma_sum over many a: one table of b^(-t), one vectorized tail.
+
+    The head b <= K (cutoff, by default max(4 max(a), 256); K >= 4a is
+    required) is read from the table.  Tail: with c = a/2, x = b - c and
+    a0 = K + 1/2 - c, b > K runs over x = a0 + k + 1/2, and on x > c
+    g(x) = (b(b-a))^(-t) = (x^2 - c^2)^(-t) = sum_j C_j c^(2j) x^(-p_j),
+    p_j = 2t + 2j, C_j = binom(t + j - 1, j) > 0, so g^(k) has sign (-1)^k.
+    Midpoint Euler-Maclaurin (Olver, Asymptotics and Special Functions,
+    8.1): a cell's midpoint error is int k g'', k = d^2/2 with d the
+    distance to the nearer cell end.  Two integrations by parts of k - 1/24
+    give sum g = I - D1 - int Q g'''' with I = int_a0^oo g, D1 = -g'(a0)/24
+    and the cell-periodic Q = x^4/24 - x^2/48 (x in [0, 1/2], mirrored),
+    Q <= 0: the sum is >= I - D1.  Q has mean -7/5760, and two more steps
+    for |Q| - 7/5760 (second primitive <= 0, g^(6) >= 0) bound -int Q g''''
+    by D3 = -(7/5760) g'''(a0).  Termwise, with u = a0^-2 and y = c^2 u,
+    term j is a0^(1-2t) C_j y^j (1/(p-1) - p u/24 + 7 p(p+1)(p+2) u^2/5760).
+    The lower bound keeps j < J, each bracket clipped at 0.  The upper adds
+    C_j y^j/(p-1) for j >= J (the midpoints of a convex g lie below its
+    integral), a series of ratio <= r = max(1, (t+J)/(J+1)) y; K >= 4a gives
+    y < 1/49 and J gives r < 1/2, so it is <= C_J y^J/((p_J - 1)(1 - r)).
+    Every step rounds outward (dir_const coefficients, dn/up float
+    intervals); the subtracted p u/24 takes the other end of u.
+    """
     tf = float(t)
+    if not math.isfinite(tf):
+        raise ValueError(f"t must be finite; got t = {tf}")
     if tf <= 0.5:
         raise ExponentTooSmall(f"sum diverges for t <= 1/2; got t = {tf}")
     a_values = [int(a) for a in a_values]
-    if min(a_values) < 1:
-        raise ValueError("a must be a positive integer")
-    K = int(cutoff)
+    if not a_values or min(a_values) < 1:
+        raise ValueError("a_values must be a nonempty collection of positive integers")
+    K = max(4 * max(a_values), 256) if cutoff is None else int(cutoff)
     if K < 4 * max(a_values):
         raise ValueError("cutoff must be at least 4a")
 
     b = np.arange(1, K + 1, dtype=np.float64)
     p_lo, p_hi = ipow_neg(b, b, tf)
-    t_frac = Fraction(tf)
-    e_tail = enclose(1 - 2 * t_frac)
-    denom = enclose(2 * t_frac - 1)
+    head_lo, head_hi = np.empty(len(a_values)), np.empty(len(a_values))
+    for i, a in enumerate(a_values):
+        # b <= K split at a; the distances |a - b| reuse the same table
+        lo = [p_lo[: a - 1] * p_lo[: a - 1][::-1], p_lo[a:] * p_lo[: K - a]]
+        hi = [p_hi[: a - 1] * p_hi[: a - 1][::-1], p_hi[a:] * p_hi[: K - a]]
+        head_lo[i], head_hi[i] = tree_sum(dn(np.concatenate(lo)), up(np.concatenate(hi)))
 
-    out = []
-    for a in a_values:
-        # head: b <= K, split at a; distances reuse the same power table
-        lo_left = np.multiply(p_lo[: a - 1], p_lo[: a - 1][::-1])
-        hi_left = np.multiply(p_hi[: a - 1], p_hi[: a - 1][::-1])
-        lo_right = np.multiply(p_lo[a:], p_lo[: K - a])
-        hi_right = np.multiply(p_hi[a:], p_hi[: K - a])
-        head_lo = dn(np.concatenate([lo_left, lo_right]))
-        head_hi = up(np.concatenate([hi_left, hi_right]))
-        head = rd.from_f64(*tree_sum(head_lo, head_hi))
-
-        # tail over b > K: x(x-a) = (x - a/2)^2 - (a/2)^2 gives the two-sided
-        # comparison with h(x) = (x - a/2)^(-2t)
-        half_a = Fraction(a, 2)
-        t_lo = rd.div(rd.powr(enclose(K + 1 - half_a), e_tail), denom)
-        u = half_a**2 / Fraction(K - half_a) ** 2
-        c_k = rd.powr(enclose(1 - u), enclose(-t_frac))
-        t_hi = rd.mul(c_k, rd.div(rd.powr(enclose(K - half_a), e_tail), denom))
-        tail = Enclosure(t_lo.lo, t_hi.hi)
-
-        a_pow = rd.powr(enclose(a), enclose(t_frac))
-        out.append(rd.mul(a_pow, rd.add(head, tail)))
-    return out
+    tq, rows, c_j, j = Fraction(tf), [], Fraction(1), 0
+    while True:
+        p, rho = 2 * tq + 2 * j, max(Fraction(1), (tq + j) / (j + 1))
+        if rho < Fraction(49, 2) and 2**61 * c_j * (2 * tq - 1) < 49**j * (p - 1):
+            break  # J: r < 1/2 and the rest is below 2^-60 of the first term
+        rows.append([dir_const(c_j * v) for v in (
+            1 / (p - 1), p / 24, 7 * p * (p + 1) * (p + 2) / 5760)])
+        c_j, j = c_j * (tq + j) / (j + 1), j + 1
+    a = np.array(a_values, dtype=np.float64)
+    a0 = (K + 0.5) - a / 2
+    u_lo, u_hi = dn(1 / up(a0 * a0)), up(1 / dn(a0 * a0))
+    y_lo, y_hi = dn(dn(a * a / 4) * u_lo), up(up(a * a / 4) * u_hi)
+    s_lo, s_hi, yj_lo, yj_hi = 0.0, 0.0, 1.0, 1.0
+    for (al, ah), (bl, bh), (_, gh) in rows:
+        s_lo = dn(s_lo + dn(yj_lo * np.maximum(dn(al - up(bh * u_hi)), 0.0)))
+        s_hi = up(s_hi + up(yj_hi * up(up(ah - dn(bl * u_lo)) + up(gh * up(u_hi * u_hi)))))
+        yj_lo, yj_hi = dn(yj_lo * y_lo), up(yj_hi * y_hi)
+    rest = up(yj_hi * dir_const(c_j / (p - 1))[1])
+    s_hi = up(s_hi + up(rest / dn(1 - up(dir_const(rho)[1] * y_hi))))
+    w_lo, w_hi = ipow_neg(a0, a0, 2 * tf - 1)  # a0^(1 - 2t)
+    idx = np.array(a_values) - 1  # a^t = 1/a^(-t) from the same table
+    lo = dn(dn(1 / p_hi[idx]) * dn(head_lo + dn(w_lo * s_lo)))
+    hi = up(up(1 / p_lo[idx]) * up(head_hi + up(w_hi * s_hi)))
+    return [rd.from_f64(x, y) for x, y in zip(lo.tolist(), hi.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -109,14 +109,18 @@ class TestSstar:
         assert runs == sorted(runs)
         assert all(float(r["running_hi"]) >= float(r["sn_hi"]) - 1e-12 for r in rows)
 
-    def test_levels_without_a_root_are_skipped_with_their_reason(self, tmp_path):
-        main(["sstar", "--M", "1", "--n", "1..4", "--out", str(tmp_path)])
-        doc = read_json(tmp_path / "sstar.json")
-        assert doc["rows"] == []
-        assert doc["skipped"] == [
-            [n, f"NoRoot: sum at s = 0.5055 is below 1 (n={n}, kind=1, M=1)"]
+    def test_levels_without_a_root_are_skipped_with_their_reason(self, tmp_path, capsys):
+        # with every level skipped nothing is written; it used to write
+        # sstar.csv and sstar.json, then fail with "nothing to plot"
+        out = tmp_path / "out"
+        assert main(["sstar", "--M", "1", "--n", "1..4", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().out.splitlines()[-1])["error"]
+        assert err["type"] == "Inapplicable"
+        assert err["message"] == "every level was skipped: " + "; ".join(
+            f"n={n}: NoRoot: sum at s = 0.5055 is below 1 (n={n}, kind=1, M=1)"
             for n in range(1, 5)
-        ]
+        )
+        assert not out.exists()
 
 
 class TestCover:

@@ -15,7 +15,6 @@ from cfshrink.predim import (
     PASS,
     PredimResult,
     _f_enclosure,
-    f_m_iterate,
     predim_result,
     select_sn,
     solve_predim,
@@ -364,21 +363,3 @@ class TestSstarEstimate:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             sstar_estimate(TargetSpec.zero(), 4, [])
-
-
-class TestFmIteration:
-    def test_first_is_identity(self):
-        assert f_m_iterate(1, 0.37) == 0.37
-
-    def test_second_is_square(self):
-        s = Fraction(3, 7)
-        assert f_m_iterate(2, s) == s * s
-        assert f_m_iterate(2, Fraction(1, 2)) == Fraction(1, 4)
-
-    def test_third_closed_form(self):
-        s = Fraction(2, 5)
-        assert f_m_iterate(3, s) == s**3 / (1 - s + s * s)
-
-    def test_order_must_be_positive(self):
-        with pytest.raises(ValueError):
-            f_m_iterate(0, 0.5)

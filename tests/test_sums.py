@@ -109,6 +109,53 @@ class TestLemmaSum:
             single = sums.lemma_sum(a, 0.75)
             assert e.lo == single.lo and e.hi == single.hi
 
+    @pytest.mark.parametrize("a_values, t, match", [
+        ([], 0.75, "nonempty"), ([1, 2], math.nan, "finite"),
+        ([1, 2], math.inf, "finite"), ([1, 2], -math.inf, "finite")])
+    def test_bad_input_rejected_before_any_table(self, a_values, t, match, monkeypatch):
+        monkeypatch.setattr(sums, "ipow_neg", None)  # building a table would raise TypeError
+        with pytest.raises(ValueError, match=match):
+            sums.lemma_sum_batch(a_values, t)
+
+    @pytest.mark.parametrize("t", [0.51, 0.6, 0.75, 1, 2, 3])
+    @pytest.mark.parametrize("a", [1, 2, 7, 40, 1000])
+    def test_tail_contains_binomial_hurwitz_oracle(self, a, t):
+        default = max(4 * a, 256)
+        for K in sorted({4 * a, 16 * a, default}):
+            lo, hi = _lemma_oracle(a, t, K)
+            e = sums.lemma_sum(a, t, cutoff=K)
+            assert e.lo <= lo and hi <= e.hi, (a, t, K)
+            if K == default and a <= 40 and t >= 0.6:
+                assert e.width_float <= 1e-10 * e.lo_float
+
+
+def _lemma_oracle(a, t, K):
+    """[lo, hi] around sum_{b != a} a^t/(b^t |a - b|^t) at 40 digits.
+
+    The head b <= K is summed term by term.  With c = a/2 and q = K + 1 - c
+    the tail is sum_j C_j c^(2j) zeta(2t + 2j, q), C_j = binom(t + j - 1, j);
+    zeta(p, q) <= q^-p (1 + q/(p - 1)) and consecutive bounds shrink by at
+    most r = max(1, (t+j)/(j+1)) (c/q)^2, so the series stops once r < 1/2
+    and the geometric rest is below 1e-36 of the tail; hi adds that rest.
+    Both ends are widened by 1e-35 for the working precision.
+    """
+    with mp.workdps(40):
+        t = mp.mpf(t)
+        c = mp.mpf(a) / 2
+        q = K + 1 - c
+        head = mp.fsum(mp.mpf(b * abs(a - b)) ** -t for b in range(1, K + 1) if b != a)
+        tail, c_j, j = 0, mp.mpf(1), 0
+        while True:
+            tail += c_j * c ** (2 * j) * mp.zeta(2 * t + 2 * j, q)
+            c_j, j = c_j * (t + j) / (j + 1), j + 1
+            p = 2 * t + 2 * j
+            r = max(1, (t + j) / (j + 1)) * (c / q) ** 2
+            rest = c_j * c ** (2 * j) * q**-p * (1 + q / (p - 1)) / (1 - r)
+            if r < 0.5 and rest < mp.mpf(10) ** -36 * tail:
+                break
+        a_t, slack = mp.mpf(a) ** t, mp.mpf(10) ** -35
+        return a_t * (head + tail) * (1 - slack), a_t * (head + tail + rest) * (1 + slack)
+
 
 class TestWeights:
     def test_pre1_exact_half(self):
