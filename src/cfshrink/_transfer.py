@@ -41,7 +41,7 @@ node r adds one term per digit cell:
   for S0 = sum_a (a+r)^{-t}, S1 = sum_a (a+r)^{-t-1} and y1 = j1/N,
   y2 = j2/N.  So the cell lies between S0 U(y1) - (U(y1) - U(y2)) M and
   (L(y1) - K U(y1) W^2/8) S0 - (L(y1) - L(y2)) M, with M = sum_a w_a lam_a
-  enclosed from the two midpoint-rule sums.
+  enclosed from the two Euler-Maclaurin sums of _cell_sum.
 
 Each upper term is also capped by the zeroth-order bound S0 U(y1), each
 lower term floored by S0 L(y2), and the cells are added in layout order,
@@ -53,10 +53,11 @@ operation is outward-rounded float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .ivec import _ln_one_sided, dn, iexp, ipow_neg, up
+from .ivec import dir_const, dn, iln, ipow_neg, up
 
 # layouts: (nodes - 1, singleton digits, dyadic blocks).  apply_power_estimate
 # reads the same rows, and the root solvers localize with rows 0 and 1.
@@ -114,51 +115,57 @@ def make_layout(level: int = 1, digits=None) -> Layout:
     return Layout(nbins, tuple(cells))
 
 
-def _pow_ln(ln, t):
-    """Enclosure of y^{-t} from the ln bounds of y; the bits of ipow_neg."""
-    return iexp(dn(ln[1] * (-t)), up(ln[0] * (-t)))
+def _sub(x, y):
+    """Enclosure of x - y from enclosures (lo, hi) of x and y."""
+    return dn(x[0] - y[1]), up(x[1] - y[0])
 
 
-def _tails(y_lo, y_hi, ln, t):
-    """Enclosures of int_y^inf x^{-t} dx = y^{1-t}/(t-1) (None at t = 1) and
-    of the same at t + 1, y^{-t}/t."""
-    tm1 = t - 1.0
-    plo, phi = _pow_ln(ln, tm1)  # swapped when t < 1: then both divisions flip
-    q_lo = dn(np.minimum(plo, phi) / y_hi)  # y^{-t} = y^{1-t} / y
-    q_hi = up(np.maximum(plo, phi) / y_lo)
-    return (dn(plo / tm1), up(phi / tm1)) if tm1 else None, (dn(q_lo / t), up(q_hi / t))
+def _end_powers(y, t):
+    """Enclosures of y^{1-t}, y^{-t}, ..., y^{-t-4} at a cell end y > 0:
+    y^{-t} from ipow_neg, each other one from its neighbour by one product
+    or division by the bounds of y."""
+    y_lo, y_hi = dn(y), up(y)
+    p = ipow_neg(y_lo, y_hi, t)
+    powers = [(dn(p[0] * y_lo), up(p[1] * y_hi)), p]
+    for _ in range(4):
+        p = dn(p[0] / y_hi), up(p[1] / y_lo)
+        powers.append(p)
+    return powers
 
 
 def _cell_sum(A1, A2, c, t):
     """Enclosures of sum_{a=A1..A2} (a+c)^{-t} and of the same sum at t + 1.
 
-    c >= 0 is exact and A2 = None is infinite.  Midpoint rule: the sum of
-    g(a) = (a+c)^{-t} lies in [I - C, I] with I the integral of g over
-    [A1-1/2, A2+1/2] and C = (|g'| + g'')(A1-1/2)/24.  The sum at t + 1
-    takes its powers from those at t, with one division by the base y:
-    y^{-t} = y^{1-t}/y and y^{-t-3} = y^{-t-2}/y.  A1, A2 and c broadcast
-    against each other; every element is computed as it would be alone.
+    c >= 0 is exact and A2 = None is infinite.  g(x) = (x+c)^{-t} is
+    completely monotone, so with a = A1 - 1/2 and b = A2 + 1/2 the sum lies
+    in [I - D1, I - D1 + D3]: I is the integral of g over [a, b],
+    D1 = (g'(b) - g'(a))/24 and D3 = (7/5760)(g'''(b) - g'''(a)), the b
+    terms 0 for the tail.  This is midpoint Euler-Maclaurin to third order;
+    the proof is the one in sums.lemma_sum_batch, with a boundary term at
+    both ends.  Both sums read the powers of _end_powers, and every
+    coefficient is rounded outward from Fraction(t).  A1, A2 and c
+    broadcast against each other; every element is computed as it would be
+    alone.
     """
     c = np.asarray(c, dtype=np.float64)
-    y_lo, y_hi = dn(A1 - 0.5 + c), up(A1 - 0.5 + c)
-    ln = _ln_one_sided(y_lo, -1), _ln_one_sided(y_hi, +1)
-    i0, i1 = _tails(y_lo, y_hi, ln, t)
-    if A2 is not None:
-        b_lo, b_hi = dn(A2 + 0.5 + c), up(A2 + 0.5 + c)
-        ln_b = _ln_one_sided(b_lo, -1), _ln_one_sided(b_hi, +1)
-        j0, j1 = _tails(b_lo, b_hi, ln_b, t)
-        if i0 is None:  # t = 1: the integral over [A1-1/2, A2+1/2] is a log ratio
-            i0 = dn(ln_b[0] - ln[1]), up(ln_b[1] - ln[0])
-        else:
-            i0 = dn(i0[0] - j0[1]), up(i0[1] - j0[0])
-        i1 = dn(i1[0] - j1[1]), up(i1[1] - j1[0])
-    p2 = _pow_ln(ln, t + 2.0)[1]  # y^{-t-2}
-    g1 = up(t * _pow_ln(ln, t + 1.0)[1])
-    g2 = up(t * (t + 1.0) * p2)
-    corr0 = up(up(g1 + g2) / 24.0)
-    h2 = up(up((t + 1.0) * (t + 2.0)) * up(p2 / y_lo))
-    corr1 = up(up(up((t + 1.0) * p2) + h2) / 24.0)
-    return (np.maximum(dn(i0[0] - corr0), 0.0), i0[1]), (np.maximum(dn(i1[0] - corr1), 0.0), i1[1])
+    ya, yb = A1 - 0.5 + c, None if A2 is None else A2 + 0.5 + c
+    pa = _end_powers(ya, t)
+    pb = [(0.0, 0.0)] * 6 if yb is None else _end_powers(yb, t)
+    out = []
+    for k in (0, 1):  # exponent e = t + k: y^{1-e}, y^{-e-1}, y^{-e-3} are powers k, k+2, k+4
+        e = Fraction(t) + k
+        if e == 1:  # a block at t = 1: the integral is a log ratio
+            i = _sub(iln(dn(yb), up(yb)), iln(dn(ya), up(ya)))
+        else:  # (y_a^{1-e} - y_b^{1-e})/(e - 1), as a product of two positive factors
+            d = _sub(pa[k], pb[k]) if e > 1 else _sub(pb[k], pa[k])
+            w = dir_const(1 / abs(e - 1))
+            i = dn(d[0] * w[0]), up(d[1] * w[1])
+        d1, d3 = dir_const(e / 24), dir_const(7 * e * (e + 1) * (e + 2) / 5760)
+        g1 = _sub(pa[k + 2], pb[k + 2])  # D1 = d1 g1 and D3 = d3 g3, both >= 0
+        g3 = _sub(pa[k + 4], pb[k + 4])[1]
+        lo = np.maximum(dn(i[0] - up(d1[1] * g1[1])), 0.0)
+        out.append((lo, up(up(i[1] - dn(d1[0] * g1[0])) + up(d3[1] * g3))))
+    return out[0], out[1]
 
 
 # elements per batched kernel call: bounds the temporaries of setup and steps

@@ -1,15 +1,12 @@
-"""Certified series evaluation: zeta heads, lemma sums, continuant sums.
+"""Certified series evaluation: lemma sums and continuant sums.
 
 Everything here returns an Enclosure that is guaranteed to contain the
 mathematically exact value.  Heads are finite sums evaluated with directed
-rounding.  The zeta tail is a first-order midpoint bound; the lemma-sum
-tail is midpoint Euler-Maclaurin to third order (proof in lemma_sum_batch),
-so its head stops at 256 terms.  The continuant power sums come from one
-evaluator, the envelope iteration of `_transfer`, fronted by
-lambda_enclosure and lambda_estimate.  At n = 1 on the full alphabet that
-sum is zeta(2s), and zeta_enclosure (head plus tail) is far sharper than
-the envelope (width about 3e-11 against 3e-7 at level 2 near s = 0.79);
-the level roots use it there.
+rounding.  The lemma-sum tail is midpoint Euler-Maclaurin to third order
+(proof in lemma_sum_batch), so its head stops at 256 terms.  The
+continuant power sums, n = 1 on the full alphabet (zeta(2s)) included, come
+from one evaluator, the envelope iteration of `_transfer`, fronted by
+lambda_enclosure and lambda_estimate.
 """
 
 from __future__ import annotations
@@ -24,46 +21,10 @@ import numpy as np
 from . import _transfer
 from . import rounding as rd
 from .errors import ExponentTooSmall
-from .ivec import dir_const, dn, ipow_neg, tree_sum, up
-from .rounding import Enclosure, enclose
+from .ivec import EXP_MIN, dir_const, dn, ipow_neg, tree_sum, up
+from .rounding import Enclosure
 
 MAX_LEVEL = _transfer.MAX_LEVEL
-
-
-def _power_tail(K: int, two_s: Fraction) -> Enclosure:
-    """Enclosure of sum_{b > K} b^(-2s) by the midpoint rule.
-
-    The tail lies in [I - C, I] with I = (K + 1/2)^(1-2s)/(2s - 1) and
-    C = (|g'| + g'')(K + 1/2)/24 for g(x) = x^(-2s); in particular it
-    sits inside the crude [0, K^(1-2s)/(2s-1)].
-    """
-    x0 = enclose(Fraction(2 * K + 1, 2))
-    denom = enclose(two_s - 1)
-    big_i = rd.div(rd.powr(x0, enclose(1 - two_s)), denom)
-    g1 = rd.mul(enclose(two_s), rd.powr(x0, enclose(-two_s - 1)))
-    g2 = rd.mul(rd.mul(enclose(two_s), enclose(two_s + 1)), rd.powr(x0, enclose(-two_s - 2)))
-    corr = rd.div(rd.add(g1, g2), enclose(24))
-    lo = rd.sub(big_i, corr).lo
-    zero = enclose(0).lo
-    if lo < zero:
-        lo = zero
-    return Enclosure(lo, big_i.hi)
-
-
-def zeta_enclosure(s: float, K: int) -> Enclosure:
-    """Enclosure of zeta(2s), exact head to K plus certified tail."""
-    sf = float(s)
-    if sf <= 0.5:
-        raise ExponentTooSmall(f"zeta(2s) diverges for s <= 1/2; got s = {sf}")
-    if K < 2:
-        raise ValueError("head length K must be >= 2")
-    return rd.add(_zeta_head(sf, K), _power_tail(K, 2 * Fraction(sf)))
-
-
-def _zeta_head(s: float, M: int) -> Enclosure:
-    b = np.arange(1, M + 1, dtype=np.float64)
-    lo, hi = ipow_neg(b, b, 2.0 * float(s))
-    return rd.from_f64(*tree_sum(lo, hi))
 
 
 def lemma_sum(a: int, t: float, cutoff: int | None = None) -> Enclosure:
@@ -106,6 +67,13 @@ def lemma_sum_batch(a_values, t: float, cutoff: int | None = None) -> list[Enclo
     K = max(4 * max(a_values), 256) if cutoff is None else int(cutoff)
     if K < 4 * max(a_values):
         raise ValueError("cutoff must be at least 4a")
+    # exp(-t ln b) for the head and exp(-(2t - 1) ln a0) for the tail must
+    # stay above EXP_MIN; the margin covers the rounding of the exponent
+    e_max = -EXP_MIN * (1 - 2**-40)
+    t_max = min(e_max / math.log(K), (e_max / math.log(K + 0.5 - min(a_values) / 2) + 1) / 2)
+    if tf > t_max:
+        raise ValueError(f"t = {tf} is too large for the head K = {K}: "
+                         f"the powers stay in range only for t <= {t_max:.6g}")
 
     b = np.arange(1, K + 1, dtype=np.float64)
     p_lo, p_hi = ipow_neg(b, b, tf)

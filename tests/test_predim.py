@@ -15,6 +15,7 @@ from cfshrink.predim import (
     PASS,
     PredimResult,
     _f_enclosure,
+    _weight_enclosure,
     predim_result,
     select_sn,
     solve_predim,
@@ -23,6 +24,7 @@ from cfshrink.predim import (
 )
 from cfshrink.rounding import enclose
 from cfshrink.targets import TargetSpec
+from test_sums import zeta_enclosure
 
 # independent high-precision bisection on zeta(2s) = B^(s^2), frozen
 ZETA_ROOTS = {
@@ -32,11 +34,18 @@ ZETA_ROOTS = {
 }
 
 
+def _f_oracle(n, B, kind, a1z, M, s):
+    """The defining sum at s; at n = 1 on the full alphabet from the zeta(2s)
+    oracle, so the check does not read the solver's own evaluator there."""
+    if n == 1 and M is None:
+        return rd.mul(_weight_enclosure(n, B, kind, a1z, s), zeta_enclosure(s, 4096))
+    return _f_enclosure(n, B, kind, a1z, M, s, 2)
+
+
 def assert_straddles(n, B, kind, a1z, M, e):
     """Defining sum must be >= 1 somewhere and <= 1 somewhere inside e."""
-    level = 0 if (n == 1 and M is None) else 2
-    f_lo = _f_enclosure(n, B, kind, a1z, M, e.lo_float, level)
-    f_hi = _f_enclosure(n, B, kind, a1z, M, e.hi_float, level)
+    f_lo = _f_oracle(n, B, kind, a1z, M, e.lo_float)
+    f_hi = _f_oracle(n, B, kind, a1z, M, e.hi_float)
     assert f_lo.hi_float >= 1.0
     assert f_hi.lo_float <= 1.0
 
@@ -80,8 +89,10 @@ class TestNoRootCases:
 
 # float.hex of full-alphabet n = 1 brackets by (B, kind, a1z, tol); None
 # marks the root clipped to 1 (the kind-3 sum at s = 1 is zeta(2)/sqrt(2)
-# > 1).  The tol 1e-8 and 1e-10 rows lie beyond the reach of the envelope at
-# n = 1 (about 5e-8 in s), so only the zeta(2s) route certifies them
+# > 1).  The brackets come from the float estimate, so they keep their bits
+# whichever certified evaluator decides the ends: the zeta(2s) route did
+# when they were pinned, the envelope does now (it reaches about 1e-12 in s
+# at n = 1)
 LEVEL_ONE_BRACKETS = {
     (2, 1, None, 1e-3): ("0x1.d99caa2339c0fp-1", "0x1.da12a1205bc01p-1"),
     (2, 2, 1, 1e-3): ("0x1.ce8247525460bp-1", "0x1.cef83e4f765fdp-1"),
@@ -141,10 +152,10 @@ class TestFailFast:
         assert evals[0] <= 12
 
     def test_straddle_at_level_two(self, evals):
-        # the fourth point straddles 1 at levels 0, 1 and 2
+        # the last point straddles 1 at levels 0, 1 and 2
         with pytest.raises(PrecisionExhausted, match="straddles 1 at the sharpest level"):
-            solve_predim(4, 4, 1, tol=3e-6)
-        assert evals[0] == 7
+            solve_predim(3, 4, 1, tol=1.5e-6)
+        assert evals[0] == 9
 
     def test_level_two_decides_an_end(self, evals):
         # the second point is certified only at level 2; the bracket does
@@ -154,19 +165,26 @@ class TestFailFast:
             "0x1.81277cf99d452p-1", "0x1.8128aaf70691ep-1")
         assert evals[0] == 4
 
-    def test_tight_level_one_skips_the_envelope(self, evals):
-        # zeta(2s) decides both ends at tol 1e-8, beyond the envelope's reach
+    def test_tight_level_one_decides_at_level_zero(self, evals):
+        # the envelope decides both ends of the tol-1e-8 bracket at level 0
         e = solve_predim(1, 4, 1, tol=1e-8)
         assert (e.lo_float.hex(), e.hi_float.hex()) == (
             "0x1.92ecf2a39ad3ep-1", "0x1.92ecf2f0ea098p-1")
-        assert evals[0] == 0
+        assert evals[0] <= 2
+
+    def test_level_one_certifies_at_tol_1e_12(self, evals):
+        e = solve_predim(1, 4, 1, tol=1e-12)
+        assert (e.lo_float.hex(), e.hi_float.hex()) == (
+            "0x1.92ecf2c9dfb3bp-1", "0x1.92ecf2c9e1ae5p-1")
+        assert e.lo_float <= ZETA_ROOTS[4] <= e.hi_float
+        assert evals[0] == 4
 
     def test_straddle_at_the_sharpest_evaluator(self, evals):
-        # zeta(2s) resolves the n = 1 root to about 1e-10, so the first
-        # bracket end of a tol-1e-12 bracket straddles 1
+        # the envelope resolves the n = 1 root to about 1e-12 at level 2,
+        # so an end of a tol-1e-13 bracket straddles 1
         with pytest.raises(PrecisionExhausted, match="straddles 1 at the sharpest level"):
-            solve_predim(1, 4, 1, tol=1e-12)
-        assert evals[0] == 0
+            solve_predim(1, 4, 1, tol=1e-13)
+        assert evals[0] == 5
 
     def test_shifted_bracket_keeps_its_bits(self, evals):
         e = solve_predim(3, 4, 1, tol=1e-6)

@@ -31,37 +31,77 @@ def contains(enc, x):
     return enc.lo_float <= x <= enc.hi_float
 
 
+# The zeta(2s) route, an evaluator independent of the envelope: an exact
+# head plus a first-order midpoint tail.  Oracle for the n = 1 sums.
+
+
+def _power_tail(K: int, two_s: Fraction) -> Enclosure:
+    """Enclosure of sum_{b > K} b^(-2s) by the midpoint rule.
+
+    The tail lies in [I - C, I] with I = (K + 1/2)^(1-2s)/(2s - 1) and
+    C = (|g'| + g'')(K + 1/2)/24 for g(x) = x^(-2s); in particular it
+    sits inside the crude [0, K^(1-2s)/(2s-1)].
+    """
+    x0 = enclose(Fraction(2 * K + 1, 2))
+    denom = enclose(two_s - 1)
+    big_i = rd.div(rd.powr(x0, enclose(1 - two_s)), denom)
+    g1 = rd.mul(enclose(two_s), rd.powr(x0, enclose(-two_s - 1)))
+    g2 = rd.mul(rd.mul(enclose(two_s), enclose(two_s + 1)), rd.powr(x0, enclose(-two_s - 2)))
+    corr = rd.div(rd.add(g1, g2), enclose(24))
+    lo = rd.sub(big_i, corr).lo
+    zero = enclose(0).lo
+    if lo < zero:
+        lo = zero
+    return Enclosure(lo, big_i.hi)
+
+
+def zeta_enclosure(s: float, K: int) -> Enclosure:
+    """Enclosure of zeta(2s), exact head to K plus certified tail."""
+    sf = float(s)
+    if sf <= 0.5:
+        raise ExponentTooSmall(f"zeta(2s) diverges for s <= 1/2; got s = {sf}")
+    if K < 2:
+        raise ValueError("head length K must be >= 2")
+    return rd.add(_zeta_head(sf, K), _power_tail(K, 2 * Fraction(sf)))
+
+
+def _zeta_head(s: float, M: int) -> Enclosure:
+    b = np.arange(1, M + 1, dtype=np.float64)
+    lo, hi = ipow_neg(b, b, 2.0 * float(s))
+    return rd.from_f64(*tree_sum(lo, hi))
+
+
 class TestZeta:
     def test_zeta2(self):
-        z = sums.zeta_enclosure(1.0, 10_000)
+        z = zeta_enclosure(1.0, 10_000)
         assert contains(z, math.pi**2 / 6)
         assert z.width_float < 1e-9
 
     def test_zeta_15(self):
-        z = sums.zeta_enclosure(0.75, 10_000)
+        z = zeta_enclosure(0.75, 10_000)
         assert contains(z, ZETA_15)
 
     def test_width_shrinks_with_K(self):
-        widths = [sums.zeta_enclosure(0.8, K).width_float for K in (10, 100, 1000)]
+        widths = [zeta_enclosure(0.8, K).width_float for K in (10, 100, 1000)]
         assert widths[0] > widths[1] > widths[2]
 
     def test_divergent_exponent_rejected(self):
         with pytest.raises(ExponentTooSmall):
-            sums.zeta_enclosure(0.5, 100)
+            zeta_enclosure(0.5, 100)
 
     def test_tail_inside_crude_bound(self):
         # stated contract: tail lies in [0, K^(1-2s)/(2s-1)]
         s, K = 0.8, 50
-        head = sums._zeta_head(s, K)
-        z = sums.zeta_enclosure(s, K)
+        head = _zeta_head(s, K)
+        z = zeta_enclosure(s, K)
         crude = K ** (1 - 2 * s) / (2 * s - 1)
         assert head.lo_float <= z.lo_float
         assert z.hi_float <= head.hi_float + crude * (1 + 1e-12)
 
     @pytest.mark.parametrize("s", [0.51, 0.6, 0.786964, 0.925479, 1.0])
     def test_envelope_at_n1_meets_zeta(self, s):
-        # the two certified evaluators of zeta(2s) must overlap
-        z = sums.zeta_enclosure(s, 4096)
+        # the envelope contains zeta(2s) and overlaps the zeta(2s) oracle
+        z = zeta_enclosure(s, 4096)
         with mp.workdps(40):
             exact = mp.zeta(2 * mp.mpf(s))
         for level in range(3):
@@ -116,6 +156,17 @@ class TestLemmaSum:
         monkeypatch.setattr(sums, "ipow_neg", None)  # building a table would raise TypeError
         with pytest.raises(ValueError, match=match):
             sums.lemma_sum_batch(a_values, t)
+
+    def test_large_t_names_the_largest_usable_t(self, monkeypatch):
+        monkeypatch.setattr(sums, "ipow_neg", None)  # building a table would raise TypeError
+        # (2t - 1) ln 256 <= 708 for the tail at a = 1, K = 256
+        with pytest.raises(ValueError, match=r"t <= 64\.339"):
+            sums.lemma_sum(1, 70.0)
+
+    def test_t_64_keeps_its_value(self):
+        e = sums.lemma_sum(1, 64.0)
+        assert (e.lo_float.hex(), e.hi_float.hex()) == (
+            "0x1.ffffffffffeb9p-65", "0x1.00000000000b8p-64")
 
     @pytest.mark.parametrize("t", [0.51, 0.6, 0.75, 1, 2, 3])
     @pytest.mark.parametrize("a", [1, 2, 7, 40, 1000])
@@ -200,8 +251,8 @@ def _head(n, s, M):
 
 def _zeta_tail_route(n, s, M):
     """Certified sum of q_n(w)^(-2s) over all words w in N^n."""
-    z = sums.zeta_enclosure(s, max(4096, M + 1))
-    diff = rd.sub(rd.pow_int(z, n), rd.pow_int(sums._zeta_head(s, M), n))
+    z = zeta_enclosure(s, max(4096, M + 1))
+    diff = rd.sub(rd.pow_int(z, n), rd.pow_int(_zeta_head(s, M), n))
     zero = enclose(0)
     return rd.add(_head(n, s, M), Enclosure(zero.lo, max(diff.hi, zero.hi)))
 

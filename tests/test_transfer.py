@@ -3,15 +3,18 @@
 `apply_power` keeps bounds of L^k f at the nodes j/N and interpolates them
 by chords (see the `cfshrink._transfer` docstring).  The oracle below is
 the method it replaced: bounds of L^k f over each bin, every step taking
-the max and min over the bins a cell's image covers.  It reads the same
-cell weights, so on one layout every chord enclosure must lie inside the
+the max and min over the bins a cell's image covers.  Its block weights
+come from the first-order midpoint bound the cell sums used before
+(`first_order_cell_sum`), and the third-order sums of `_transfer._cell_sum`
+lie inside them, so on one layout every chord enclosure must lie inside the
 oracle's.  The cell weights are checked bit for bit against a per-cell
-setup, and the oracle against the float.hex pins of the parent's
-`apply_power`.
+setup, the cell sums against Hurwitz zeta, and the oracle against the
+float.hex pins of the parent's `apply_power`.
 """
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -20,7 +23,7 @@ import pytest
 
 from cfshrink import _transfer
 from cfshrink import rounding as rd
-from cfshrink.ivec import dn, ipow_neg, up
+from cfshrink.ivec import _ln_one_sided, dn, iexp, ipow_neg, up
 from cfshrink.pressure import _sup_seed
 
 # the level table before the chord envelope: (bins, singleton digits, dyadic blocks)
@@ -84,8 +87,7 @@ def bin_apply_power(n, t, layout, seed=None):
     else:
         L, U = np.asarray(seed[0], float), np.asarray(seed[1], float)
     edges = layout.edges if n > 1 else np.zeros(1)
-    ch = _transfer._chords(layout, t, edges)  # the cell weights at every edge
-    e_lo, e_hi = ch["s_lo"], ch["s_hi"]
+    e_lo, e_hi = bin_weights(layout, t, edges)  # the cell weights at every edge
     if n > 1:
         r_lo, r_hi = edges[:-1], edges[1:]
         cell_data = []
@@ -125,12 +127,68 @@ def bin_sup_seed(layout, xe, t):
 
 # -- cell weights ---------------------------------------------------------------
 
+def _pow_ln(ln, t):
+    """Enclosure of y^{-t} from the ln bounds of y; the bits of ipow_neg."""
+    return iexp(dn(ln[1] * (-t)), up(ln[0] * (-t)))
+
+
+def _tails(y_lo, y_hi, ln, t):
+    """Enclosures of int_y^inf x^{-t} dx = y^{1-t}/(t-1) (None at t = 1) and
+    of the same at t + 1, y^{-t}/t."""
+    tm1 = t - 1.0
+    plo, phi = _pow_ln(ln, tm1)  # swapped when t < 1: then both divisions flip
+    q_lo = dn(np.minimum(plo, phi) / y_hi)  # y^{-t} = y^{1-t} / y
+    q_hi = up(np.maximum(plo, phi) / y_lo)
+    return (dn(plo / tm1), up(phi / tm1)) if tm1 else None, (dn(q_lo / t), up(q_hi / t))
+
+
+def first_order_cell_sum(A1, A2, c, t):
+    """The cell sums before the third-order bound: the sum of g(a) = (a+c)^{-t}
+    lies in [I - C, I] with I the integral of g over [A1-1/2, A2+1/2] and
+    C = (|g'| + g'')(A1-1/2)/24."""
+    c = np.asarray(c, dtype=np.float64)
+    y_lo, y_hi = dn(A1 - 0.5 + c), up(A1 - 0.5 + c)
+    ln = _ln_one_sided(y_lo, -1), _ln_one_sided(y_hi, +1)
+    i0, i1 = _tails(y_lo, y_hi, ln, t)
+    if A2 is not None:
+        b_lo, b_hi = dn(A2 + 0.5 + c), up(A2 + 0.5 + c)
+        ln_b = _ln_one_sided(b_lo, -1), _ln_one_sided(b_hi, +1)
+        j0, j1 = _tails(b_lo, b_hi, ln_b, t)
+        if i0 is None:  # t = 1: the integral over [A1-1/2, A2+1/2] is a log ratio
+            i0 = dn(ln_b[0] - ln[1]), up(ln_b[1] - ln[0])
+        else:
+            i0 = dn(i0[0] - j0[1]), up(i0[1] - j0[0])
+        i1 = dn(i1[0] - j1[1]), up(i1[1] - j1[0])
+    p2 = _pow_ln(ln, t + 2.0)[1]  # y^{-t-2}
+    g1 = up(t * _pow_ln(ln, t + 1.0)[1])
+    g2 = up(t * (t + 1.0) * p2)
+    corr0 = up(up(g1 + g2) / 24.0)
+    h2 = up(up((t + 1.0) * (t + 2.0)) * up(p2 / y_lo))
+    corr1 = up(up(up((t + 1.0) * p2) + h2) / 24.0)
+    return (np.maximum(dn(i0[0] - corr0), 0.0), i0[1]), (np.maximum(dn(i1[0] - corr1), 0.0), i1[1])
+
+
 def _cell_weight(A1, A2, c, t):
     """Weight enclosure of one cell (A1, A2) at the exact points c; A2 = 0 is infinite."""
     if A1 == A2:
         a = float(A1)
         return ipow_neg(dn(a + c), up(a + c), t)
     return _transfer._cell_sum(A1, A2 if A2 else None, c, t)[0]
+
+
+def bin_weights(layout, t, r):
+    """Weights of every cell at the points r: the singletons by one ipow_neg
+    (elementwise, so with the bits of one call per cell), the blocks by
+    first_order_cell_sum."""
+    cells = np.array(layout.cells, dtype=np.float64)
+    single = cells[:, 0] == cells[:, 1]
+    lo, hi = np.empty((len(cells), r.size)), np.empty((len(cells), r.size))
+    a = cells[single, :1]
+    lo[single], hi[single] = ipow_neg(dn(a + r), up(a + r), t)
+    for k in np.flatnonzero(~single):
+        A1, A2 = layout.cells[k]
+        lo[k], hi[k] = first_order_cell_sum(A1, A2 if A2 else None, r, t)[0]
+    return lo, hi
 
 
 def _same_bits(a, b):
@@ -197,6 +255,36 @@ def test_cell_sum_at_t_plus_one_contains_the_sum(A1, A2, t):
             assert hi1[k] - lo1[k] <= 1.01 * (d_hi[k] - d_lo[k]) + 1e-15 * hi1[k]
 
 
+@pytest.mark.parametrize("A1, A2", [(1, 1), (2, 3), (33, 64), (129, 256), (2, None), (129, None)])
+@pytest.mark.parametrize("t", [0.7, 1.02, 1.3, 1.6, 2.2, 3.0])
+def test_cell_sum_contains_hurwitz_sums(A1, A2, t):
+    """Both sums inside 40-digit Hurwitz zeta differences, and inside the first-order bound.
+
+    The single digit 1 is only checked for containment: at c = 0 its lower
+    end is a = 1/2, where D3 > D1, so the third-order upper end lies above
+    the integral, the first-order one.  Layouts make every digit up to 32 a
+    singleton.  The block 129..256 at t = 1.6 is about 3.5e-12 wide
+    (absolute), against 2.2e-7 for the first-order bound.
+    """
+    if A2 is None and t < 1:
+        return  # the tail sum at t diverges
+    c = np.array([0.0, 0.5, 1.0])
+    a2 = None if A2 is None else float(A2)
+    new = _transfer._cell_sum(float(A1), a2, c, t)
+    old = first_order_cell_sum(float(A1), a2, c, t)
+    with mp.workdps(40):
+        for (lo, hi), (o_lo, o_hi), e in zip(new, old, (mp.mpf(t), mp.mpf(t) + 1)):
+            for k, ck in enumerate(c):
+                q = A1 + mp.mpf(ck)
+                exact = mp.zeta(e, q) - (0 if A2 is None else mp.zeta(e, A2 + 1 + mp.mpf(ck)))
+                assert mp.mpf(lo[k]) <= exact <= mp.mpf(hi[k]), (e, ck)
+                if A1 > 1:
+                    assert o_lo[k] <= lo[k] <= hi[k] <= o_hi[k], (e, ck)
+    if (A1, A2, t) == (129, 256, 1.6):
+        (lo, hi), (o_lo, o_hi) = new[0], old[0]
+        assert np.all(hi - lo <= 1e-11) and np.all(o_hi - o_lo > 2e-7)
+
+
 # -- the parent's apply_power, pinned -------------------------------------------
 
 # results of the parent's apply_power (the bin method) with the per-cell
@@ -233,36 +321,45 @@ def test_apply_power_keeps_parent_floats(key, monkeypatch):
 
 # -- nesting, containment and width ---------------------------------------------
 
-@pytest.fixture
-def shared_weights(monkeypatch):
-    """Memoize the step data, whose weights both envelopes read, across one test."""
-    memo = {}
-    chords = _transfer._chords
+def _memoize(monkeypatch, owner, name):
+    memo, fn = {}, getattr(owner, name)
 
     def cached(layout, t, r):
-        key = (layout, t, r.size)
+        key = (layout, t, r.size, _transfer._cell_sum)
         if key not in memo:
-            memo[key] = chords(layout, t, r)
+            memo[key] = fn(layout, t, r)
         return memo[key]
 
-    monkeypatch.setattr(_transfer, "_chords", cached)
+    monkeypatch.setattr(owner, name, cached)
+
+
+@pytest.fixture
+def shared_weights(monkeypatch):
+    """Memoize the step data of both envelopes across one test."""
+    _memoize(monkeypatch, _transfer, "_chords")
+    _memoize(monkeypatch, sys.modules[__name__], "bin_weights")
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
 @pytest.mark.parametrize("amax", [None, 5, 20, 100])
-def test_chord_nests_inside_bin_envelope(level, amax, shared_weights):
+def test_chord_nests_inside_bin_envelope(level, amax, shared_weights, monkeypatch):
+    """Inside the bin oracle, and inside the chord envelope on first-order block weights."""
     layout = _transfer.make_layout(level, _upto(amax))
     ts = (1.02, 1.5, 2.2) if amax is None else (0.7, 1.02, 1.5, 2.2)
     xe = rd.enclose(0.3)
     for t, seeded in itertools.product(ts, (False, True)):
         seed = _sup_seed(layout, xe, t) if seeded else None
         bseed = bin_sup_seed(layout, xe, t) if seeded else None
-        for n in range(1, 7):
+        with monkeypatch.context() as m:
+            m.setattr(_transfer, "_cell_sum", first_order_cell_sum)
+            [first_order] = _transfer.apply_powers(6, t, layout, [seed])
+        for n, (f_lo, f_hi) in enumerate(first_order, 1):
             lo, hi = _transfer.apply_power(n, t, layout, seed=seed)
             b_lo, b_hi = bin_apply_power(n, t, layout, seed=bseed)
             assert b_lo <= lo <= hi <= b_hi, (t, seeded, n, (lo, hi), (b_lo, b_hi))
             if n > 1:
                 assert hi - lo < 0.1 * (b_hi - b_lo), (t, seeded, n)
+            assert f_lo <= lo <= hi <= f_hi, (t, seeded, n, (lo, hi), (f_lo, f_hi))
 
 
 def _exact_sup_sum(digits, n, t, x):
