@@ -13,6 +13,11 @@ Target grammar for --target:
   exp:G    exp:G|D,...  a1(z_n) ~ e^(G n) with tail digits D (default 1)
   exp:half              G = (log B)/2 held exactly
 x grammar for simulate --x: a fraction like 3/7, or w:1,2,3 for a digit word.
+
+_SUBCOMMANDS lists the options each subcommand reads, each with one
+converter and one default.  A --config file is a JSON object over those
+option names; its values, the defaults and the flags all pass through the
+same converter, so a bad value from any of them is a ValueError naming it.
 """
 
 import argparse
@@ -21,8 +26,8 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import massdist as md
 from . import predim as predim_mod
@@ -35,24 +40,6 @@ from .errors import CfshrinkError, Inapplicable
 from .targets import TargetSpec, first_digit
 
 SCHEMA = 1
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    B: int
-    target: str
-    n_range: tuple
-    M: object
-    ell: int
-    tol: float
-    out: str
-    seed: int
-    threads: int
-    options: dict
-
-    def spec(self) -> TargetSpec:
-        return parse_target(self.target, self.B)
 
 
 def parse_target(text: str, B: int) -> TargetSpec:
@@ -82,20 +69,62 @@ def parse_target(text: str, B: int) -> TargetSpec:
 
 
 def parse_range(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        lo, hi = int(text[0]), int(text[1])
+    if isinstance(text, (list, tuple)) and len(text) == 2:
+        lo, hi = text
     else:
         lo, sep, hi = str(text).partition("..")
-        lo, hi = int(lo), int(hi if sep else lo)
+        hi = hi if sep else lo
+    lo, hi = _int(lo), _int(hi)
     if lo > hi:
         raise ValueError(f"level range {lo}..{hi} is reversed")
     return lo, hi
 
 
-def _parse_M(v):
-    if v is None or v == "full":
-        return None
-    return int(v)
+# -- option converters: each takes the flag's text or the config file's JSON value
+
+
+def _typed(what, cast, *types):
+    """A converter: a value of one of `types` (bool only when listed), then cast."""
+    def convert(v):
+        if isinstance(v, types) and (bool in types or not isinstance(v, bool)):
+            try:
+                return cast(v)
+            except ValueError:
+                pass
+        raise ValueError(f"expected {what}, got {v!r}")
+    return convert
+
+
+_int = _typed("an integer", int, int, str)
+_float = _typed("a number", float, int, float, str)
+_fraction = _typed("a fraction", lambda v: Fraction(str(v)), int, float, str)
+_text = _typed("a string", str, str)
+_flag = _typed("true or false", bool, bool)
+_digits = _typed("comma-separated digits",
+                 lambda v: tuple(int(d) for d in str(v).split(",") if d != ""), int, str)
+
+
+def _choice(convert, *allowed):
+    def check(v):
+        v = convert(v)
+        if v not in allowed:
+            raise ValueError(f"expected one of {', '.join(map(str, allowed))}; got {v!r}")
+        return v
+    return check
+
+
+def _cutoff(v):
+    """An alphabet cutoff M, or None for 'full'."""
+    return None if v == "full" else _int(v)
+
+
+def _exponent(v):
+    """cover --s: a number, or (side, offset) for auto+OFF / auto-OFF around s_n."""
+    text = str(v)
+    if not text.startswith("auto"):
+        return float(text)
+    offset = abs(float(text[4:].lstrip("+"))) if len(text) > 4 else 0.05
+    return ("below" if "-" in text else "above", offset)
 
 
 def _a1z_str(a):
@@ -109,7 +138,7 @@ def _pair(e):
 # -- artifact writers --------------------------------------------------------
 
 
-def _path(cfg: RunConfig, name: str) -> str:
+def _path(cfg, name: str) -> str:
     os.makedirs(cfg.out, exist_ok=True)
     return os.path.join(cfg.out, name)
 
@@ -140,9 +169,9 @@ def _write_svg(path, text):
 # -- subcommands --------------------------------------------------------------
 
 
-def _run_predim(cfg: RunConfig) -> int:
-    spec = cfg.spec()
-    lo, hi = cfg.n_range
+def _run_predim(cfg) -> int:
+    spec = parse_target(cfg.target, cfg.B)
+    lo, hi = cfg.n
     rows, jrows = [], []
     for n in range(lo, hi + 1):
         r = predim_mod.predim_result(n, cfg.B, first_digit(spec, n), M=cfg.M, tol=cfg.tol)
@@ -189,9 +218,9 @@ def _run_predim(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_sstar(cfg: RunConfig) -> int:
-    spec = cfg.spec()
-    lo, hi = cfg.n_range
+def _run_sstar(cfg) -> int:
+    spec = parse_target(cfg.target, cfg.B)
+    lo, hi = cfg.n
     est = predim_mod.sstar_estimate(spec, cfg.B, range(lo, hi + 1), M=cfg.M, tol=cfg.tol)
     if not est.results:
         raise Inapplicable("every level was skipped: "
@@ -226,44 +255,34 @@ def _run_sstar(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_pressure(cfg: RunConfig) -> int:
-    kind = cfg.options["kind"].upper()
-    if kind not in (pressure_mod.PHI1, pressure_mod.PHI2, pressure_mod.PHI3):
-        raise ValueError(f"unknown potential kind {kind!r}")
-    rate = float(cfg.options["rate"])
-    depth = int(cfg.options["depth"])
-    M = cfg.M if cfg.M is not None else 20
+def _run_pressure(cfg) -> int:
     res = pressure_mod.pressure_root(
-        kind, cfg.B, rate, range(1, M + 1), depth=depth, tol=cfg.tol
+        cfg.kind.upper(), cfg.B, cfg.rate, range(1, cfg.M + 1), depth=cfg.depth, tol=cfg.tol
     )
     blo, bhi = res.certified_bracket.lo_float, res.certified_bracket.hi_float
     _write_csv(
         _path(cfg, "pressure.csv"),
         ["kind", "B", "M", "depth", "root", "bracket_lo", "bracket_hi", "certified"],
-        [[res.kind, cfg.B, M, res.depth, res.root, blo, bhi, res.certified]],
+        [[res.kind, cfg.B, cfg.M, res.depth, res.root, blo, bhi, res.certified]],
     )
     _write_json(
         _path(cfg, "pressure.json"),
-        {"subcommand": "pressure", "B": cfg.B, "M": M, "depth": res.depth,
-         "kind": res.kind, "rate": rate, "root": res.root,
+        {"subcommand": "pressure", "B": cfg.B, "M": cfg.M, "depth": res.depth,
+         "kind": res.kind, "rate": cfg.rate, "root": res.root,
          "bracket": [blo, bhi], "certified": res.certified},
     )
     print(f"pressure: root {res.root:.6f} in [{blo:.6f}, {bhi:.6f}]")
     return 0
 
 
-def _run_cover(cfg: RunConfig) -> int:
-    spec = cfg.spec()
-    lo, hi = cfg.n_range
+def _run_cover(cfg) -> int:
+    spec = parse_target(cfg.target, cfg.B)
+    lo, hi = cfg.n
     ns = range(lo, hi + 1)
-    s_opt = str(cfg.options["s"])
-    level = int(cfg.options["level"])
-    if s_opt.startswith("auto"):
-        side = "below" if "-" in s_opt else "above"
-        offset = float(s_opt[4:].lstrip("+")) if len(s_opt) > 4 else 0.05
-        offset = abs(offset)
+    if isinstance(cfg.s, tuple):
+        side, offset = cfg.s
         rep = shrink_mod.cover_decay(
-            spec, cfg.B, ns, cfg.M, side=side, offset=offset, tol=cfg.tol, level=level
+            spec, cfg.B, ns, cfg.M, side=side, offset=offset, tol=cfg.tol, level=cfg.level
         )
         covers = rep.reports
         meta = {
@@ -273,9 +292,9 @@ def _run_cover(cfg: RunConfig) -> int:
             "monotone_nondecreasing": rep.monotone_nondecreasing,
         }
     else:
-        s = float(s_opt)
         covers = [
-            shrink_mod.cover_svolume(n, cfg.B, spec, s, cfg.M, level=level) for n in ns
+            shrink_mod.cover_svolume(n, cfg.B, spec, cfg.s, cfg.M, level=cfg.level)
+            for n in ns
         ]
         pts = [(c.n, math.log2(0.5 * (c.total.lo_float + c.total.hi_float)))
                for c in covers]
@@ -298,7 +317,7 @@ def _run_cover(cfg: RunConfig) -> int:
     _write_json(
         _path(cfg, "cover.json"),
         {"subcommand": "cover", "B": cfg.B, "target": cfg.target, "M": cfg.M,
-         "level": level, "rows": jrows, **meta},
+         "level": cfg.level, "rows": jrows, **meta},
     )
     _write_svg(
         _path(cfg, "cover.svg"),
@@ -312,33 +331,19 @@ def _run_cover(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_witness(cfg: RunConfig) -> int:
-    o = cfg.options
-    u = tuple(int(d) for d in str(o["u"]).split(",") if d != "")
-    n_lo, n_hi = cfg.n_range
+def _run_witness(cfg) -> int:
+    n_lo, n_hi = cfg.n
     if n_lo != n_hi:
         raise ValueError("witness needs a single level, e.g. --n 5")
-    rate = o["rate"]
     params = md.WitnessParams(
-        str(o["case"]).upper(),
-        len(u),
-        u,
-        cfg.ell,
-        cfg.M if cfg.M is not None else 3,
-        n_lo,
-        cfg.B,
-        cfg.spec(),
-        Fraction(str(o["t"])),
-        Fraction(str(o["eps"])),
-        rate=None if rate is None else Fraction(str(rate)),
-        relax=bool(o["relax"]),
+        cfg.case, len(cfg.u), cfg.u, cfg.ell, cfg.M, n_lo, cfg.B,
+        parse_target(cfg.target, cfg.B), cfg.t, cfg.eps, rate=cfg.rate, relax=cfg.relax,
     )
-    witness = md.build_witness(params, exact=not o["core"])
-    samples = int(o["samples"])
+    witness = md.build_witness(params, exact=not cfg.core)
     spot = md.membership_spotcheck(witness.intervals, params, points=5)
     gaps = md.gap_check(witness.intervals, params)
     masses = md.mass_bounds_check(witness)
-    holder = md.holder_check(witness, md.holder_samples(witness, samples, cfg.seed))
+    holder = md.holder_check(witness, md.holder_samples(witness, cfg.samples, cfg.seed))
     content = md.content_lower_bound(witness)
     rows = [
         [i, ".".join("".join(map(str, b)) for b in F.blocks), F.last,
@@ -367,7 +372,7 @@ def _run_witness(cfg: RunConfig) -> int:
             "ell": params.ell, "M": params.M, "m": params.m, "n": params.n,
             "t": str(params.t), "eps": str(params.eps), "s": params.s,
             "intervals": len(witness.intervals), "seed": cfg.seed,
-            "samples": samples, "verdicts": verdicts,
+            "samples": cfg.samples, "verdicts": verdicts,
             "all_pass": all(v == "PASS" for v in verdicts.values()),
             "gap_min_margin": float(gaps.min_margin),
             "max_cylinder_ratio": masses.max_cylinder_ratio,
@@ -387,28 +392,25 @@ def _run_witness(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_simulate(cfg: RunConfig) -> int:
-    o = cfg.options
-    x_text = str(o["x"])
-    if x_text.startswith("w:"):
-        x = eval_word(tuple(int(d) for d in x_text[2:].split(",")))
+def _run_simulate(cfg) -> int:
+    if cfg.x.startswith("w:"):
+        x = eval_word(tuple(int(d) for d in cfg.x[2:].split(",")))
     else:
-        x = Fraction(x_text)
-    horizon = int(o["N"])
-    rep = shrink_mod.hit_times(x, cfg.spec(), cfg.B, horizon)
+        x = Fraction(cfg.x)
+    rep = shrink_mod.hit_times(x, parse_target(cfg.target, cfg.B), cfg.B, cfg.N)
     hits = set(rep.hits)
     _write_csv(
         _path(cfg, "simulate.csv"),
         ["n", "hit"],
-        [[n, int(n in hits)] for n in range(1, horizon + 1)],
+        [[n, int(n in hits)] for n in range(1, cfg.N + 1)],
     )
     _write_json(
         _path(cfg, "simulate.json"),
         {"subcommand": "simulate", "B": cfg.B, "target": cfg.target,
-         "x": x_text, "horizon": horizon, "hits": list(rep.hits),
+         "x": cfg.x, "horizon": cfg.N, "hits": list(rep.hits),
          "inconclusive": list(rep.inconclusive)},
     )
-    print(f"simulate: {len(rep.hits)} hits up to n={horizon}")
+    print(f"simulate: {len(rep.hits)} hits up to n={cfg.N}")
     return 0
 
 
@@ -515,7 +517,7 @@ _LEMMA_TASKS = (
 )
 
 
-def _run_lemmas(cfg: RunConfig) -> int:
+def _run_lemmas(cfg) -> int:
     def run_one(task):
         suite, name, fn = task
         ok, value = fn(cfg.seed)
@@ -544,31 +546,50 @@ def _run_lemmas(cfg: RunConfig) -> int:
     return 0 if n_pass == len(results) else 2
 
 
-_DISPATCH = {
-    "predim": _run_predim,
-    "sstar": _run_sstar,
-    "pressure": _run_pressure,
-    "cover": _run_cover,
-    "witness": _run_witness,
-    "simulate": _run_simulate,
-    "lemmas": _run_lemmas,
-}
+class _Option(NamedTuple):
+    convert: Callable
+    default: object
+    help: str = None
 
-_COMMON_DEFAULTS = {
-    "B": 4, "target": "zero", "n": "1..6", "M": "20", "ell": 2,
-    "tol": 1e-3, "out": ".", "seed": 0, "threads": 1,
-}
 
-_SUB_DEFAULTS = {
-    "predim": {},
-    "sstar": {"n": "2..6"},
-    "pressure": {"kind": "phi1", "rate": 0.0, "depth": 8},
-    "cover": {"n": "2..6", "s": "auto+0.05", "level": 1},
-    "witness": {"n": "5", "M": "3", "case": "I", "u": "1", "t": "3/200",
-                "eps": "101/200", "rate": None, "relax": False, "core": False,
-                "samples": 2000},
-    "simulate": {"x": "1/2", "N": 20},
-    "lemmas": {},
+_B = _Option(_int, 4)
+_TARGET = _Option(_text, "zero", "zero | ones | const:... | exp:... (see module help)")
+_N = _Option(parse_range, "1..6", "level or range, e.g. 5 or 2..6")
+_CUTOFF = _Option(_cutoff, 20, "alphabet cutoff, or 'full'")
+_TOL = _Option(_float, 1e-3)
+_OUT = _Option(_text, ".", "artifact directory")
+_SEED = _Option(_int, 0)
+
+# subcommand -> (runner, the options it reads)
+_SUBCOMMANDS = {
+    "predim": (_run_predim, dict(B=_B, target=_TARGET, n=_N, M=_CUTOFF, tol=_TOL, out=_OUT)),
+    "sstar": (_run_sstar, dict(B=_B, target=_TARGET, n=_N._replace(default="2..6"),
+                               M=_CUTOFF, tol=_TOL, out=_OUT)),
+    "pressure": (_run_pressure, dict(
+        B=_B, M=_Option(_int, 20, "finite alphabet cutoff"), tol=_TOL, out=_OUT,
+        kind=_Option(_choice(_text, "phi1", "phi2", "phi3"), "phi1", "phi1 | phi2 | phi3"),
+        rate=_Option(_float, 0.0), depth=_Option(_int, 8))),
+    "cover": (_run_cover, dict(
+        B=_B, target=_TARGET, n=_N._replace(default="2..6"), M=_CUTOFF, tol=_TOL, out=_OUT,
+        s=_Option(_typed("an exponent", _exponent, int, float, str), "auto+0.05",
+                  "auto+OFF, auto-OFF, or a number"),
+        level=_Option(_choice(_int, 1, 2), 1, "1 | 2"))),
+    "witness": (_run_witness, dict(
+        B=_B, target=_TARGET, n=_N._replace(default="5"),
+        M=_Option(_int, 3, "finite alphabet cutoff"), ell=_Option(_int, 2, "block length"),
+        out=_OUT, seed=_SEED,
+        case=_Option(_choice(_text, "I", "II", "III"), "I", "I | II | III"),
+        u=_Option(_digits, "1", "root word digits, comma separated"),
+        t=_Option(_fraction, "3/200"), eps=_Option(_fraction, "101/200"),
+        rate=_Option(lambda v: None if v is None else _fraction(v), None),
+        relax=_Option(_flag, False),
+        core=_Option(_flag, False, "use the guaranteed cores instead of exact solving"),
+        samples=_Option(_int, 2000))),
+    "simulate": (_run_simulate, dict(
+        B=_B, target=_TARGET, out=_OUT,
+        x=_Option(_text, "1/2", "rational like 3/7, or w:1,2,3"),
+        N=_Option(_int, 20, "horizon"))),
+    "lemmas": (_run_lemmas, dict(out=_OUT, seed=_SEED, threads=_Option(_int, 1))),
 }
 
 
@@ -578,79 +599,44 @@ def _build_parser():
         description="Certified continued-fraction machinery for shrinking targets.",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name in _DISPATCH:
+    for name, (_, options) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=f"run the {name} pipeline")
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--B", type=int)
-        p.add_argument("--target", help="zero | ones | const:... | exp:... (see module help)")
-        p.add_argument("--n", help="level or range, e.g. 5 or 2..6")
-        p.add_argument("--M", help="alphabet cutoff, or 'full'")
-        p.add_argument("--ell", type=int, help="block length (witness)")
-        p.add_argument("--tol", type=float)
-        p.add_argument("--out", help="artifact directory")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
-        if name == "pressure":
-            p.add_argument("--kind", choices=["phi1", "phi2", "phi3"])
-            p.add_argument("--rate", type=float)
-            p.add_argument("--depth", type=int)
-        if name == "cover":
-            p.add_argument("--s", help="auto+OFF, auto-OFF, or a number")
-            p.add_argument("--level", type=int, choices=[1, 2])
-        if name == "witness":
-            p.add_argument("--case", choices=["I", "II", "III"])
-            p.add_argument("--u", help="root word digits, comma separated")
-            p.add_argument("--t")
-            p.add_argument("--eps")
-            p.add_argument("--rate")
-            p.add_argument("--relax", action="store_true", default=None)
-            p.add_argument("--core", action="store_true", default=None,
-                           help="use the guaranteed cores instead of exact solving")
-            p.add_argument("--samples", type=int)
-        if name == "simulate":
-            p.add_argument("--x", help="rational like 3/7, or w:1,2,3")
-            p.add_argument("--N", type=int, help="horizon")
+        for key, opt in options.items():
+            if opt.convert is _flag:
+                p.add_argument(f"--{key}", action="store_true", default=None, help=opt.help)
+            else:
+                p.add_argument(f"--{key}", help=opt.help)
     return ap
 
 
-def build_config(args) -> RunConfig:
-    name = args.subcommand
-    merged = dict(_COMMON_DEFAULTS)
-    merged.update(_SUB_DEFAULTS[name])
-    if getattr(args, "config", None):
+def build_config(args) -> argparse.Namespace:
+    """One converted value per option the subcommand reads: flag, else config key, else default."""
+    options = _SUBCOMMANDS[args.subcommand][1]
+    merged = {key: opt.default for key, opt in options.items()}
+    if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(merged)
+        unknown = set(file_cfg) - set(options)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys for {args.subcommand}: {sorted(unknown)}")
         merged.update(file_cfg)
-    for key in merged:
-        v = getattr(args, key, None)
-        if v is not None:
-            merged[key] = v
-    option_keys = set(merged) - set(_COMMON_DEFAULTS)
-    return RunConfig(
-        subcommand=name,
-        B=int(merged["B"]),
-        target=str(merged["target"]),
-        n_range=parse_range(merged["n"]),
-        M=_parse_M(merged["M"]),
-        ell=int(merged["ell"]),
-        tol=float(merged["tol"]),
-        out=str(merged["out"]),
-        seed=int(merged["seed"]),
-        threads=int(merged["threads"]),
-        options={k: merged[k] for k in sorted(option_keys)},
-    )
+    cfg = argparse.Namespace()
+    for key, opt in options.items():
+        flag = getattr(args, key)
+        try:
+            setattr(cfg, key, opt.convert(merged[key] if flag is None else flag))
+        except ValueError as err:
+            raise ValueError(f"option {key}: {err}") from None
+    return cfg
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg = build_config(args)
-        return _DISPATCH[cfg.subcommand](cfg)
+        return _SUBCOMMANDS[args.subcommand][0](build_config(args))
     except (CfshrinkError, ValueError, OSError, KeyError) as err:
         print(json.dumps(
             {"schema": SCHEMA,

@@ -755,8 +755,11 @@ def holder_samples(witness: WitnessMeasure, count: int, seed: int):
     Radii are drawn per band: above the root cylinder length, the block
     windows |I_(k+ell0+p*ell)| / (2(M+2)^4), the closing-digit window, and
     below half the smallest gap.  Centers mix interval interiors, edges,
-    gaps between intervals, and points far from the support.
+    gaps between intervals, and points far from the support.  count must
+    be at least 1: a check over no samples would pass vacuously.
     """
+    if count < 1:
+        raise ValueError(f"holder sample count must be >= 1, got {count}")
     p = witness.params
     rng = random.Random(seed)
     const4 = 2 * (p.M + 2) ** 4

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import predim as predim_mod
 from . import rounding as rd
 from . import sums
 from .cf_core import Word, continuants, cylinder, eval_word, gauss_step
@@ -38,6 +39,11 @@ def _as_value(x):
     if isinstance(x, (tuple, list)):
         return eval_word(tuple(x))
     return Fraction(x)
+
+
+def _check_base(B):
+    if Fraction(B) <= 1:
+        raise ValueError("base B must exceed 1")
 
 
 def _sign(v) -> int:
@@ -85,6 +91,7 @@ def membership(x, spec: TargetSpec, B, n: int) -> bool:
     """
     if n < 1:
         raise ValueError("level n must be >= 1")
+    _check_base(B)
     pts = _orbit(_as_value(x), n + 1)
     return _membership_at(pts[n], pts[n + 1], spec, B, n)
 
@@ -116,6 +123,7 @@ def hit_times(x, spec: TargetSpec, B, N: int) -> HitReport:
     """All levels n in 1..N where membership holds."""
     if N < 1:
         raise ValueError("horizon must be >= 1")
+    _check_base(B)
     x0 = _as_value(x)
     pts = _orbit(x0, N + 1)
     hits = tuple(
@@ -203,6 +211,7 @@ def j_interval_bounds(prefix: Word, a_next: int, spec: TargetSpec, B, n: int) ->
     prefix = tuple(prefix)
     if len(prefix) != n or n < 1:
         raise ValueError("prefix length must equal the level n >= 1")
+    _check_base(B)
     if a_next < 1:
         raise ValueError("next digit must be a positive integer")
     a1z = first_digit(spec, n)
@@ -328,6 +337,7 @@ def extremal_interval(prefix: Word, a_next: int, spec: TargetSpec, B, n: int) ->
     prefix = tuple(prefix)
     if len(prefix) != n or n < 1:
         raise ValueError("prefix length must equal the level n >= 1")
+    _check_base(B)
     z, _, tz = z_value(spec, n)
     if isinstance(z, Quad) or isinstance(tz, Quad):
         raise ValueError("exact extremal solving needs a rational target value")
@@ -495,8 +505,6 @@ def cover_svolume(n: int, B, spec: TargetSpec, s: float, M=None, *,
         raise ExponentTooSmall(f"cover sums need s > 1/2 + margin, got {s}")
     a1z = first_digit(spec, n)
     if predim is None:
-        from . import predim as predim_mod
-
         predim = predim_mod.predim_result(n, B, a1z, M=M, tol=1e-3)
     lam = sums.lambda_enclosure(n, s, alphabet_max=M, level=level)
     Bn = Fraction(B) ** n
@@ -547,8 +555,6 @@ def _fit_line(points) -> tuple:
 def cover_decay(spec: TargetSpec, B, n_range, M=None, *, side: str = "above",
                 offset: float = 0.05, tol: float = 1e-3, level: int = 1) -> DecayReport:
     """Cover totals at s = s_n +/- offset across levels, with a log2 fit."""
-    from . import predim as predim_mod
-
     if side not in ("above", "below"):
         raise ValueError("side must be 'above' or 'below'")
     ns = sorted(set(int(n) for n in n_range))

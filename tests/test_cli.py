@@ -259,3 +259,85 @@ class TestErrors:
     def test_reversed_range_predim(self, tmp_path, capsys):
         # used to write empty predim.csv/json, then fail with "nothing to plot"
         self._assert_reversed_range_rejected(["predim"], tmp_path / "out", capsys)
+
+
+# flags of runs above, and the same values as a config file's JSON
+_FLAG_RUNS = [
+    (["predim", "--B", "4", "--target", "zero", "--n", "1..6"],
+     {"B": 4, "target": "zero", "n": "1..6"}),
+    (["sstar", "--B", "4", "--target", "ones", "--n", "2..5", "--M", "12"],
+     {"B": 4, "target": "ones", "n": [2, 5], "M": 12}),
+    (["pressure", "--M", "6", "--depth", "7"], {"M": 6, "depth": 7, "kind": "phi1"}),
+    (["cover", "--B", "4", "--target", "zero", "--s", "0.8", "--n", "2..4", "--M", "12"],
+     {"B": 4, "target": "zero", "s": 0.8, "n": "2..4", "M": 12}),
+    (["witness", "--samples", "400"], {"samples": 400, "core": False, "t": "3/200"}),
+    (["simulate", "--B", "3", "--target", "ones", "--x", "w:1,1,1,2,1,1,3", "--N", "12"],
+     {"B": 3, "target": "ones", "x": "w:1,1,1,2,1,1,3", "N": 12}),
+    (["lemmas", "--threads", "1"], {"threads": 1}),
+]
+
+
+class TestConfigFiles:
+    @pytest.mark.parametrize("argv, values", _FLAG_RUNS, ids=[a[0] for a, _ in _FLAG_RUNS])
+    def test_config_values_match_flags(self, argv, values, tmp_path, capsys):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(values))
+        by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+        assert main(argv + ["--out", str(by_flag)]) == 0
+        flag_out = capsys.readouterr().out.replace(str(by_flag), "OUT")
+        assert main([argv[0], "--config", str(cfgfile), "--out", str(by_file)]) == 0
+        assert capsys.readouterr().out.replace(str(by_file), "OUT") == flag_out
+        names = sorted(p.name for p in by_flag.iterdir())
+        assert names == sorted(p.name for p in by_file.iterdir())
+        for name in names:
+            assert (by_flag / name).read_bytes() == (by_file / name).read_bytes(), name
+
+    @pytest.mark.parametrize("sub, values, key", [
+        ("witness", {"core": "false"}, "core"),
+        ("witness", {"relax": "false"}, "relax"),
+        ("predim", {"B": 4.7}, "B"),
+        ("predim", {"B": True}, "B"),
+        ("cover", {"level": 7}, "level"),
+        ("witness", {"tol": 1e-3}, "tol"),
+        ("lemmas", {"B": 4}, "B"),
+    ])
+    def test_bad_value_names_the_key(self, sub, values, key, tmp_path, capsys):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        assert main([sub, "--config", str(cfgfile), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().out.splitlines()[-1])["error"]
+        assert err["type"] == "ValueError"
+        assert key in err["message"]
+        assert not out.exists()
+
+
+class TestRejectedRequests:
+    @pytest.mark.parametrize("argv, needle", [
+        (["witness", "--samples", "0"], "sample count"),
+        (["witness", "--samples", "-3"], "sample count"),
+        (["pressure", "--M", "full"], "option M"),
+        (["witness", "--M", "full"], "option M"),
+        (["simulate", "--B", "0"], "base B must exceed 1"),
+        (["simulate", "--B", "-3"], "base B must exceed 1"),
+        (["predim", "--B", "4.7"], "option B"),
+        (["pressure", "--kind", "phi4"], "option kind"),
+    ])
+    def test_json_error_and_nothing_written(self, argv, needle, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().out.splitlines()[-1])["error"]
+        assert err["type"] == "ValueError"
+        assert needle in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["lemmas", "--B", "4"], ["simulate", "--n", "3"], ["witness", "--tol", "0.1"],
+        ["pressure", "--target", "ones"], ["predim", "--seed", "1"],
+    ])
+    def test_options_the_subcommand_does_not_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+

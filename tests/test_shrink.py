@@ -109,6 +109,20 @@ class TestHitTimes:
             sh.hit_times(F(1, 3), ZERO, 4, 0)
 
 
+@pytest.mark.parametrize("B", [1, 0, -3, F(1, 2)])
+def test_base_must_exceed_one(B):
+    # B = 0 used to divide by zero and B = -3 to report hits
+    calls = (
+        lambda: sh.membership(F(1, 3), GOLD, B, 2),
+        lambda: sh.hit_times(F(1, 3), GOLD, B, 10),
+        lambda: sh.j_interval_bounds((1, 2), 1, GOLD, B, 2),
+        lambda: sh.extremal_interval((1, 2), 1, GOLD, B, 2),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="base B must exceed 1"):
+            call()
+
+
 class TestJBounds:
     def test_equal_worked_example(self):
         j = sh.j_interval_bounds((1, 1), 2, C23, 4, 2)
