@@ -275,21 +275,6 @@ def _step(ch, L, U):
     return lo, hi
 
 
-def _start(n, t, layout, seed):
-    """Checked node bounds of f, from the seed or f = 1."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if layout.cells and layout.cells[-1][1] == 0 and not t > 1:
-        raise ValueError(f"the full-alphabet sum diverges for t <= 1; got t = {t}")
-    N = layout.nbins
-    if seed is None:
-        return np.ones(N + 1), np.ones(N + 1)
-    L, U = (np.asarray(v, dtype=np.float64) for v in seed)
-    if L.shape != (N + 1,) or U.shape != (N + 1,):
-        raise ValueError(f"a seed holds bounds at the {N + 1} nodes")
-    return L, U
-
-
 def apply_power(n, t, layout, seed=None):
     """Certified (lo, hi) of (L^n f)(0); f = 1 unless a seed is given.
 
@@ -297,25 +282,34 @@ def apply_power(n, t, layout, seed=None):
     f must lie in the cone of the module docstring, as (1 + x r)^{-t} for
     0 <= x <= 1 does.
     """
-    L, U = _start(n, t, layout, seed)
-    ch = _chords(layout, t, layout.edges if n > 1 else np.zeros(1))
-    for _ in range(n - 1):
-        L, U = _step(ch, L, U)
-    lo, hi = _step({f: v[:, :1] for f, v in ch.items()}, L, U)  # node 0: r = 0
-    return max(float(lo[0]), 0.0), float(hi[0])
+    return apply_powers(n, t, layout, [seed])[0][-1]
 
 
 def apply_powers(n, t, layout, seeds):
     """[apply_power(k, t, layout, seed) for k = 1..n] for each seed in turn
-    (None for f = 1), bit for bit, all from one setup at t: node 0 of a
-    full step is r = 0, and every point is computed as it would be alone."""
-    starts = [_start(n, t, layout, seed) for seed in seeds]
-    ch = _chords(layout, t, layout.edges)
+    (None for f = 1), from one setup at t: the one envelope loop.
+
+    Steps 1..n-1 run at every node and L^k f is read at node 0; step n runs
+    at node 0 alone, r = 0 (n = 1 sets up there only).  Every point is
+    computed as it would be alone, so node 0 of a full step has the bits
+    of the r = 0 step.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if layout.cells and layout.cells[-1][1] == 0 and not t > 1:
+        raise ValueError(f"the full-alphabet sum diverges for t <= 1; got t = {t}")
+    N = layout.nbins
+    starts = [(np.ones(N + 1), np.ones(N + 1)) if seed is None
+              else [np.asarray(v, dtype=np.float64) for v in seed] for seed in seeds]
+    if any(v.shape != (N + 1,) for start in starts for v in start):
+        raise ValueError(f"a seed holds bounds at the {N + 1} nodes")
+    ch = _chords(layout, t, layout.edges if n > 1 else np.zeros(1))
+    last = {f: v[:, :1] for f, v in ch.items()}  # node 0: r = 0
     out = []
     for L, U in starts:
         sums = []
-        for _ in range(n):
-            L, U = _step(ch, L, U)
+        for k in range(1, n + 1):
+            L, U = _step(ch if k < n else last, L, U)
             sums.append((max(float(L[0]), 0.0), float(U[0])))
         out.append(sums)
     return out

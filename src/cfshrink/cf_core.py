@@ -1,15 +1,19 @@
 """Exact continued-fraction arithmetic.
 
 Gauss map, digit expansion, continuant ladders, cylinder intervals and
-their left-to-right ordering.  Everything here is exact rational/integer
-arithmetic; no floating point.  All values are immutable and all
-functions pure.
+their left-to-right ordering.  Everything here is exact arithmetic on
+integers, rationals or quadratic surds (`surd.Quad`: the Gauss step and a
+word on a tail take either); no floating point.  All values are
+immutable and all functions pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .surd import Quad
 
 Word = tuple[int, ...]  # digits a_1..a_n, each >= 1; () is the level-0 word
 
@@ -20,15 +24,16 @@ def _check_word(w: Word) -> None:
             raise ValueError(f"word digits must be integers >= 1, got {a!r}")
 
 
-def gauss_step(x: Fraction) -> Fraction:
-    """T(x) = 1/x - floor(1/x), with T(0) = 0."""
-    x = Fraction(x)
+def gauss_step(x):
+    """T(x) = 1/x - floor(1/x) for a Fraction or a Quad x, with T(0) = 0."""
+    if not isinstance(x, Quad):
+        x = Fraction(x)
     if not 0 <= x < 1:
         raise ValueError(f"gauss_step needs x in [0,1), got {x}")
     if x == 0:
         return Fraction(0)
     inv = 1 / x
-    return inv - (inv.numerator // inv.denominator)
+    return inv - math.floor(inv)
 
 
 def expand(x: Fraction, max_digits: int = 64) -> Word:
@@ -122,20 +127,19 @@ def cylinder(w: Word) -> CylinderInterval:
     return CylinderInterval(tuple(w), other, conv, False, True)
 
 
-def eval_word(w: Word, tail: Fraction = Fraction(0)) -> Fraction:
-    """Value of [a_1, ..., a_n + tail]; tail = 0 gives the convergent p_n/q_n."""
+def eval_word(w: Word, tail=Fraction(0)):
+    """Value of [a_1, ..., a_n + tail] = (p_n + tail p_{n-1})/(q_n + tail q_{n-1})
+    for a Fraction or a Quad tail; tail = 0 gives the convergent p_n/q_n."""
     _check_word(w)
     if not w:
         raise ValueError("eval_word needs a nonempty word")
-    tail = Fraction(tail)
+    if not isinstance(tail, Quad):
+        tail = Fraction(tail)
     if not 0 <= tail <= 1:
         raise ValueError(f"tail must lie in [0,1], got {tail}")
     c = continuants(w)
     n = len(w)
-    t = w[n - 1] + tail
-    num = t * c.p(n - 1) + c.p(n - 2)
-    den = t * c.q(n - 1) + c.q(n - 2)
-    return num / den
+    return (c.p(n) + tail * c.p(n - 1)) / (c.q(n) + tail * c.q(n - 1))
 
 
 def compare_cylinders(w: Word, a: int, b: int) -> int:

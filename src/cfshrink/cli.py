@@ -113,18 +113,28 @@ def _choice(convert, *allowed):
     return check
 
 
+def _count(v):
+    """An integer >= 1."""
+    v = _int(v)
+    if v < 1:
+        raise ValueError(f"expected an integer >= 1, got {v}")
+    return v
+
+
 def _cutoff(v):
     """An alphabet cutoff M, or None for 'full'."""
     return None if v == "full" else _int(v)
 
 
 def _exponent(v):
-    """cover --s: a number, or (side, offset) for auto+OFF / auto-OFF around s_n."""
+    """cover --s: a number, or (side, offset) for auto+OFF / auto-OFF around s_n;
+    the sign right after auto picks the side."""
     text = str(v)
     if not text.startswith("auto"):
         return float(text)
-    offset = abs(float(text[4:].lstrip("+"))) if len(text) > 4 else 0.05
-    return ("below" if "-" in text else "above", offset)
+    rest = text[4:]
+    offset = abs(float(rest.lstrip("+"))) if rest else 0.05
+    return ("below" if rest.startswith("-") else "above", offset)
 
 
 def _a1z_str(a):
@@ -589,7 +599,7 @@ _SUBCOMMANDS = {
         B=_B, target=_TARGET, out=_OUT,
         x=_Option(_text, "1/2", "rational like 3/7, or w:1,2,3"),
         N=_Option(_int, 20, "horizon"))),
-    "lemmas": (_run_lemmas, dict(out=_OUT, seed=_SEED, threads=_Option(_int, 1))),
+    "lemmas": (_run_lemmas, dict(out=_OUT, seed=_SEED, threads=_Option(_count, 1))),
 }
 
 

@@ -29,6 +29,8 @@ from math import factorial
 
 import numpy as np
 
+from .rounding import raw_fraction
+
 _PHI = np.float64(2.0**-53 * (1.0 + 2.0**-52))
 _ETA = np.float64(2.0**-1074)
 
@@ -63,12 +65,7 @@ LN2_LO = np.float64(5.497923018708371e-14)
 def _ln2_residual() -> float:
     from mpmath.libmp import from_int, mpf_log
 
-    def as_fraction(t):
-        sign, man, exp, bc = t
-        fr = Fraction(man, 1 << -exp) if exp < 0 else Fraction(man << exp, 1)
-        return -fr if sign else fr
-
-    bracket = [as_fraction(mpf_log(from_int(2), 256, rnd)) for rnd in ("f", "c")]
+    bracket = [raw_fraction(mpf_log(from_int(2), 256, rnd)) for rnd in ("f", "c")]
     split = Fraction(float(LN2_HI)) + Fraction(float(LN2_LO))
     return float(max(abs(b - split) for b in bracket)) * 1.01
 

@@ -47,15 +47,6 @@ _PREBOUND_SLACK = 1.0 + 2.0**-40  # 1 + delta, see holder_check
 _PREBOUND_CHUNK = 512  # samples per kernel call: keeps the temporaries small
 
 
-def _mpf_fraction(x) -> Fraction:
-    """Exact rational value of an mpf bound."""
-    man, exp = int(x.man), int(x.exp)
-    if man == 0:
-        return Fraction(0)
-    f = Fraction(man) * Fraction(2) ** exp
-    return -f if x < 0 else f
-
-
 def _inside_fraction(v, side):
     """Rational point certainly on the inner side of the exact endpoint v.
 
@@ -65,13 +56,7 @@ def _inside_fraction(v, side):
     if isinstance(v, Fraction):
         return v, True
     e = quad_to_enclosure(v, SHAVE_PREC)
-    if side == "lo":
-        return _mpf_fraction(e.hi), False
-    return _mpf_fraction(e.lo), False
-
-
-def _approx(v) -> float:
-    return float(v) if isinstance(v, Fraction) else quad_to_enclosure(v, 64).mid_float
+    return rd.raw_fraction((e.hi if side == "lo" else e.lo)._mpf_), False
 
 
 def _block_words(ell: int, M: int):
@@ -220,6 +205,8 @@ class WitnessParams:
             raise ValueError("eps must be positive")
         if self.n <= self.k:
             raise ValueError("n must exceed k")
+        if self.ell < 1 or self.M < 1:
+            raise ValueError("ell and M must be positive")
         put("m", (self.n - self.k) // self.ell)
         put("ell0", (self.n - self.k) % self.ell)
         if self.m < 1:
@@ -311,11 +298,11 @@ def _last_entries(params: WitnessParams):
     p = params
     if p.case == CASE_I:
         e = rd.powr(enclose(p.B), p.n * p.t)
-        lo_v, hi_v = _mpf_fraction(e.hi), 2 * _mpf_fraction(e.lo)
+        lo_v, hi_v = rd.raw_fraction(e.hi._mpf_), 2 * rd.raw_fraction(e.lo._mpf_)
         what = "[B^(nt), 2 B^(nt)]"
     elif p.case == CASE_II:
         e = rd.exp_(enclose(p.n * (p.rate + p.eps)))
-        lo_v, hi_v = 2 * _mpf_fraction(e.hi), 3 * _mpf_fraction(e.lo)
+        lo_v, hi_v = 2 * rd.raw_fraction(e.hi._mpf_), 3 * rd.raw_fraction(e.lo._mpf_)
         what = "[2 e^(n(rate+eps)), 3 e^(n(rate+eps))]"
     else:
         return (first_digit(p.spec, p.n),)
@@ -356,7 +343,7 @@ def _carve(prefix: Word, last: int, params: WitnessParams, exact: bool):
         pieces = extremal_interval(prefix, last, params.spec, params.B, params.n)
         if not pieces:
             raise InvalidWitness(f"hit set empty inside cylinder {prefix + (last,)}")
-        best = max(pieces, key=lambda pc: _approx(pc.x_hi) - _approx(pc.x_lo))
+        best = max(pieces, key=lambda pc: float(pc.x_hi) - float(pc.x_lo))
         x_lo, x_hi = best.x_lo, best.x_hi
     else:
         x_lo, x_hi = _core_interval(prefix, last, params)

@@ -25,7 +25,8 @@ from . import sums
 from .errors import DepthTooLarge, NoRoot
 from .ivec import dn, iln, ipow_neg, tree_sum, up
 from .rounding import Enclosure, enclose
-from .surd import quad_to_enclosure, sqrt_value
+from .surd import quad_to_enclosure
+from .targets import _purely_periodic_value
 
 PHI1 = "PHI1"
 PHI2 = "PHI2"
@@ -58,17 +59,19 @@ class PotentialSpec:
             raise ValueError("exponent s must be positive")
         if Fraction(self.B) <= 1:
             raise ValueError("base B must exceed 1")
-        if self.kind == PHI2 and self.alpha is None:
-            raise ValueError("PHI2 needs a growth rate alpha")
-        if self.kind == PHI3:
-            if self.beta is None:
-                raise ValueError("PHI3 needs a growth rate beta")
-            if float(self.beta) > 0.5 * math.log(self.B) + 1e-12:
-                warnings.warn(
-                    f"beta = {float(self.beta):.6g} exceeds (log B)/2; the third "
-                    "potential is normally used below that rate",
-                    stacklevel=2,
-                )
+        name = {PHI2: "alpha", PHI3: "beta"}.get(self.kind)  # the rate the kind reads
+        if name is not None:
+            rate = getattr(self, name)
+            if rate is None:
+                raise ValueError(f"{self.kind} needs a growth rate {name}")
+            if not math.isfinite(rate):
+                raise ValueError(f"growth rate {name} must be finite, got {rate!r}")
+        if self.kind == PHI3 and float(self.beta) > 0.5 * math.log(self.B) + 1e-12:
+            warnings.warn(
+                f"beta = {float(self.beta):.6g} exceeds (log B)/2; the third "
+                "potential is normally used below that rate",
+                stacklevel=2,
+            )
 
     def range_warnings(self, sstar_lo: float, sstar_hi: float) -> list:
         """Check alpha/beta against a declared bracket for the limit exponent.
@@ -167,13 +170,10 @@ class PressureRootResult:
 def x_min_value(A):
     """Least point of the attractor of digit set A (a quadratic surd).
 
-    Satisfies x = 1/(Amax + y), y = 1/(Amin + x): the positive root of
-    Amax x^2 + Amax Amin x - Amin = 0.
+    Satisfies x = 1/(Amax + y), y = 1/(Amin + x), so x = [0; Amax, Amin,
+    Amax, Amin, ...].
     """
-    amin, amax = min(A), max(A)
-    m = amax * amin
-    # disc = (m + 2)^2 - 4 is never a perfect square for m >= 1
-    return (sqrt_value(Fraction(m * m + 4 * m)) - m) / (2 * amax)
+    return _purely_periodic_value((max(A), min(A)))
 
 
 def _norm_alphabet(A) -> tuple:

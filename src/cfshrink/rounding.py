@@ -32,7 +32,6 @@ from mpmath.libmp import (
     mpf_log,
     mpf_mul,
     mpf_neg,
-    mpf_pos,
     mpf_sqrt,
     mpf_sub,
     to_float,
@@ -78,6 +77,13 @@ def _cmp_frac(t, fr):
     else:
         lhs, rhs = num * q, p * (1 << -exp)
     return (lhs > rhs) - (lhs < rhs)
+
+
+def raw_fraction(t) -> Fraction:
+    """Exact rational value of a finite raw mpf."""
+    sign, man, exp, bc = t
+    fr = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return -fr if sign else fr
 
 
 @dataclass(frozen=True)
@@ -136,35 +142,6 @@ class Enclosure:
             mpf_cmp(other.lo._mpf_, self.lo._mpf_) <= 0
             and mpf_cmp(self.hi._mpf_, other.hi._mpf_) <= 0
         )
-
-    # -- convenience arithmetic at default precision ----------------------
-
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def _mk(lot, hit) -> Enclosure:

@@ -19,7 +19,6 @@ from . import rounding as rd
 from . import sums
 from .cf_core import Word, continuants, cylinder, eval_word, gauss_step
 from .errors import AmbiguousBranch, ExponentTooSmall, Inapplicable
-from .pressure import log_weight
 from .rounding import Enclosure, enclose
 from .surd import Quad, quad_to_enclosure, sqrt_value
 from .targets import TargetSpec, first_digit, z_value
@@ -52,34 +51,13 @@ def _sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
-def _floor_inv(x: Quad) -> int:
-    """Exact floor(1/x) for a surd x in (0,1): float guess, surd-certified."""
-    inv = 1 / x
-    k = int(quad_to_enclosure(inv, 96).mid_float)
-    while (inv - k).sign() < 0:
-        k -= 1
-    while (inv - (k + 1)).sign() >= 0:
-        k += 1
-    return k
-
-
-def _gauss_any(x):
-    """One Gauss step on a Fraction or Quad, exactly."""
-    if isinstance(x, Quad):
-        return 1 / x - _floor_inv(x)
-    return gauss_step(x)
-
-
 def _orbit(x, upto: int) -> list:
     """[x, Tx, ..., T^upto x] exactly."""
-    if isinstance(x, Quad):
-        if x.sign() < 0 or (x - 1).sign() >= 0:
-            raise ValueError("orbit start must lie in [0, 1)")
-    elif not 0 <= x < 1:
+    if not 0 <= x < 1:
         raise ValueError("orbit start must lie in [0, 1)")
     pts = [x]
     for _ in range(upto):
-        pts.append(_gauss_any(pts[-1]))
+        pts.append(gauss_step(pts[-1]))
     return pts
 
 
@@ -315,15 +293,9 @@ def _poly_le_zero(a2, a1, a0, u: Fraction, v: Fraction) -> list:
 
 def _map_piece(word: Word, t0, t1) -> tuple:
     """Moebius image of a tail interval inside the cylinder of `word`."""
-    c = continuants(word)
-    m = len(word)
-    p1, q1 = c.p(m), c.q(m)
-    p0, q0 = c.p(m - 1), c.q(m - 1)
-    xa = (p1 + t0 * p0) / (q1 + t0 * q0)
-    xb = (p1 + t1 * p0) / (q1 + t1 * q0)
-    if m % 2 == 1:
-        return (xb, xa)  # odd length: x decreases in the tail
-    return (xa, xb)
+    if len(word) % 2 == 1:  # odd length: x decreases in the tail
+        return eval_word(word, t1), eval_word(word, t0)
+    return eval_word(word, t0), eval_word(word, t1)
 
 
 def extremal_interval(prefix: Word, a_next: int, spec: TargetSpec, B, n: int) -> tuple:
@@ -531,9 +503,8 @@ def cover_svolume(n: int, B, spec: TargetSpec, s: float, M=None, *,
 
     branch = BRANCH_MAX
     a1z = int(a1z)
-    log_a1z = rd.log_(enclose(a1z))
-    far = rd.exp_(log_weight(2, n, sf, B, log_a1z))
-    eq = rd.exp_(log_weight(3, n, sf, B, log_a1z))
+    far = predim_mod._weight_enclosure(n, B, 2, a1z, s)
+    eq = predim_mod._weight_enclosure(n, B, 3, a1z, s)
     parts = {"far": rd.mul(lam, far), "equal": rd.mul(lam, eq)}
     total = rd.add(parts["far"], parts["equal"])
     bound = _bound_sums_b2(n, B, a1z, s, Bn)

@@ -130,6 +130,15 @@ class Quad:
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
+    def __floor__(self) -> int:
+        """Exact floor: float guess, surd-certified."""
+        k = int(self.enclosure(96).mid_float)
+        while (self - k).sign() < 0:
+            k -= 1
+        while (self - (k + 1)).sign() >= 0:
+            k += 1
+        return k
+
     # -- numeric views -------------------------------------------------------
 
     def enclosure(self, prec: int = rounding.PREC) -> Enclosure:

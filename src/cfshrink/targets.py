@@ -99,18 +99,11 @@ def _purely_periodic_value(c: Word) -> Quad:
     return y
 
 
-def _eval_quad_tail(w: Word, y: Quad) -> Quad:
-    c = continuants(w)
-    n = len(w)
-    t = y + w[n - 1]
-    return (t * c.p(n - 1) + c.p(n - 2)) / (t * c.q(n - 1) + c.q(n - 2))
-
-
 def _const_value(pre: Word, period: Word):
     if not period:
         return eval_word(pre, Fraction(0))
     y = _purely_periodic_value(period)
-    return _eval_quad_tail(pre, y) if pre else y
+    return eval_word(pre, y) if pre else y
 
 
 def _shift_description(pre: Word, period: Word):

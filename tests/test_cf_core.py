@@ -13,6 +13,7 @@ from cfshrink.cf_core import (
     expand,
     gauss_step,
 )
+from cfshrink.surd import Quad, sqrt_value
 
 words = st.lists(st.integers(1, 50), min_size=1, max_size=12).map(tuple)
 
@@ -21,6 +22,28 @@ def test_gauss_step():
     assert gauss_step(Fraction(2, 5)) == Fraction(1, 2)
     assert gauss_step(Fraction(1, 2)) == Fraction(0)
     assert gauss_step(Fraction(0)) == Fraction(0)
+
+
+def test_gauss_step_fixes_the_quadratic_fixed_points():
+    golden = (sqrt_value(Fraction(5)) - 1) / 2  # [0; 1, 1, ...]
+    silver = sqrt_value(Fraction(2)) - 1  # [0; 2, 2, ...]
+    for x in (golden, silver):
+        assert isinstance(x, Quad)
+        assert gauss_step(x) == x
+    with pytest.raises(ValueError):
+        gauss_step(silver + 1)
+
+
+@given(words, st.integers(1, 30), st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13]))
+@settings(max_examples=60, deadline=None)
+def test_eval_word_on_a_quad_tail(w, a, d):
+    y = 1 / (a + sqrt_value(Fraction(d)))  # a surd in (0, 1)
+    c, n = continuants(w), len(w)
+    want = (c.p(n) + y * c.p(n - 1)) / (c.q(n) + y * c.q(n - 1))
+    got = eval_word(w, y)
+    assert isinstance(got, Quad)
+    assert got == want
+    assert (got.a, got.b, got.D) == (want.a, want.b, want.D)
 
 
 def test_expand_examples():

@@ -9,7 +9,7 @@ import pytest
 
 from cfshrink import massdist as md
 from cfshrink import svgplot
-from cfshrink.cli import main, parse_range, parse_target
+from cfshrink.cli import _exponent, main, parse_range, parse_target
 from cfshrink.targets import TargetSpec
 
 
@@ -42,6 +42,12 @@ class TestParsing:
         assert parse_range([1, 4]) == (1, 4)
         with pytest.raises(ValueError, match="reversed"):
             parse_range("5..3")
+
+    def test_auto_exponent_side_is_the_sign_after_auto(self):
+        assert _exponent("auto+1e-3") == ("above", 0.001)
+        assert _exponent("auto-1e-3") == ("below", 0.001)
+        assert _exponent("auto") == ("above", 0.05)
+        assert _exponent("0.8") == 0.8
 
 
 class TestSvgplot:
@@ -322,6 +328,11 @@ class TestRejectedRequests:
         (["simulate", "--B", "-3"], "base B must exceed 1"),
         (["predim", "--B", "4.7"], "option B"),
         (["pressure", "--kind", "phi4"], "option kind"),
+        (["lemmas", "--threads", "0"], "option threads"),
+        (["lemmas", "--threads", "-2"], "option threads"),
+        (["witness", "--ell", "0"], "ell and M must be positive"),
+        (["pressure", "--kind", "phi3", "--rate", "inf"], "growth rate beta"),
+        (["pressure", "--kind", "phi2", "--rate", "nan"], "growth rate alpha"),
     ])
     def test_json_error_and_nothing_written(self, argv, needle, tmp_path, capsys):
         out = tmp_path / "out"

@@ -40,6 +40,15 @@ class TestXmin:
         assert isinstance(pr.x_min_value({1, 2, 3}), Quad)
 
 
+@pytest.mark.parametrize("kind, name, value", [
+    (pr.PHI2, "alpha", math.nan), (pr.PHI2, "alpha", math.inf),
+    (pr.PHI3, "beta", math.inf), (pr.PHI3, "beta", -math.inf),
+])
+def test_potential_rejects_a_nonfinite_rate(kind, name, value):
+    with pytest.raises(ValueError, match=f"growth rate {name} must be finite"):
+        pr.PotentialSpec(kind, 0.8, 4, **{name: value})
+
+
 class TestFibonacciClosedForm:
     # over {1} the sup sum collapses: q_n + g q_{n-1} = phi^n exactly,
     # so (1/n) log Sigma_n = -2 s log phi - s^2 log B at every depth

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_float, from_man_exp, fzero
 
 from cfshrink import rounding as rd
 from cfshrink.rounding import Enclosure, enclose
@@ -22,6 +23,24 @@ def test_enclose_exact_cases():
     e = enclose(Fraction(1, 3))
     assert e.contains(Fraction(1, 3))
     assert e.width_float < 1e-36
+
+
+@pytest.mark.parametrize("t, want", [
+    (fzero, Fraction(0)),
+    (from_man_exp(3, 70), Fraction(3 * 2**70)),
+    (from_man_exp(-3, 70), Fraction(-3 * 2**70)),
+    (from_man_exp(5, -9), Fraction(5, 512)),
+    (from_man_exp(-5, -9), Fraction(-5, 512)),
+    (from_float(-0.1), Fraction(-0.1)),
+])
+def test_raw_fraction_is_exact(t, want):
+    assert rd.raw_fraction(t) == want
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=200, deadline=None)
+def test_raw_fraction_of_floats(x):
+    assert rd.raw_fraction(from_float(x)) == Fraction(x)
 
 
 def test_enclosure_order_enforced():

@@ -80,3 +80,16 @@ def test_sign_matches_float(a, b):
 def test_nonsquare_d_required():
     with pytest.raises(ValueError):
         Quad(Fraction(1), Fraction(1), 9)
+
+
+def test_floor_next_to_an_integer():
+    tiny = sqrt_value(Fraction(2)) - 1
+    for _ in range(6):
+        tiny = tiny * tiny  # (sqrt 2 - 1)^64, about 4e-25: the float guess is off by one
+    assert 0 < tiny < Fraction(1, 10**24)
+    assert math.floor(3 - tiny) == 2
+    assert math.floor(3 + tiny) == 3
+    assert math.floor(-3 + tiny) == -3
+    assert math.floor(-3 - tiny) == -4
+    assert math.floor(1 - sqrt_value(Fraction(2))) == -1
+    assert math.floor(Quad(Fraction(3), Fraction(0), 2)) == 3

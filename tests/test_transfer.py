@@ -496,6 +496,22 @@ def test_apply_powers_runs_each_seed_as_alone(digits):
             [(lo.hex(), hi.hex()) for lo, hi in run] for run in want]
 
 
+@pytest.mark.parametrize("digits", [None, GAPPY])
+def test_apply_powers_at_n_one_with_two_seeds(digits):
+    """n = 1 sets up at r = 0 alone; it has the bits of node 0 of a full step."""
+    layout = _transfer.make_layout(1, digits)
+    t = 1.5
+    seeds = [_sup_seed(layout, rd.enclose(Fraction(3, 10)), t), None]
+    full = _transfer._chords(layout, t, layout.edges)
+    want = []
+    for seed in seeds:
+        L, U = (np.ones(layout.nbins + 1),) * 2 if seed is None else seed
+        lo, hi = _transfer._step(full, L, U)
+        want.append([(max(float(lo[0]), 0.0).hex(), float(hi[0]).hex())])
+    got = _transfer.apply_powers(1, t, layout, seeds)
+    assert [[(lo.hex(), hi.hex()) for lo, hi in run] for run in got] == want
+
+
 def test_seed_needs_node_bounds():
     layout = _transfer.make_layout(0, range(1, 6))
     per_bin = np.ones(layout.nbins)
