@@ -126,14 +126,21 @@ def _cutoff(v):
     return None if v == "full" else _int(v)
 
 
+def _finite_float(v) -> float:
+    v = float(v)
+    if not math.isfinite(v):
+        raise ValueError(f"{v} is not finite")
+    return v
+
+
 def _exponent(v):
     """cover --s: a number, or (side, offset) for auto+OFF / auto-OFF around s_n;
-    the sign right after auto picks the side."""
+    the sign right after auto picks the side.  Both must be finite."""
     text = str(v)
     if not text.startswith("auto"):
-        return float(text)
+        return _finite_float(text)
     rest = text[4:]
-    offset = abs(float(rest.lstrip("+"))) if rest else 0.05
+    offset = abs(_finite_float(rest.lstrip("+"))) if rest else 0.05
     return ("below" if rest.startswith("-") else "above", offset)
 
 
@@ -578,7 +585,9 @@ _SUBCOMMANDS = {
     "pressure": (_run_pressure, dict(
         B=_B, M=_Option(_int, 20, "finite alphabet cutoff"), tol=_TOL, out=_OUT,
         kind=_Option(_choice(_text, "phi1", "phi2", "phi3"), "phi1", "phi1 | phi2 | phi3"),
-        rate=_Option(_float, 0.0), depth=_Option(_int, 8))),
+        rate=_Option(_typed("a finite number (growth rate alpha for phi2, growth rate beta "
+                            "for phi3)", _finite_float, int, float, str), 0.0),
+        depth=_Option(_int, 8))),
     "cover": (_run_cover, dict(
         B=_B, target=_TARGET, n=_N._replace(default="2..6"), M=_CUTOFF, tol=_TOL, out=_OUT,
         s=_Option(_typed("an exponent", _exponent, int, float, str), "auto+0.05",

@@ -12,6 +12,7 @@ that.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +22,6 @@ import numpy as np
 
 from . import _transfer
 from . import rounding as rd
-from . import sums
 from .errors import DepthTooLarge, NoRoot
 from .ivec import dn, iln, ipow_neg, tree_sum, up
 from .rounding import Enclosure, enclose
@@ -72,27 +72,6 @@ class PotentialSpec:
                 "potential is normally used below that rate",
                 stacklevel=2,
             )
-
-    def range_warnings(self, sstar_lo: float, sstar_hi: float) -> list:
-        """Check alpha/beta against a declared bracket for the limit exponent.
-
-        The admissible ranges depend on the unknown limit, so violations
-        only warn; the returned messages make the check testable.
-        """
-        logB = math.log(self.B)
-        msgs = []
-        if self.kind == PHI2:
-            a = float(self.alpha)
-            if a < 0.5 * sstar_lo * logB - 1e-12 or a > sstar_hi * logB + 1e-12:
-                msgs.append(
-                    f"alpha = {a:.6g} outside [{0.5 * sstar_lo * logB:.6g}, "
-                    f"{sstar_hi * logB:.6g}] derived from the declared bracket"
-                )
-        if self.kind == PHI3 and float(self.beta) > 0.5 * logB + 1e-12:
-            msgs.append(f"beta = {float(self.beta):.6g} exceeds (log B)/2")
-        for m in msgs:
-            warnings.warn(m, stacklevel=2)
-        return msgs
 
 
 def log_weight(kind: int, n: int, s, B, growth=None, prec: int = rd.PREC) -> Enclosure:
@@ -186,10 +165,6 @@ def _norm_alphabet(A) -> tuple:
 # ---------------------------------------------------------------------------
 # exact enumeration of continuant data over A^n
 
-# an entry holds every level of A^depth: at most the budget's 2e6 words
-_ENUM_CACHE = sums.BoundedCache(16)
-
-
 def _enumerate(alpha: tuple, depth: int):
     """Per-level arrays (q_n, q_{n-1}, p_n, p_{n-1}) for all words in A^n."""
     if len(alpha) ** depth > _BUDGET:
@@ -198,9 +173,11 @@ def _enumerate(alpha: tuple, depth: int):
         )
     if (max(alpha) + 1) ** depth >= 2**53:
         raise DepthTooLarge("continuants would outgrow exact float64 range")
-    return _ENUM_CACHE.get_or_compute((alpha, depth), lambda: _enumerate_levels(alpha, depth))
+    return _enumerate_levels(alpha, depth)
 
 
+# an entry holds every level of A^depth: at most the budget's 2e6 words
+@functools.lru_cache(maxsize=16)
 def _enumerate_levels(alpha: tuple, depth: int):
     digits = np.array(alpha, dtype=np.int64)
     q = np.array([1], dtype=np.int64)

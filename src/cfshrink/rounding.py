@@ -317,12 +317,6 @@ def sum_enclosures(items, prec: int = PREC) -> Enclosure:
     return total
 
 
-def union(a: Enclosure, b: Enclosure) -> Enclosure:
-    lo = a.lo._mpf_ if mpf_cmp(a.lo._mpf_, b.lo._mpf_) <= 0 else b.lo._mpf_
-    hi = a.hi._mpf_ if mpf_cmp(a.hi._mpf_, b.hi._mpf_) >= 0 else b.hi._mpf_
-    return _mk(lo, hi)
-
-
 def imax(a: Enclosure, b: Enclosure) -> Enclosure:
     """Enclosure of max(x, y) for x in a, y in b."""
     lo = a.lo._mpf_ if mpf_cmp(a.lo._mpf_, b.lo._mpf_) >= 0 else b.lo._mpf_

@@ -362,9 +362,9 @@ class CoverReport:
     `total` and `parts` score the cover pieces at their collapsed weights
     (the per-digit sums evaluate to their comparability class, constants
     normalized away): that is the quantity whose decay/growth tracks the
-    pre-dimensional root.  `bound_sums` keeps the raw per-digit sums of
-    the J-bound upper lengths, constants and all, for inspection; their
-    16^s-size prefactors shift the crossover level without moving it.
+    pre-dimensional root.  The J-bound upper lengths carry 16^s-size
+    constants on top of these; the constants shift the level where the total
+    crosses 1, not the exponent its decay tracks, so they are left out.
     """
 
     n: int
@@ -374,8 +374,6 @@ class CoverReport:
     a1z: object
     total: Enclosure
     parts: dict
-    bound_sums: dict
-    cutoff: int = 0
 
 
 @dataclass(frozen=True)
@@ -391,76 +389,6 @@ class DecayReport:
     monotone_nondecreasing: bool
 
 
-def _pow_enc(base: Enclosure, s) -> Enclosure:
-    return rd.powr(base, Fraction(s))
-
-
-def _frac_pow(x: Fraction, s) -> Enclosure:
-    return _pow_enc(enclose(x), s)
-
-
-def _coef_pow(v, a: int, s) -> Enclosure:
-    """(min(v, cylinder coefficient))^s; a piece never exceeds its cylinder.
-
-    v bounds the piece length relative to q_n^{-2}; the (n+1)-cylinder with
-    next digit a contributes at most 1/(a(a+1)) on the same scale.
-    """
-    cap = Fraction(1, a * (a + 1))
-    if _sign(v - cap) > 0:
-        v = cap
-    return _pow_enc(quad_to_enclosure(v, 128), s)
-
-
-def _bound_sums_b1(n, B, a1z, s, cutoff, Bn) -> dict:
-    """Raw per-digit sums of the first-branch J-bound upper lengths."""
-    head = enclose(0)
-    for a in range(1, cutoff + 1):
-        if a1z == math.inf:
-            ratio = Fraction(1, a)  # a1z/|a1z - a| -> 1
-        else:
-            ratio = Fraction(a1z, a * abs(a1z - a))
-        head = rd.add(head, _coef_pow(16 * ratio / Bn, a, s))
-    return {"far_head": head}
-
-
-def _bound_sums_b2(n, B, a1z, s, Bn) -> dict:
-    """Raw per-digit sums of the second-branch J-bound upper lengths."""
-    out = {"equal": _coef_pow(2 * _b_pow_half(B, n) / a1z, a1z, s)}
-    adj = enclose(0)
-    degen = enclose(0)
-    for a in (a1z - 1, a1z + 1):
-        if a < 1:
-            continue
-        if 8 * Fraction(a1z * a) / Bn >= Fraction(1, 2):
-            # piece = whole cylinder; its length is q_n^{-2} times this bracket
-            coef = rd.union(enclose(Fraction(1, (a + 1) * (a + 2))),
-                            enclose(Fraction(1, a * (a + 1))))
-            degen = rd.add(degen, _pow_enc(coef, s))
-        else:
-            adj = rd.add(adj, rd.mul(enclose(2),
-                                     _coef_pow(Fraction(16 * a1z, a) / Bn, a, s)))
-    out["adjacent"] = adj
-    out["degenerate"] = degen
-
-    far = enclose(0)
-    head_to = max(4 * a1z, 256)
-    for a in range(1, head_to + 1):
-        d = abs(a1z - a)
-        if d <= 1:
-            continue
-        far = rd.add(far, _coef_pow(Fraction(16 * a1z, a * d) / Bn, a, s))
-    # tail: a > head_to has |a1z - a| >= a/2, so the capped terms stay
-    # below min(32 a1z / B^n, 1)^s a^{-2s}; integrate the power tail
-    sf = Fraction(s)
-    tail_top = rd.mul(
-        _frac_pow(min(32 * Fraction(a1z) / Bn, Fraction(1)), s),
-        rd.div(_frac_pow(Fraction(head_to), 1 - 2 * s),
-               enclose(2 * sf - 1)),
-    )
-    out["far"] = rd.add(far, rd.from_f64(0.0, tail_top.hi_float))
-    return out
-
-
 def cover_svolume(n: int, B, spec: TargetSpec, s: float, M=None, *,
                   predim=None, level: int = 1) -> CoverReport:
     """Certified s-volume of the level-n cover of F_n.
@@ -470,8 +398,9 @@ def cover_svolume(n: int, B, spec: TargetSpec, s: float, M=None, *,
     scores the pieces at collapsed weights: the digit sums replaced by
     their evaluated comparability class, so first branch B^{-n s s1} per
     word plus the truncation interval, second branch a1z^{1-s} B^{-ns}
-    plus the a1z-digit piece a1z^{-s} B^{-ns/2}.  M truncates the outer
-    word alphabet (None = full, certified envelope).
+    plus the a1z-digit piece a1z^{-s} B^{-ns/2}; the J-bound constants
+    are not summed (see CoverReport).  M truncates the outer word alphabet
+    (None = full, certified envelope).
     """
     if s <= 0.51:
         raise ExponentTooSmall(f"cover sums need s > 1/2 + margin, got {s}")
@@ -479,38 +408,28 @@ def cover_svolume(n: int, B, spec: TargetSpec, s: float, M=None, *,
     if predim is None:
         predim = predim_mod.predim_result(n, B, a1z, M=M, tol=1e-3)
     lam = sums.lambda_enclosure(n, s, alphabet_max=M, level=level)
-    Bn = Fraction(B) ** n
-    Benc = enclose(Fraction(B))
-    sf = Fraction(s)
 
     if predim.branch == "CASE_S1":
-        branch = BRANCH_S1
         # truncation piece: one residual interval per word holds every
         # cylinder with a_{n+1} > B^{n s1}/2, length ~ B^{-n s1} q_n^{-2};
         # the kept digits sum to ~ B^{n s1 (1-s)} B^{-ns} per word
+        Benc, sf = enclose(Fraction(B)), Fraction(s)
         trunc = rd.powr(Benc, rd.mul(enclose(-n * sf), predim.s1))
         far = rd.mul(rd.powr(Benc, rd.mul(enclose(n * (1 - sf)), predim.s1)),
-                     _frac_pow(1 / Bn, s))
+                     rd.powr(enclose(1 / Fraction(B) ** n), sf))
         cutoff = int(float(B) ** (n * predim.s1.hi_float) / 2)
         if a1z != math.inf and a1z <= cutoff:
             raise AmbiguousBranch(
                 f"first branch needs a_1(z_n) > B^(n s1)/2, got {a1z} <= {cutoff}")
         parts = {"truncation": rd.mul(lam, trunc), "far": rd.mul(lam, far)}
         total = rd.add(parts["truncation"], parts["far"])
-        bound = _bound_sums_b1(n, B, a1z, s, cutoff, Bn)
-        return CoverReport(n, B, s, branch, a1z, total, parts,
-                           {k: rd.mul(lam, v) for k, v in bound.items()}, cutoff)
+        return CoverReport(n, B, s, BRANCH_S1, a1z, total, parts)
 
-    branch = BRANCH_MAX
     a1z = int(a1z)
-    far = predim_mod._weight_enclosure(n, B, 2, a1z, s)
-    eq = predim_mod._weight_enclosure(n, B, 3, a1z, s)
-    parts = {"far": rd.mul(lam, far), "equal": rd.mul(lam, eq)}
+    parts = {"far": rd.mul(lam, predim_mod._weight_enclosure(n, B, 2, a1z, s)),
+             "equal": rd.mul(lam, predim_mod._weight_enclosure(n, B, 3, a1z, s))}
     total = rd.add(parts["far"], parts["equal"])
-    bound = _bound_sums_b2(n, B, a1z, s, Bn)
-    return CoverReport(n, B, s, branch, a1z, total, parts,
-                       {k: rd.mul(lam, v) for k, v in bound.items()},
-                       max(4 * a1z, 256))
+    return CoverReport(n, B, s, BRANCH_MAX, a1z, total, parts)
 
 
 def _fit_line(points) -> tuple:

@@ -6,14 +6,17 @@ rounding.  The lemma-sum tail is midpoint Euler-Maclaurin to third order
 (proof in lemma_sum_batch), so its head stops at 256 terms.  The
 continuant power sums, n = 1 on the full alphabet (zeta(2s)) included, come
 from one evaluator, the envelope iteration of `_transfer`, fronted by
-lambda_enclosure and lambda_estimate.
+lambda_enclosure and lambda_estimate.  Both read bounded, thread-safe
+functools.lru_cache tables of 4096 entries: the certified bounds keyed on
+(n, float(s), alphabet_max, level clamped to MAX_LEVEL), the estimates on
+their arguments.  Two threads that miss on one key may both compute it;
+the values are deterministic, so either may stay.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -114,45 +117,6 @@ def lemma_sum_batch(a_values, t: float, cutoff: int | None = None) -> list[Enclo
 # continuant power sums (envelope iteration)
 
 
-class BoundedCache:
-    """Least-recently-used map of at most maxsize entries, shared across threads.
-
-    A lock guards every lookup and insertion.  get_or_compute runs compute
-    outside the lock, so two threads that miss on one key may both compute
-    it; the cached values are deterministic, so either result may stay.
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        with self._lock:
-            return key in self._data
-
-    def get_or_compute(self, key, compute):
-        with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                return self._data[key]
-        value = compute()
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-        return value
-
-
-# one entry is two floats; a full-roots pass stores about a hundred
-_LAMBDA_CACHE = BoundedCache(4096)
-
-
 def _layout(level: int, alphabet_max: int | None) -> _transfer.Layout:
     return _transfer.make_layout(
         level, None if alphabet_max is None else range(1, alphabet_max + 1))
@@ -168,20 +132,16 @@ def lambda_enclosure(
     sf = float(s)
     if sf <= 0.5 and alphabet_max is None:
         raise ExponentTooSmall(f"full-alphabet sum diverges for s <= 1/2; got {sf}")
-    level = min(level, MAX_LEVEL)
-    return rd.from_f64(*_LAMBDA_CACHE.get_or_compute(
-        (n, sf, alphabet_max, level),
-        lambda: _transfer.apply_power(n, 2.0 * sf, _layout(level, alphabet_max)),
-    ))
+    return rd.from_f64(*_lambda_bounds(n, sf, alphabet_max, min(level, MAX_LEVEL)))
 
 
-def lambda_estimate(
-    n: int, s: float, *, alphabet_max: int | None = None, level: int = 1
-) -> float:
-    """Fast point estimate of the continuant power sum (not certified)."""
-    sf = float(s)
-    level = min(level, MAX_LEVEL)
-    return _LAMBDA_CACHE.get_or_compute(
-        ("est", n, sf, alphabet_max, level),
-        lambda: _transfer.apply_power_estimate(n, 2.0 * sf, _layout(level, alphabet_max)),
-    )
+# one entry is two floats; a full-roots pass stores about a hundred
+@functools.lru_cache(maxsize=4096)
+def _lambda_bounds(n: int, s: float, alphabet_max: int | None, level: int) -> tuple:
+    return _transfer.apply_power(n, 2.0 * s, _layout(level, alphabet_max))
+
+
+@functools.lru_cache(maxsize=4096)
+def lambda_estimate(n: int, s: float, *, alphabet_max: int | None = None) -> float:
+    """Fast point estimate of the continuant power sum at level 1 (not certified)."""
+    return _transfer.apply_power_estimate(n, 2.0 * float(s), _layout(1, alphabet_max))

@@ -123,6 +123,8 @@ def _exp_digit(spec: TargetSpec, n: int) -> int:
     gf = Fraction(g)
     for prec in (spec.prec, 2 * spec.prec):
         e = rd.exp_(rd.enclose(gf * n, prec), prec)
+        if not math.isfinite(e.mid_float):
+            continue  # past float range: no midpoint to round
         k = round(e.mid_float)
         if k >= 1 and e.certified_gt(Fraction(2 * k - 1, 2)) and e.certified_lt(
             Fraction(2 * k + 1, 2)

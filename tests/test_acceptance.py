@@ -148,7 +148,7 @@ def test_digit_sum_ratio_windows():
 
 def test_root_grid_certified_straddles(root_grid, monkeypatch):
     # evaluate the sums afresh, not from the solver's cache
-    monkeypatch.setattr(sums, "_LAMBDA_CACHE", sums.BoundedCache(64))
+    sums._lambda_bounds.cache_clear()
     conventional = set()
     for (B, name, n), (a1z, r) in sorted(root_grid.items()):
         roots = {1: r.s1, 2: r.s2, 3: r.s3}

@@ -18,9 +18,14 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def read_json(path):
+    """Parse an artifact as strict JSON: NaN and Infinity are errors."""
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 class TestParsing:
@@ -333,6 +338,12 @@ class TestRejectedRequests:
         (["witness", "--ell", "0"], "ell and M must be positive"),
         (["pressure", "--kind", "phi3", "--rate", "inf"], "growth rate beta"),
         (["pressure", "--kind", "phi2", "--rate", "nan"], "growth rate alpha"),
+        (["pressure", "--kind", "phi1", "--rate", "inf"], "option rate"),
+        (["pressure", "--kind", "phi1", "--rate", "nan"], "option rate"),
+        (["cover", "--s", "nan"], "option s"),
+        (["cover", "--s", "inf"], "option s"),
+        (["cover", "--s", "auto+inf"], "option s"),
+        (["cover", "--s", "auto+nan"], "option s"),
     ])
     def test_json_error_and_nothing_written(self, argv, needle, tmp_path, capsys):
         out = tmp_path / "out"
@@ -340,6 +351,19 @@ class TestRejectedRequests:
         err = json.loads(capsys.readouterr().out.splitlines()[-1])["error"]
         assert err["type"] == "ValueError"
         assert needle in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["predim", "--target", "exp:800", "--n", "1..1"],
+        ["simulate", "--target", "exp:710"],
+        ["witness", "--target", "exp:800", "--case", "II"],
+    ])
+    def test_exponential_target_past_float_range(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().out.splitlines()[-1])["error"]
+        assert err["type"] == "PrecisionExhausted"
+        assert "cannot round e^(gamma n)" in err["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -132,7 +132,7 @@ class TestFailFast:
     @pytest.fixture
     def evals(self, monkeypatch):
         """Counts envelope evaluations, none of them served from the cache."""
-        monkeypatch.setattr(sums, "_LAMBDA_CACHE", sums.BoundedCache(64))
+        sums._lambda_bounds.cache_clear()
         count = [0]
         apply_power = _transfer.apply_power
 

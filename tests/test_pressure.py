@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from cfshrink import _transfer, predim
 from cfshrink import pressure as pr
 from cfshrink import rounding as rd
-from cfshrink import sums
 from cfshrink.errors import DepthTooLarge, NoRoot
 from cfshrink.surd import Quad
 
@@ -119,10 +118,10 @@ class TestRoutes:
 
     def test_exact_route_enumerates_once(self, monkeypatch):
         # every depth reads the levels of the one depth-7 enumeration
-        monkeypatch.setattr(pr, "_ENUM_CACHE", sums.BoundedCache(16))
+        pr._enumerate_levels.cache_clear()
         phi = pr.PotentialSpec(pr.PHI1, 0.8, 2)
         pr.pressure_estimate(phi, (1, 2, 3, 5), 7, method="exact")
-        assert len(pr._ENUM_CACHE) == 1
+        assert pr._enumerate_levels.cache_info().currsize == 1
 
     def test_exact_overflow_guard(self):
         phi = pr.PotentialSpec(pr.PHI1, 0.8, 2)
@@ -425,13 +424,6 @@ class TestValidation:
         with pytest.warns(UserWarning):
             pr.PotentialSpec(pr.PHI3, 0.7, 4, beta=1.0)
 
-    def test_range_warnings(self):
-        phi = pr.PotentialSpec(pr.PHI2, 0.7, 4, alpha=0.1)
-        with pytest.warns(UserWarning):
-            msgs = phi.range_warnings(0.6, 0.8)
-        assert msgs and "alpha" in msgs[0]
-        quiet = pr.PotentialSpec(pr.PHI2, 0.7, 4, alpha=0.7)
-        assert quiet.range_warnings(0.6, 0.8) == []
 
 
 def _log_weight_oracle(kind, n, s, B, G):

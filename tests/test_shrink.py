@@ -276,7 +276,6 @@ class TestCover:
         r = sh.cover_svolume(2, 4, ZERO, 0.76, 10)
         assert r.branch == sh.BRANCH_S1
         assert sorted(r.parts) == ["far", "truncation"]
-        assert sorted(r.bound_sums) == ["far_head"]
         assert r.total.lo_float > 0
         got = r.parts["truncation"].mid_float + r.parts["far"].mid_float
         assert got == pytest.approx(r.total.mid_float, rel=1e-9)
@@ -286,10 +285,7 @@ class TestCover:
         r = sh.cover_svolume(2, 4, ones, 0.80, 10)
         assert r.branch == sh.BRANCH_MAX
         assert sorted(r.parts) == ["equal", "far"]
-        assert sorted(r.bound_sums) == ["adjacent", "degenerate", "equal", "far"]
-        # the raw J-bound sums carry the 16^s constants: strictly bigger
-        raw = sum(v.mid_float for v in r.bound_sums.values())
-        assert raw > r.total.mid_float
+        assert r.total.lo_float > 0
 
     def test_small_exponent_rejected(self):
         with pytest.raises(ExponentTooSmall):

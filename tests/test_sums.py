@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import itertools
 import math
@@ -342,7 +343,7 @@ class TestEnvelopeEvaluator:
         assert contains(e, 1.70220597034000028937137574572)
 
     def test_estimate_close(self):
-        est = sums.lambda_estimate(4, 0.7, level=1)
+        est = sums.lambda_estimate(4, 0.7)
         enc = sums.lambda_enclosure(4, 0.7, level=1)
         mid = 0.5 * (enc.lo_float + enc.hi_float)
         assert abs(est - mid) / mid < 0.01
@@ -382,55 +383,51 @@ class TestEnvelopeContainment:
 
 
 class TestBoundedCache:
-    def test_evicts_least_recently_used(self):
-        cache = sums.BoundedCache(2)
-        calls = []
+    def test_caches_are_bounded(self):
+        assert sums._lambda_bounds.cache_info().maxsize == 4096
+        assert sums.lambda_estimate.cache_info().maxsize == 4096
+        from cfshrink import pressure
 
-        def value(k):
-            calls.append(k)
-            return k * 10
+        assert pressure._enumerate_levels.cache_info().maxsize == 16
 
-        assert cache.get_or_compute("a", lambda: value(1)) == 10
-        assert cache.get_or_compute("b", lambda: value(2)) == 20
-        assert cache.get_or_compute("a", lambda: value(99)) == 10  # hit, now most recent
-        assert cache.get_or_compute("c", lambda: value(3)) == 30  # evicts b
-        assert len(cache) == 2 and "a" in cache and "c" in cache and "b" not in cache
-        assert cache.get_or_compute("b", lambda: value(4)) == 40
-        assert calls == [1, 2, 3, 4]
-
-    def test_threads_keep_the_bound_and_the_values(self):
-        cache = sums.BoundedCache(8)
+    def test_threads_keep_the_bound_and_the_values(self, monkeypatch):
+        cache = functools.lru_cache(8)(sums._lambda_bounds.__wrapped__)
+        monkeypatch.setattr(sums, "_lambda_bounds", cache)
+        ss = [0.6 + 0.01 * (k % 12) for k in range(240)]
+        want = {s: rd.from_f64(*cache.__wrapped__(2, s, 3, 0)) for s in set(ss)}
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [pool.submit(cache.get_or_compute, k % 23, lambda k=k: (k % 23) ** 2)
-                           for k in range(3000)]
+                futures = [pool.submit(sums.lambda_enclosure, 2, s, alphabet_max=3, level=0)
+                           for s in ss]
                 results = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(old)
-        assert results == [(k % 23) ** 2 for k in range(3000)]
-        assert len(cache) == 8
+        assert results == [want[s] for s in ss]
+        assert cache.cache_info().currsize == 8
 
     def test_lambda_cache_is_bounded_and_keyed_on_the_clamped_level(self, monkeypatch):
-        monkeypatch.setattr(sums, "_LAMBDA_CACHE", sums.BoundedCache(3))
+        cache = functools.lru_cache(3)(sums._lambda_bounds.__wrapped__)
+        monkeypatch.setattr(sums, "_lambda_bounds", cache)
         top = sums.lambda_enclosure(2, 0.9, alphabet_max=4, level=sums.MAX_LEVEL)
         assert sums.lambda_enclosure(2, 0.9, alphabet_max=4, level=sums.MAX_LEVEL + 5) == top
-        assert len(sums._LAMBDA_CACHE) == 1
+        assert cache.cache_info()[:2] == (1, 1)  # (hits, misses): one entry, read twice
         for s in (0.91, 0.92, 0.93):
             sums.lambda_enclosure(2, s, alphabet_max=4, level=0)
-        assert len(sums._LAMBDA_CACHE) == 3
-        assert (2, 0.9, 4, sums.MAX_LEVEL) not in sums._LAMBDA_CACHE
+        assert cache.cache_info().currsize == 3
         assert sums.lambda_enclosure(2, 0.9, alphabet_max=4, level=sums.MAX_LEVEL) == top
+        assert cache.cache_info().misses == 5  # the top entry was evicted
 
     def test_enumeration_cache_is_bounded(self, monkeypatch):
         from cfshrink import pressure
 
-        monkeypatch.setattr(pressure, "_ENUM_CACHE", sums.BoundedCache(2))
+        cache = functools.lru_cache(2)(pressure._enumerate_levels.__wrapped__)
+        monkeypatch.setattr(pressure, "_enumerate_levels", cache)
         first = pressure._enumerate((1, 2, 3), 4)
         for depth in (1, 2, 3):
             pressure._enumerate((1, 2, 3), depth)
-        assert len(pressure._ENUM_CACHE) == 2
+        assert cache.cache_info().currsize == 2
         again = pressure._enumerate((1, 2, 3), 4)
         assert again is not first
         assert all(np.array_equal(a, b) for x, y in zip(first, again) for a, b in zip(x, y))
@@ -438,8 +435,10 @@ class TestBoundedCache:
     def test_lemmas_identical_across_threads_with_tiny_caches(self, monkeypatch, tmp_path):
         from cfshrink import cli, pressure
 
-        monkeypatch.setattr(sums, "_LAMBDA_CACHE", sums.BoundedCache(1))
-        monkeypatch.setattr(pressure, "_ENUM_CACHE", sums.BoundedCache(1))
+        for module, name in ((sums, "_lambda_bounds"), (sums, "lambda_estimate"),
+                             (pressure, "_enumerate_levels")):
+            monkeypatch.setattr(module, name,
+                                functools.lru_cache(1)(getattr(module, name).__wrapped__))
         outputs = {}
         for threads in (1, 3):
             out = tmp_path / f"threads{threads}"

@@ -139,6 +139,14 @@ class TestExpFirstDigit:
         with pytest.raises(PrecisionExhausted):
             first_digit(spec, 60)
 
+    @pytest.mark.parametrize("gamma, n", [(709, 1), (710, 1), (800, 1), (160, 5), (10**6, 3)])
+    def test_past_float_range_is_a_typed_error(self, gamma, n):
+        # e^(gamma n) at or past the float range: no 256-bit verdict, and no
+        # bare OverflowError from rounding an infinite midpoint
+        spec = TargetSpec.exp_first_digit(gamma)
+        with pytest.raises(PrecisionExhausted, match="at 256 bits"):
+            first_digit(spec, n)
+
 
 class TestValidation:
     def test_zero_digit_rejected(self):
