@@ -285,6 +285,14 @@ def apply_power(n, t, layout, seed=None):
     return apply_powers(n, t, layout, [seed])[0][-1]
 
 
+def _check_power(n, t, layout):
+    """Reject n < 1, and t <= 1 on the full alphabet, where the sum diverges."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if layout.cells and layout.cells[-1][1] == 0 and not t > 1:
+        raise ValueError(f"the full-alphabet sum diverges for t <= 1; got t = {t}")
+
+
 def apply_powers(n, t, layout, seeds):
     """[apply_power(k, t, layout, seed) for k = 1..n] for each seed in turn
     (None for f = 1), from one setup at t: the one envelope loop.
@@ -294,10 +302,7 @@ def apply_powers(n, t, layout, seeds):
     computed as it would be alone, so node 0 of a full step has the bits
     of the r = 0 step.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if layout.cells and layout.cells[-1][1] == 0 and not t > 1:
-        raise ValueError(f"the full-alphabet sum diverges for t <= 1; got t = {t}")
+    _check_power(n, t, layout)
     N = layout.nbins
     starts = [(np.ones(N + 1), np.ones(N + 1)) if seed is None
               else [np.asarray(v, dtype=np.float64) for v in seed] for seed in seeds]
@@ -316,6 +321,8 @@ def apply_powers(n, t, layout, seeds):
 
 
 def _block_mid_weight(A1, A2, r, t):
+    if t == 1.0:  # a finite block at t = 1: the integral is a log ratio
+        return np.log((A2 + 0.5 + r) / (A1 - 0.5 + r))
     f1 = (A1 - 0.5 + r) ** (1.0 - t)
     if A2 == 0:
         return f1 / (t - 1.0)
@@ -325,8 +332,7 @@ def _block_mid_weight(A1, A2, r, t):
 def apply_power_estimate(n, t, layout):
     """Fast midpoint estimate of (L^n f)(0).  NOT certified; used only to
     localize roots before the enclosure machinery confirms them."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_power(n, t, layout)
     N = layout.nbins
     r = (np.arange(N) + 0.5) / N
     U = np.ones(N)

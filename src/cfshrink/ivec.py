@@ -118,6 +118,15 @@ def _exp_one_sided(x, side):
     Needs EXP_MIN <= x <= EXP_MAX: there the scaled result is a normal,
     finite float64, so the final ldexp is exact.  Outside, ldexp rounds to
     nearest (subnormal) or overflows, and the bound would be wrong.
+
+    Horner step: two products per bound, not four, because both bounds of
+    every partial sum s_i stay in (0, 1.5/i!] for i >= 1.  Induction down
+    from 1/13!: with |u| <= 0.35, step j moves 1/j! by at most
+    0.35 * 1.5/(j+1)!, which leaves it within (1 +- 0.53/(j+1))/j!,
+    rounding included.  For s > 0, s*u grows with u and rounding to
+    nearest is monotone, so fl(s*ulo) <= fl(s*uhi): the least of the four
+    corner products is min(slo*ulo, shi*ulo), the greatest
+    max(slo*uhi, shi*uhi), the very floats a four-corner step picks.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
@@ -138,15 +147,9 @@ def _exp_one_sided(x, side):
     slo = np.full_like(x, _FACT_DN[_N_EXP])
     shi = np.full_like(x, _FACT_UP[_N_EXP])
     for j in range(_N_EXP - 1, -1, -1):
-        p1, p2, p3, p4 = slo * ulo, slo * uhi, shi * ulo, shi * uhi
-        plo = dn(np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)))
-        phi = up(np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)))
-        slo = dn(plo + _FACT_DN[j])
-        shi = up(phi + _FACT_UP[j])
-    slo = dn(slo - R)
-    shi = up(shi + R)
-    ki = k.astype(np.int64)
-    return np.ldexp(slo, ki) if side < 0 else np.ldexp(shi, ki)
+        slo, shi = (dn(dn(np.minimum(slo * ulo, shi * ulo)) + _FACT_DN[j]),
+                    up(up(np.maximum(slo * uhi, shi * uhi)) + _FACT_UP[j]))
+    return np.ldexp(dn(slo - R) if side < 0 else up(shi + R), k.astype(np.int64))
 
 
 def iexp(xlo, xhi):
@@ -155,34 +158,34 @@ def iexp(xlo, xhi):
 
 
 def _ln_one_sided(x, side):
-    """Bound of ln(x) rounded toward `side`, x a positive exact array."""
+    """Bound of ln(x) toward `side` (-1 lower, +1 upper), x a positive exact array.
+
+    ln x = e ln 2 + 2 atanh(u), x = m 2^e, m in [1, 2), u = (m-1)/(m+1)
+    in [0, 1/3), atanh(u) = sum u^j/j over odd j.  Each side builds only
+    what it returns, every step rounded toward `side`.  Lower: u, the
+    series cut after u^J/J (its terms are positive, so the cut sum is
+    already a lower bound) and e ln 2.  Upper: u, the cut series plus its
+    tail R <= u^(J+2)/((J+2)(1 - u^2)), and e ln 2.
+    """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("ln needs finite inputs")
     if np.any(x <= 0):
         raise ValueError("ln needs positive inputs")
+    rnd, opp, recip = (dn, up, _RECIP_DN) if side < 0 else (up, dn, _RECIP_UP)
     m, e = np.frexp(x)
     m = m * 2.0  # in [1, 2), exact
     e = (e - 1).astype(np.float64)
-    num = m - 1.0  # exact (Sterbenz)
-    dlo, dhi = dn(m + 1.0), up(m + 1.0)
-    ulo, uhi = dn(num / dhi), up(num / dlo)  # u in [0, 1/3)
-    u2lo, u2hi = dn(ulo * ulo), up(uhi * uhi)
-    slo = np.full_like(x, _RECIP_DN[_J_LN])
-    shi = np.full_like(x, _RECIP_UP[_J_LN])
+    u = rnd((m - 1.0) / opp(m + 1.0))  # m - 1 is exact (Sterbenz)
+    u2 = rnd(u * u)
+    s = np.full_like(x, recip[_J_LN])
     for j in range(_J_LN - 2, 0, -2):
-        slo = dn(dn(slo * u2lo) + _RECIP_DN[j])
-        shi = up(up(shi * u2hi) + _RECIP_UP[j])
-    plo = dn(slo * ulo)
-    phi = up(shi * uhi)
-    # tail of the atanh series after u^J/J
-    R = up(_upow(uhi, _J_LN + 2) / dn((_J_LN + 2) * dn(1.0 - up(uhi * uhi))))
-    lnm_lo = dn(2.0 * plo)
-    lnm_hi = up(2.0 * up(phi + R))
-    resid = up(np.abs(e) * LN2_ERR)
-    tlo = dn(dn(dn(e * LN2_HI) + dn(e * LN2_LO)) - resid)
-    thi = up(up(up(e * LN2_HI) + up(e * LN2_LO)) + resid)
-    return dn(tlo + lnm_lo) if side < 0 else up(thi + lnm_hi)
+        s = rnd(rnd(s * u2) + recip[j])
+    p = rnd(s * u)
+    if side > 0:
+        p = up(p + up(_upow(u, _J_LN + 2) / dn((_J_LN + 2) * dn(1.0 - u2))))
+    t = rnd(rnd(rnd(e * LN2_HI) + rnd(e * LN2_LO)) + side * up(np.abs(e) * LN2_ERR))
+    return rnd(t + rnd(2.0 * p))
 
 
 def iln(xlo, xhi):

@@ -122,6 +122,14 @@ def _layout(level: int, alphabet_max: int | None) -> _transfer.Layout:
         level, None if alphabet_max is None else range(1, alphabet_max + 1))
 
 
+def _convergent_s(s, alphabet_max) -> float:
+    """float(s), or ExponentTooSmall where the full-alphabet sum diverges."""
+    sf = float(s)
+    if sf <= 0.5 and alphabet_max is None:
+        raise ExponentTooSmall(f"full-alphabet sum diverges for s <= 1/2; got {sf}")
+    return sf
+
+
 def lambda_enclosure(
     n: int, s: float, *, alphabet_max: int | None = None, level: int = 1
 ) -> Enclosure:
@@ -129,9 +137,7 @@ def lambda_enclosure(
     (the full alphabet when alphabet_max is None).  The width shrinks as
     level grows (0..MAX_LEVEL); higher levels use MAX_LEVEL.
     """
-    sf = float(s)
-    if sf <= 0.5 and alphabet_max is None:
-        raise ExponentTooSmall(f"full-alphabet sum diverges for s <= 1/2; got {sf}")
+    sf = _convergent_s(s, alphabet_max)
     return rd.from_f64(*_lambda_bounds(n, sf, alphabet_max, min(level, MAX_LEVEL)))
 
 
@@ -144,4 +150,5 @@ def _lambda_bounds(n: int, s: float, alphabet_max: int | None, level: int) -> tu
 @functools.lru_cache(maxsize=4096)
 def lambda_estimate(n: int, s: float, *, alphabet_max: int | None = None) -> float:
     """Fast point estimate of the continuant power sum at level 1 (not certified)."""
-    return _transfer.apply_power_estimate(n, 2.0 * float(s), _layout(1, alphabet_max))
+    return _transfer.apply_power_estimate(
+        n, 2.0 * _convergent_s(s, alphabet_max), _layout(1, alphabet_max))

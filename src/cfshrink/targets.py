@@ -123,9 +123,9 @@ def _exp_digit(spec: TargetSpec, n: int) -> int:
     gf = Fraction(g)
     for prec in (spec.prec, 2 * spec.prec):
         e = rd.exp_(rd.enclose(gf * n, prec), prec)
-        if not math.isfinite(e.mid_float):
-            continue  # past float range: no midpoint to round
-        k = round(e.mid_float)
+        if e.hi > 2**prec:
+            continue  # wider than 1 past 2^prec: skip it before building its ends
+        k = round((rd.raw_fraction(e.lo._mpf_) + rd.raw_fraction(e.hi._mpf_)) / 2)
         if k >= 1 and e.certified_gt(Fraction(2 * k - 1, 2)) and e.certified_lt(
             Fraction(2 * k + 1, 2)
         ):

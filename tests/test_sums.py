@@ -348,6 +348,12 @@ class TestEnvelopeEvaluator:
         mid = 0.5 * (enc.lo_float + enc.hi_float)
         assert abs(est - mid) / mid < 0.01
 
+    @pytest.mark.parametrize("s", [0.5, 0.45, 0.2])
+    def test_estimate_rejects_a_divergent_sum_like_the_enclosure(self, s):
+        for evaluate in (sums.lambda_enclosure, sums.lambda_estimate):
+            with pytest.raises(ExponentTooSmall, match="diverges"):
+                evaluate(2, s)
+
 
 class TestEmptyAlphabet:
     @pytest.mark.parametrize("alphabet_max", [0, -3])

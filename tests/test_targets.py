@@ -129,6 +129,16 @@ class TestExpFirstDigit:
                     want = max(1, int(mpmath.nint(mpmath.e**(g * n))))
                     assert first_digit(spec, n) == want, (gamma, n)
 
+    @pytest.mark.parametrize("gamma", [36, 37, 60, 88, 100, 150])
+    def test_past_float_precision_matches_mpmath(self, gamma):
+        # e^gamma above 2^53: the digit is rounded from the exact midpoint of
+        # the enclosure, not from a 53-bit float
+        import mpmath
+
+        with mpmath.workprec(400):
+            want = int(mpmath.nint(mpmath.e**gamma))
+        assert first_digit(TargetSpec.exp_first_digit(gamma), 1) == want
+
     def test_fraction_gamma(self):
         spec = TargetSpec.exp_first_digit(Fraction(1, 2))
         assert first_digit(spec, 2) == round(math.e)

@@ -545,6 +545,41 @@ def test_full_alphabet_needs_t_above_one(t):
         _transfer.apply_power(2, t, _transfer.make_layout(0))
 
 
+def _block_mid_weight_ref(A1, A2, r, t):
+    """The estimate's block weight with no t = 1 case, kept as the reference off t = 1."""
+    f1 = (A1 - 0.5 + r) ** (1.0 - t)
+    if A2 == 0:
+        return f1 / (t - 1.0)
+    return (f1 - (A2 + 0.5 + r) ** (1.0 - t)) / (t - 1.0)
+
+
+@pytest.mark.parametrize("level, digits", [(0, None), (1, None), (0, range(1, 101)),
+                                           (1, range(1, 301)), (1, (1, 2, 3, 5, 8, 13, 21, 34))])
+def test_estimate_keeps_its_floats_off_t_equal_one(level, digits, monkeypatch):
+    layout = _transfer.make_layout(level, digits)
+    ts = [1.01, 1.26, 1.6, 2.0, 3.3] + ([] if digits is None else [0.55, 0.8, 0.99])
+    cases = list(itertools.product((1, 2, 3), ts))
+    got = [_transfer.apply_power_estimate(n, t, layout) for n, t in cases]
+    monkeypatch.setattr(_transfer, "_block_mid_weight", _block_mid_weight_ref)
+    want = [_transfer.apply_power_estimate(n, t, layout) for n, t in cases]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_estimate_at_t_equal_one_is_near_the_certified_sum(level):
+    layout = _transfer.make_layout(level, range(1, 101))
+    for n in (1, 2, 3):
+        est = _transfer.apply_power_estimate(n, 1.0, layout)
+        lo, hi = _transfer.apply_power(n, 1.0, layout)
+        assert math.isfinite(est) and abs(est - 0.5 * (lo + hi)) < 1e-3 * hi, n
+
+
+@pytest.mark.parametrize("t", [0.7, 1.0])
+def test_full_alphabet_estimate_needs_t_above_one(t):
+    with pytest.raises(ValueError, match="diverges"):
+        _transfer.apply_power_estimate(2, t, _transfer.make_layout(0))
+
+
 def test_block_term_needs_its_curvature_allowance():
     """At the edge of the cone, f(r) = (1 + r)^{-t} has f'' = t(t+1) f at r = 0.
 
