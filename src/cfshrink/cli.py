@@ -177,10 +177,32 @@ def _write_json(path, payload):
     print(f"wrote {path}")
 
 
-def _write_svg(path, text):
+def _write_text(path, text):
     with open(path, "w") as fh:
         fh.write(text)
     print(f"wrote {path}")
+
+
+def _write_rows(cfg, name: str, records, summary):
+    """NAME.csv and NAME.json from one list of row dicts.
+
+    In the CSV a float pair under key k becomes the columns k_lo and k_hi,
+    and a list of strings one ';'-joined cell.  The JSON holds the rows as
+    they are, under "rows", next to the summary's keys.
+    """
+    table = []
+    for rec in records:
+        cells = {}
+        for key, v in rec.items():
+            if isinstance(v, list) and all(isinstance(x, str) for x in v):
+                cells[key] = ";".join(v)
+            elif isinstance(v, list):
+                cells[f"{key}_lo"], cells[f"{key}_hi"] = v
+            else:
+                cells[key] = v
+        table.append(cells)
+    _write_csv(_path(cfg, f"{name}.csv"), list(table[0]), [list(c.values()) for c in table])
+    _write_json(_path(cfg, f"{name}.json"), {"subcommand": name, **summary, "rows": records})
 
 
 # -- subcommands --------------------------------------------------------------
@@ -189,44 +211,22 @@ def _write_svg(path, text):
 def _run_predim(cfg) -> int:
     spec = parse_target(cfg.target, cfg.B)
     lo, hi = cfg.n
-    rows, jrows = [], []
+    rows = []
     for n in range(lo, hi + 1):
         r = predim_mod.predim_result(n, cfg.B, first_digit(spec, n), M=cfg.M, tol=cfg.tol)
-        rows.append(
-            [n, _a1z_str(r.a1z)]
-            + _pair(r.s1) + _pair(r.s2) + _pair(r.s3) + _pair(r.sn)
-            + [r.branch, ";".join(r.thresholds), ";".join(r.flags)]
-        )
-        jrows.append(
-            {
-                "n": n,
-                "a1z": _a1z_str(r.a1z),
-                "s1": _pair(r.s1),
-                "s2": _pair(r.s2),
-                "s3": _pair(r.s3),
-                "sn": _pair(r.sn),
-                "branch": r.branch,
-                "thresholds": list(r.thresholds),
-                "flags": list(r.flags),
-            }
-        )
-    _write_csv(
-        _path(cfg, "predim.csv"),
-        ["n", "a1z", "s1_lo", "s1_hi", "s2_lo", "s2_hi", "s3_lo", "s3_hi",
-         "sn_lo", "sn_hi", "branch", "thresholds", "flags"],
-        rows,
-    )
-    _write_json(
-        _path(cfg, "predim.json"),
-        {"subcommand": "predim", "B": cfg.B, "target": cfg.target,
-         "M": cfg.M, "tol": cfg.tol, "rows": jrows},
-    )
+        rows.append({
+            "n": n, "a1z": _a1z_str(r.a1z), "s1": _pair(r.s1), "s2": _pair(r.s2),
+            "s3": _pair(r.s3), "sn": _pair(r.sn), "branch": r.branch,
+            "thresholds": list(r.thresholds), "flags": list(r.flags),
+        })
+    _write_rows(cfg, "predim", rows,
+                {"B": cfg.B, "target": cfg.target, "M": cfg.M, "tol": cfg.tol})
     mid = lambda pair: 0.5 * (pair[0] + pair[1])
     series = [
-        (name, [(jr["n"], mid(jr[name])) for jr in jrows])
+        (name, [(row["n"], mid(row[name])) for row in rows])
         for name in ("s1", "s2", "s3", "sn")
     ]
-    _write_svg(
+    _write_text(
         _path(cfg, "predim.svg"),
         svgplot.line_plot(series, title=f"level roots, B={cfg.B}, target {cfg.target}",
                           xlabel="n", ylabel="s"),
@@ -242,25 +242,16 @@ def _run_sstar(cfg) -> int:
     if not est.results:
         raise Inapplicable("every level was skipped: "
                            + "; ".join(f"n={n}: {msg}" for n, msg in est.skipped))
-    rows, jrows, pts_sn, pts_run = [], [], [], []
+    rows, pts_sn, pts_run = [], [], []
     for r, rl, rh in zip(est.results, est.running_lo, est.running_hi):
-        rows.append([r.n] + _pair(r.sn) + [rl, rh, r.branch])
-        jrows.append({"n": r.n, "sn": _pair(r.sn), "running": [rl, rh],
-                      "branch": r.branch})
+        rows.append({"n": r.n, "sn": _pair(r.sn), "running": [rl, rh], "branch": r.branch})
         pts_sn.append((r.n, 0.5 * (r.sn.lo_float + r.sn.hi_float)))
         pts_run.append((r.n, 0.5 * (rl + rh)))
-    _write_csv(
-        _path(cfg, "sstar.csv"),
-        ["n", "sn_lo", "sn_hi", "running_lo", "running_hi", "branch"],
-        rows,
-    )
-    _write_json(
-        _path(cfg, "sstar.json"),
-        {"subcommand": "sstar", "B": cfg.B, "target": cfg.target, "M": cfg.M,
-         "tol": cfg.tol, "window": list(est.window), "rows": jrows,
-         "skipped": [[n, msg] for n, msg in est.skipped]},
-    )
-    _write_svg(
+    _write_rows(cfg, "sstar", rows,
+                {"B": cfg.B, "target": cfg.target, "M": cfg.M, "tol": cfg.tol,
+                 "window": list(est.window),
+                 "skipped": [[n, msg] for n, msg in est.skipped]})
+    _write_text(
         _path(cfg, "sstar.svg"),
         svgplot.line_plot(
             [("s_n", pts_sn), ("running max", pts_run)],
@@ -319,24 +310,15 @@ def _run_cover(cfg) -> int:
         meta = {"side": "fixed", "offset": 0.0, "slope": slope,
                 "residual": None, "monotone_decreasing": None,
                 "monotone_nondecreasing": None}
-    rows, jrows, pts = [], [], []
+    rows, pts = [], []
     for c in covers:
         l2 = math.log2(0.5 * (c.total.lo_float + c.total.hi_float))
-        rows.append([c.n, c.s, c.branch] + _pair(c.total) + [l2])
-        jrows.append({"n": c.n, "s": c.s, "branch": c.branch,
-                      "total": _pair(c.total), "log2_total": l2})
+        rows.append({"n": c.n, "s": c.s, "branch": c.branch,
+                     "total": _pair(c.total), "log2_total": l2})
         pts.append((c.n, l2))
-    _write_csv(
-        _path(cfg, "cover.csv"),
-        ["n", "s", "branch", "total_lo", "total_hi", "log2_total"],
-        rows,
-    )
-    _write_json(
-        _path(cfg, "cover.json"),
-        {"subcommand": "cover", "B": cfg.B, "target": cfg.target, "M": cfg.M,
-         "level": cfg.level, "rows": jrows, **meta},
-    )
-    _write_svg(
+    _write_rows(cfg, "cover", rows,
+                {"B": cfg.B, "target": cfg.target, "M": cfg.M, "level": cfg.level, **meta})
+    _write_text(
         _path(cfg, "cover.svg"),
         svgplot.line_plot(
             [("log2 total", pts)],
@@ -400,9 +382,7 @@ def _run_witness(cfg) -> int:
             "reference_floor": float(content.reference_floor),
         },
     )
-    with open(_path(cfg, "witness.txt"), "w") as fh:
-        fh.write(md.dump_witness(witness) + "\n")
-    print(f"wrote {_path(cfg, 'witness.txt')}")
+    _write_text(_path(cfg, "witness.txt"), md.dump_witness(witness) + "\n")
     bad = [k for k, v in verdicts.items() if v != "PASS"]
     print(f"witness: {len(witness.intervals)} intervals, "
           + ("all checks PASS" if not bad else f"FAIL: {','.join(bad)}"))

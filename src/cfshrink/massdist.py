@@ -31,8 +31,8 @@ from .cf_core import Word, continuants, cylinder
 from .errors import BudgetExceeded, InvalidWitness, NoRoot, PrecisionExhausted
 from .pressure import log_weight
 from .rounding import Enclosure, enclose
-from .shrink import _map_piece, _sign, extremal_interval, membership
-from .surd import quad_to_enclosure, sqrt_value
+from .shrink import _b_pow_half, _clip_ball, _map_piece, extremal_interval, membership
+from .surd import quad_to_enclosure
 from .targets import TargetSpec, first_digit, z_value
 
 CASE_I = "I"
@@ -251,8 +251,7 @@ class WitnessParams:
                 errs.append("window inequality n(1 - eps) <= m ell <= n fails")
             a1 = first_digit(p.spec, p.n)
             lo_e = rd.exp_(enclose(p.n * (p.rate - p.eps)))
-            hi_e = rd.exp_(enclose(p.n * (p.rate + p.eps)))
-            if not (lo_e.certified_le(a1) and hi_e.certified_ge(a1)):
+            if not (lo_e.certified_le(a1) and _closing_scale(p).certified_ge(a1)):
                 errs.append("a1(z_n) falls outside the e^(n(rate -+ eps)) window")
             if p.case == CASE_II:
                 # block weight <= q^(-2s) needs e^(rate(1-s)) <= B^s
@@ -294,18 +293,30 @@ class FundamentalInterval:
         return self.lo <= x <= self.hi
 
 
+def _block_prefix(p: WitnessParams, blocks) -> Word:
+    """u~ followed by the digits of the given blocks."""
+    return p.u_tilde + tuple(d for blk in blocks for d in blk)
+
+
+def _closing_scale(p: WitnessParams) -> Enclosure:
+    """B^(nt) in case I, e^(n(rate+eps)) otherwise: the scale of the closing
+    digit's window (cases I, II) and the top of a1(z_n)'s window (II, III)."""
+    if p.case == CASE_I:
+        return rd.powr(enclose(p.B), p.n * p.t)
+    return rd.exp_(enclose(p.n * (p.rate + p.eps)))
+
+
 def _last_entries(params: WitnessParams):
     p = params
+    if p.case == CASE_III:
+        return (first_digit(p.spec, p.n),)
+    e = _closing_scale(p)
     if p.case == CASE_I:
-        e = rd.powr(enclose(p.B), p.n * p.t)
         lo_v, hi_v = rd.raw_fraction(e.hi._mpf_), 2 * rd.raw_fraction(e.lo._mpf_)
         what = "[B^(nt), 2 B^(nt)]"
-    elif p.case == CASE_II:
-        e = rd.exp_(enclose(p.n * (p.rate + p.eps)))
+    else:
         lo_v, hi_v = 2 * rd.raw_fraction(e.hi._mpf_), 3 * rd.raw_fraction(e.lo._mpf_)
         what = "[2 e^(n(rate+eps)), 3 e^(n(rate+eps))]"
-    else:
-        return (first_digit(p.spec, p.n),)
     b = math.ceil(lo_v)
     b += b % 2
     top = math.floor(hi_v)
@@ -316,16 +327,16 @@ def _last_entries(params: WitnessParams):
 
 
 def _core_interval(prefix: Word, last: int, params: WitnessParams):
-    """Conservative sub-interval of the hit set, no extremal solving."""
+    """Conservative sub-interval of the hit set, no extremal solving: the
+    J-interval ball of radius R around Tz_n (Tz_n = 0 for the zero target),
+    clipped to [0, 1], mapped into the cylinder of prefix + (last,)."""
     p = params
-    z, a1, tz = z_value(p.spec, p.n)
+    _, a1, tz = z_value(p.spec, p.n)
     Bn = p.B**p.n
     if a1 is math.inf:
-        t0, t1 = Fraction(0), Fraction(last, 2 * Bn)
+        R = Fraction(last, 2 * Bn)
     elif last == a1:
-        R = sqrt_value(Fraction(1, Bn)) * a1 / 2
-        t0 = tz - R if _sign(tz - R) > 0 else Fraction(0)
-        t1 = tz + R if _sign(tz + R - 1) < 0 else Fraction(1)
+        R = _b_pow_half(p.B, p.n) * a1 / 2
     else:
         d = abs(a1 - last)
         if d == 1:
@@ -333,9 +344,7 @@ def _core_interval(prefix: Word, last: int, params: WitnessParams):
                 "guaranteed core needs |a1(z_n) - last| >= 2; keep exact solving on"
             )
         R = Fraction(a1 * last, 2 * d * Bn)
-        t0 = tz - R if _sign(tz - R) > 0 else Fraction(0)
-        t1 = tz + R if _sign(tz + R - 1) < 0 else Fraction(1)
-    return _map_piece(prefix + (last,), t0, t1)
+    return _map_piece(prefix + (last,), *_clip_ball(tz, R))
 
 
 def _carve(prefix: Word, last: int, params: WitnessParams, exact: bool):
@@ -364,9 +373,8 @@ def _floor_enclosure(params: WitnessParams, qn: int, last: int) -> Enclosure:
             rd.exp_(enclose(2 * p.n * p.eps)),
         )
     else:
-        half = sqrt_value(Fraction(1, p.B**p.n))
-        root = enclose(half) if isinstance(half, Fraction) else quad_to_enclosure(half, 128)
-        return rd.div(root, enclose(4 * qn * qn * last))
+        half = quad_to_enclosure(_b_pow_half(p.B, p.n), 128)
+        return rd.div(half, enclose(4 * qn * qn * last))
     return rd.div(enclose(1), den)
 
 
@@ -386,7 +394,7 @@ def enumerate_fundamental(params: WitnessParams, *, exact=True, budget=20_000):
         raise BudgetExceeded(f"{total} fundamental intervals exceed budget {budget}")
     out = []
     for combo in iter_product(blocks, repeat=p.m):
-        prefix = p.u_tilde + tuple(d for blk in combo for d in blk)
+        prefix = _block_prefix(p, combo)
         qn = continuants(prefix).q(p.n)
         for last in lasts:
             lo, hi, was_exact = _carve(prefix, last, p, exact)
@@ -488,28 +496,19 @@ class WitnessMeasure:
         return min(gaps) if gaps else self.root_length
 
 
-def _raw_block_weight(params: WitnessParams, q: int) -> Fraction:
-    p = params
-    s = (p.s_lo + p.s_hi) / 2
-    extra = _block_factor(p.case, p.ell, p.B, p.rate, s, rd.PREC)
-    return Fraction(rd.mul(rd.powr(enclose(q), -2 * s), extra).mid_float)
-
-
 def build_witness(params: WitnessParams, *, exact=True, budget=20_000) -> WitnessMeasure:
     """Enumerate the family and attach the normalized product measure."""
-    intervals = tuple(enumerate_fundamental(params, exact=exact, budget=budget))
-    raw = {a: _raw_block_weight(params, _q_of(a)) for a in _block_words(params.ell, params.M)}
+    p = params
+    intervals = tuple(enumerate_fundamental(p, exact=exact, budget=budget))
+    s = (p.s_lo + p.s_hi) / 2
+    factor = _block_factor(p.case, p.ell, p.B, p.rate, s, rd.PREC)
+    raw = {a: Fraction(rd.mul(rd.powr(enclose(_q_of(a)), -2 * s), factor).mid_float)
+           for a in _block_words(p.ell, p.M)}
     total = sum(raw.values())
     block_weights = {a: w / total for a, w in raw.items()}
     lasts = sorted({F.last for F in intervals})
     last_weights = {b: Fraction(1, len(lasts)) for b in lasts}
-    p = params
-    if p.case == CASE_I:
-        per = rd.div(enclose(2), rd.powr(enclose(p.B), p.n * p.t)).mid_float
-    elif p.case == CASE_II:
-        per = rd.div(enclose(2), rd.exp_(enclose(p.n * (p.rate + p.eps)))).mid_float
-    else:
-        per = 1.0
+    per = 1.0 if p.case == CASE_III else rd.div(enclose(2), _closing_scale(p)).mid_float
     return WitnessMeasure(
         params,
         intervals,
@@ -588,25 +587,28 @@ class GapReport:
     verdict: str
 
 
+def _floors(p: WitnessParams, F: FundamentalInterval) -> tuple:
+    """The separation lemma's floors at F: ([|I_(k+ell0+d*ell)| / (2(M+2)^4)
+    for d = 1..m], |I_(n+1)| / c), the cylinders those of F's first d blocks
+    and of F's own word, c = 32, 18 or 2(M+2)^4 for case I, II or III."""
+    const4 = 2 * (p.M + 2) ** 4
+    blocks = [cylinder(_block_prefix(p, F.blocks[:d])).length / const4
+              for d in range(1, p.m + 1)]
+    last_div = {CASE_I: 32, CASE_II: 18, CASE_III: const4}[p.case]
+    return blocks, cylinder(F.word).length / last_div
+
+
 def gap_check(intervals, params: WitnessParams) -> GapReport:
     """Exact pairwise distances against the separation lemma's floors.
 
     Pairs differing first in block p must sit |I_(k+ell0+p*ell)| / (2(M+2)^4)
     apart; pairs differing only in the closing digit get |I_(n+1)| / 32
-    (first family) or / 18 (second).  The cylinder floor is evaluated for
-    both members and the larger one is required.
+    (first family) or / 18 (second).  The floor is evaluated for both
+    members (_floors) and the larger one is required.
     """
     p = params
-    const4 = 2 * (p.M + 2) ** 4
-    last_div = 32 if p.case == CASE_I else 18
-    lengths = {}
-
-    def cyl_len(word):
-        if word not in lengths:
-            lengths[word] = cylinder(word).length
-        return lengths[word]
-
     ordered = sorted(intervals, key=lambda F: F.lo)
+    floors = {F.address: _floors(p, F) for F in ordered}
     failures = []
     min_margin = None
     worst = None
@@ -623,16 +625,10 @@ def gap_check(intervals, params: WitnessParams) -> GapReport:
                 if p.case == CASE_III:
                     raise InvalidWitness("case III admits a single closing digit")
                 last_pairs += 1
-                required = max(cyl_len(A.word), cyl_len(Bv.word)) / last_div
+                required = max(floors[A.address][1], floors[Bv.address][1])
             else:
                 block_pairs += 1
-                required = (
-                    max(
-                        cyl_len(p.u_tilde + sum(A.blocks[: diff_p + 1], ())),
-                        cyl_len(p.u_tilde + sum(Bv.blocks[: diff_p + 1], ())),
-                    )
-                    / const4
-                )
+                required = max(floors[A.address][0][diff_p], floors[Bv.address][0][diff_p])
             margin = dist / required
             if min_margin is None or margin < min_margin:
                 min_margin, worst = margin, (A.address, Bv.address)
@@ -684,9 +680,9 @@ def mass_bounds_check(witness: WitnessMeasure, *, prec=RATIO_PREC) -> MassBounds
     for depth in range(p.m + 1):
         for combo in iter_product(blocks, repeat=depth):
             cylinders += 1
-            word = p.u_tilde + tuple(d for blk in combo for d in blk)
+            word = _block_prefix(p, combo)
             mass = witness.weight(combo)
-            q = continuants(word).q(len(word))
+            q = _q_of(word)
             ratio = rd.mul(
                 rd.mul(enclose(mass), rd.powr(enclose(q), 2 * t, prec), prec), L0t, prec
             )
@@ -749,22 +745,17 @@ def holder_samples(witness: WitnessMeasure, count: int, seed: int):
         raise ValueError(f"holder sample count must be >= 1, got {count}")
     p = witness.params
     rng = random.Random(seed)
-    const4 = 2 * (p.M + 2) ** 4
     L0 = witness.root_length
     min_gap = witness.min_gap()
-    last_div = {CASE_I: 32, CASE_II: 18, CASE_III: const4}[p.case]
     bands_of = {}
     for F in witness.intervals:
         key = F.blocks
         if key not in bands_of:
-            tops = [L0]
-            for depth in range(1, p.m + 1):
-                word = p.u_tilde + tuple(d for blk in F.blocks[:depth] for d in blk)
-                tops.append(cylinder(word).length / const4)
+            block_floors, low = _floors(p, F)
+            tops = [L0] + block_floors
             bands = [(L0, 2 * L0)]
             for a, b in zip(tops[1:], tops):
                 bands.append((a, b))
-            low = cylinder(F.word).length / last_div
             bands.append((low, tops[-1]))
             bands.append((low / 10, low))
             bands.append((min_gap / 20, min_gap / 2))

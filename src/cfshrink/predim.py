@@ -192,9 +192,10 @@ def select_sn(s1: Enclosure, s2: Enclosure, s3: Enclosure, refine=None):
     AmbiguousBranch is raised.
     """
     for round_ in (0, 1):
-        if s1.hi <= s2.lo:
+        le = _tri_le(s1, s2)
+        if le is True:
             return s1, CASE_S1
-        if s1.lo > s2.hi:
+        if le is False:
             return rd.imax(s2, s3), CASE_MAX_S2_S3
         if refine is not None and round_ == 0:
             s1, s2, s3 = refine()
@@ -207,17 +208,10 @@ def select_sn(s1: Enclosure, s2: Enclosure, s3: Enclosure, refine=None):
 
 
 def _tri_le(a: Enclosure, b: Enclosure):
+    """a <= b, three-valued: True or False when certified, else None."""
     if a.hi <= b.lo:
         return True
     if a.lo > b.hi:
-        return False
-    return None
-
-
-def _tri_lt(a: Enclosure, b: Enclosure):
-    if a.hi < b.lo:
-        return True
-    if a.lo >= b.hi:
         return False
     return None
 
@@ -233,16 +227,6 @@ def _tri_digit_ge(a1z, e: Enclosure):
     if e.certified_le(a1z):
         return True
     if e.certified_gt(a1z):
-        return False
-    return None
-
-
-def _tri_digit_lt(a1z, e: Enclosure):
-    if a1z == math.inf:
-        return False
-    if e.certified_gt(a1z):
-        return True
-    if e.certified_le(a1z):
         return False
     return None
 
@@ -268,11 +252,12 @@ def threshold_check(result: PredimResult) -> tuple:
         return rd.powr(base, rd.mul(enclose(scale), s))
 
     hyp12 = _tri_le(result.s1, result.s2)
-    hyp3 = _tri_lt(result.s2, result.s3)
+    hyp3 = _tri_not(_tri_le(result.s3, result.s2))  # s2 < s3
     return (
         _implication(hyp12, _tri_digit_ge(a1z, bpow(Fraction(n), result.s1))),
-        _implication(_tri_not(hyp12), _tri_digit_lt(a1z, bpow(Fraction(n), result.s2))),
-        _implication(hyp3, _tri_digit_lt(a1z, bpow(Fraction(n, 2), result.s3))),
+        _implication(_tri_not(hyp12),
+                     _tri_not(_tri_digit_ge(a1z, bpow(Fraction(n), result.s2)))),
+        _implication(hyp3, _tri_not(_tri_digit_ge(a1z, bpow(Fraction(n, 2), result.s3)))),
         _implication(_tri_not(hyp3), _tri_digit_ge(a1z, bpow(Fraction(n, 2), result.s2))),
     )
 
@@ -280,12 +265,17 @@ def threshold_check(result: PredimResult) -> tuple:
 def predim_result(n: int, B, a1z, *, M=None, tol: float = 1e-4) -> PredimResult:
     """Solve all three kinds at level n, select the branch, check thresholds.
 
-    When an equation's sum exceeds 1 even at s = 1 the root is taken to be
-    1 (the infimum convention) and a flag records which kind was clipped.
-    A finite first digit can be clipped too, not only a1z = +inf (whose
-    conventional s2 = 1, s3 = 0 come unflagged from solve_predim): at n = 1,
-    B = 2, a1z = 1 the kind-3 sum at s = 1 is zeta(2) / sqrt(2) ~ 1.163.
-    The reported value is then min(root, 1) = 1; the true root lies above 1.
+    A root outside [LEFT_EDGE, 1] is flagged.  s{k}_no_root_in_unit_interval:
+    the sum exceeds 1 even at s = 1, and the root is taken to be 1 (the
+    infimum convention).  A finite first digit can be clipped too, not only
+    a1z = +inf (whose conventional s2 = 1, s3 = 0 come unflagged from
+    solve_predim): at n = 1, B = 2, a1z = 1 the kind-3 sum at s = 1 is
+    zeta(2) / sqrt(2) ~ 1.163.  The reported value is then min(root, 1) = 1;
+    the true root lies above 1.  s{k}_root_below_left_edge, kinds 2 and 3:
+    the sum is certified <= 1 at LEFT_EDGE, so the root is enclosed by
+    [0, LEFT_EDGE] on a finite alphabet (the sum at s = 0 is a1z |A|^n or
+    |A|^n >= 1) and by [1/2, LEFT_EDGE] on the full one (the sum diverges at
+    s = 1/2).  Kind 1 still raises NoRoot: its root decides the branch.
     """
     flags = []
 
@@ -293,10 +283,15 @@ def predim_result(n: int, B, a1z, *, M=None, tol: float = 1e-4) -> PredimResult:
         try:
             return solve_predim(n, B, kind, a1z, M=M, tol=solve_tol)
         except NoRootInUnitInterval:
-            flag = f"s{kind}_no_root_in_unit_interval"
-            if flag not in flags:
-                flags.append(flag)
-            return enclose(1)
+            flag, value = f"s{kind}_no_root_in_unit_interval", enclose(1)
+        except NoRoot:
+            if kind == 1:
+                raise
+            flag = f"s{kind}_root_below_left_edge"
+            value = rd.from_f64(0.0 if M is not None else 0.5, LEFT_EDGE)
+        if flag not in flags:
+            flags.append(flag)
+        return value
 
     s1 = solve(1, tol)
     s2 = solve(2, tol)

@@ -43,14 +43,16 @@ _S_LO, _S_HI = 0.02, 1.49
 class PotentialSpec:
     """-s log|T'| plus the per-level constant picked by `kind`.
 
-    PHI1: -s^2 log B; PHI2: -s log B + (1-s) alpha; PHI3: -(s/2) log B - s beta.
+    PHI1: -s^2 log B; PHI2: -s log B + (1-s) rate; PHI3: -(s/2) log B - s rate.
+    rate is the growth rate of log a1(z_n)/n (`targets.growth_rate`), which
+    the paper calls alpha in the second potential and beta in the third;
+    PHI1 reads none.
     """
 
     kind: str
     s: float
     B: object
-    alpha: object = None
-    beta: object = None
+    rate: object = None
 
     def __post_init__(self):
         if self.kind not in (PHI1, PHI2, PHI3):
@@ -59,16 +61,15 @@ class PotentialSpec:
             raise ValueError("exponent s must be positive")
         if Fraction(self.B) <= 1:
             raise ValueError("base B must exceed 1")
-        name = {PHI2: "alpha", PHI3: "beta"}.get(self.kind)  # the rate the kind reads
+        name = {PHI2: "alpha", PHI3: "beta"}.get(self.kind)  # the paper's name for the rate
         if name is not None:
-            rate = getattr(self, name)
-            if rate is None:
+            if self.rate is None:
                 raise ValueError(f"{self.kind} needs a growth rate {name}")
-            if not math.isfinite(rate):
-                raise ValueError(f"growth rate {name} must be finite, got {rate!r}")
-        if self.kind == PHI3 and float(self.beta) > 0.5 * math.log(self.B) + 1e-12:
+            if not math.isfinite(self.rate):
+                raise ValueError(f"growth rate {name} must be finite, got {self.rate!r}")
+        if self.kind == PHI3 and float(self.rate) > 0.5 * math.log(self.B) + 1e-12:
             warnings.warn(
-                f"beta = {float(self.beta):.6g} exceeds (log B)/2; the third "
+                f"beta = {float(self.rate):.6g} exceeds (log B)/2; the third "
                 "potential is normally used below that rate",
                 stacklevel=2,
             )
@@ -79,7 +80,7 @@ def log_weight(kind: int, n: int, s, B, growth=None, prec: int = rd.PREC) -> Enc
 
     kind 1: -n s^2 log B;  kind 2: (1-s) G - n s log B;  kind 3: -s G - (n/2) s log B.
     G is the growth term, an Enclosure or an exact number: log a1(z_n) for
-    the level roots, the rate alpha or beta at n = 1 for pressure, ell times
+    the level roots, the growth rate at n = 1 for pressure, ell times
     the rate for the block measures.  Kind 1 reads no growth.
     """
     s = Fraction(s)
@@ -122,7 +123,6 @@ class PressureEstimate:
     x0_values: tuple
     ratios: tuple
     extrapolated: float
-    certified: bool = True
 
 
 @dataclass(frozen=True)
@@ -275,8 +275,7 @@ def pressure_estimate(
     route = _route(alpha, depth, method)
 
     xe = quad_to_enclosure(x_min_value(alpha))
-    c = log_weight(_KIND[phi.kind], 1, phi.s, phi.B,
-                   phi.beta if phi.kind == PHI3 else phi.alpha)
+    c = log_weight(_KIND[phi.kind], 1, phi.s, phi.B, phi.rate)
     sup_vals, x0_vals, log_sups = [], [], []
     for n, (sup_raw, x0_raw) in enumerate(_sums(route, depth, phi.s, xe), start=1):
         nc = rd.mul(enclose(n), c)
@@ -302,7 +301,7 @@ def pressure_estimate(
 def pressure_root(
     kind: str,
     B,
-    alpha_or_beta,
+    rate,
     A,
     depth: int = 8,
     tol: float = 1e-3,
@@ -331,12 +330,12 @@ def pressure_root(
     alpha = _norm_alphabet(A)
     if depth < 2:
         raise ValueError("depth must be >= 2 for a ratio root")
-    PotentialSpec(kind, _S_HI, B, alpha=alpha_or_beta, beta=alpha_or_beta)  # validates once
+    PotentialSpec(kind, _S_HI, B, rate)  # validates once
     k = _KIND[kind]
     route = _route(alpha, depth, "auto")
 
     def ratio(s: float) -> float:
-        c = log_weight_float(k, 1, s, B, alpha_or_beta)
+        c = log_weight_float(k, 1, s, B, rate)
         lo = _x0_estimate(route, depth - 1, s)
         hi = _x0_estimate(route, depth, s)
         return math.log(hi) - math.log(lo) + c
@@ -360,7 +359,7 @@ def pressure_root(
     def twin(s: float) -> float:
         """Float twin of value(s), not certified."""
         return (math.log(_x0_estimate(route, depth, s))
-                + depth * log_weight_float(k, 1, s, B, alpha_or_beta)) / depth
+                + depth * log_weight_float(k, 1, s, B, rate)) / depth
 
     gap = 0.0  # largest distance from twin(s) to value(s) seen in this call
 
@@ -368,7 +367,7 @@ def pressure_root(
         """(1/n) log Sigma_n^(x0) at exponent s and n = depth, certified."""
         nonlocal gap
         log_sig = rd.add(rd.log_(_x0_sum(route, depth, s)),
-                         rd.mul(enclose(depth), log_weight(k, 1, s, B, alpha_or_beta)))
+                         rd.mul(enclose(depth), log_weight(k, 1, s, B, rate)))
         v = rd.div(log_sig, enclose(depth))
         w = twin(s)
         gap = max(gap, v.hi_float - w, w - v.lo_float)

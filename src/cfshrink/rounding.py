@@ -148,12 +148,6 @@ def _mk(lot, hit) -> Enclosure:
     return Enclosure(make_mpf(lot), make_mpf(hit))
 
 
-def _coerce(x) -> Enclosure:
-    if isinstance(x, Enclosure):
-        return x
-    return enclose(x)
-
-
 def enclose(x, prec: int = PREC) -> Enclosure:
     """Tightest enclosure of an int, float, Fraction or mpf at prec.
 
@@ -299,7 +293,7 @@ def pow_int(a: Enclosure, k: int, prec: int = PREC) -> Enclosure:
 
 def powr(a: Enclosure, t, prec: int = PREC) -> Enclosure:
     """a**t for a > 0 and real t (Enclosure, Fraction, int or float)."""
-    t = _coerce(t)
+    t = enclose(t)
     if t.lo == t.hi:
         k = int(t.lo)
         if make_mpf(from_int(k)) == t.lo:

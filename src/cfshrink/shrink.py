@@ -172,12 +172,15 @@ def _b_pow_half(B, n: int):
 
 
 def _clip_ball(center, radius) -> tuple:
-    """[center - radius, center + radius] clipped to [0, 1], or None."""
+    """[center - radius, center + radius] clipped to [0, 1], or None.
+
+    An end at or past 0 or 1 becomes the exact Fraction(0) or Fraction(1),
+    never a zero-valued Quad."""
     lo = center - radius
     hi = center + radius
-    if _sign(lo) < 0:
+    if _sign(lo) <= 0:
         lo = Fraction(0)
-    if _sign(hi - 1) > 0:
+    if _sign(hi - 1) >= 0:
         hi = Fraction(1)
     if _sign(hi - lo) <= 0:
         return None
@@ -409,7 +412,7 @@ def cover_svolume(n: int, B, spec: TargetSpec, s: float, M=None, *,
         predim = predim_mod.predim_result(n, B, a1z, M=M, tol=1e-3)
     lam = sums.lambda_enclosure(n, s, alphabet_max=M, level=level)
 
-    if predim.branch == "CASE_S1":
+    if predim.branch == predim_mod.CASE_S1:
         # truncation piece: one residual interval per word holds every
         # cylinder with a_{n+1} > B^{n s1}/2, length ~ B^{-n s1} q_n^{-2};
         # the kept digits sum to ~ B^{n s1 (1-s)} B^{-ns} per word

@@ -32,16 +32,6 @@ class Quad:
         if self.D <= 0 or _is_square(self.D):
             raise ValueError(f"D must be a positive nonsquare, got {self.D}")
 
-    # -- construction ------------------------------------------------------
-
-    @staticmethod
-    def of(x, D: int) -> "Quad":
-        if isinstance(x, Quad):
-            if x.D != D:
-                raise ValueError(f"field mismatch: sqrt({x.D}) vs sqrt({D})")
-            return x
-        return Quad(Fraction(x), Fraction(0), D)
-
     # -- exact sign and comparisons ---------------------------------------
 
     def sign(self) -> int:
@@ -156,11 +146,10 @@ class Quad:
         return f"Quad({self.a} + {self.b}*sqrt({self.D}))"
 
 
-def sqrt_value(x, prefer_d: int | None = None):
+def sqrt_value(x):
     """sqrt of a nonnegative rational, exact: Fraction when square, else Quad.
 
-    sqrt(p/q) = sqrt(p*q)/q; if prefer_d is given and p*q = c^2 * prefer_d,
-    the result is expressed in Q(sqrt(prefer_d)).
+    sqrt(p/q) = sqrt(p*q)/q.
     """
     x = Fraction(x)
     if x < 0:
@@ -170,11 +159,6 @@ def sqrt_value(x, prefer_d: int | None = None):
     r = isqrt(m)
     if r * r == m:
         return Fraction(r, q)
-    if prefer_d is not None and prefer_d > 0 and m % prefer_d == 0:
-        c2 = m // prefer_d
-        c = isqrt(c2)
-        if c * c == c2:
-            return Quad(Fraction(0), Fraction(c, q), prefer_d)
     # strip the largest easily found square factor to keep D small
     d = m
     c = 1

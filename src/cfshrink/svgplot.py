@@ -44,8 +44,10 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def line_plot(series, *, title="", xlabel="", ylabel="", width=720, height=440) -> str:
-    """SVG document for [(label, [(x, y), ...]), ...]; empty series are skipped."""
+def line_plot(series, *, title="", xlabel="", ylabel="") -> str:
+    """720 x 440 SVG document for [(label, [(x, y), ...]), ...]; empty series
+    are skipped."""
+    width, height = 720, 440
     series = [(label, [(float(x), float(y)) for x, y in pts]) for label, pts in series]
     pts_all = [p for _, pts in series for p in pts]
     if not pts_all:

@@ -19,7 +19,6 @@ from .errors import PrecisionExhausted, UndefinedForZeroTarget
 from .surd import Quad, sqrt_value
 
 ZERO = "ZERO"
-CONSTANT = "CONSTANT"
 PERIODIC_IN_N = "PERIODIC_IN_N"
 EXP_FIRST_DIGIT = "EXP_FIRST_DIGIT"
 
@@ -35,14 +34,14 @@ class TargetSpec:
     """Description of the sequence {z_n}.
 
     family ZERO: z_n = 0, a1 = +inf by convention.
-    family CONSTANT: z_n = z given by digits pre + repeating period.
-    family PERIODIC_IN_N: cycle of CONSTANT descriptions, indexed by n.
+    family PERIODIC_IN_N: a cycle of (pre, period) digit descriptions,
+    z_n given by the entry at (n - 1) mod the cycle length; each entry is
+    the digits pre followed by period repeated forever.  A constant target
+    is a cycle of one.
     family EXP_FIRST_DIGIT: a1(z_n) = max(1, round(e^(gamma n))), then tail.
     """
 
     family: str
-    pre: Word = ()
-    period: Word = ()
     cycle: tuple = ()
     gamma: object = None
     tail: Word = ()
@@ -54,10 +53,8 @@ class TargetSpec:
 
     @classmethod
     def constant(cls, pre, period=()) -> "TargetSpec":
-        pre, period = _check_digits(pre), _check_digits(period)
-        if not pre and not period:
-            raise ValueError("constant target needs at least one digit (use zero())")
-        return cls(CONSTANT, pre=pre, period=period)
+        """z_n = [0; pre, period, period, ...] for every n: a cycle of one."""
+        return cls.periodic_in_n([(pre, period)])
 
     @classmethod
     def periodic_in_n(cls, descriptions) -> "TargetSpec":
@@ -100,8 +97,9 @@ def _purely_periodic_value(c: Word) -> Quad:
 
 
 def _const_value(pre: Word, period: Word):
+    """[0; pre, period, period, ...], and 0 for the empty description."""
     if not period:
-        return eval_word(pre, Fraction(0))
+        return eval_word(pre, Fraction(0)) if pre else Fraction(0)
     y = _purely_periodic_value(period)
     return eval_word(pre, y) if pre else y
 
@@ -146,28 +144,14 @@ def z_value(spec: TargetSpec, n: int):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    a1 = first_digit(spec, n)
     if spec.family == ZERO:
-        return Fraction(0), math.inf, Fraction(0)
-    if spec.family == CONSTANT:
-        pre, period = spec.pre, spec.period
-    elif spec.family == PERIODIC_IN_N:
+        return Fraction(0), a1, Fraction(0)
+    if spec.family == EXP_FIRST_DIGIT:
+        pre, period = (a1,) + spec.tail, ()
+    else:
         pre, period = spec.cycle[(n - 1) % len(spec.cycle)]
-    elif spec.family == EXP_FIRST_DIGIT:
-        a1 = _exp_digit(spec, n)
-        z = eval_word((a1,) + spec.tail, Fraction(0))
-        tz = eval_word(spec.tail, Fraction(0)) if spec.tail else Fraction(0)
-        return z, a1, tz
-    else:
-        raise ValueError(f"unknown target family {spec.family!r}")
-
-    a1 = pre[0] if pre else period[0]
-    z = _const_value(pre, period)
-    s_pre, s_period = _shift_description(pre, period)
-    if not s_pre and not s_period:
-        tz = Fraction(0)
-    else:
-        tz = _const_value(s_pre, s_period)
-    return z, a1, tz
+    return _const_value(pre, period), a1, _const_value(*_shift_description(pre, period))
 
 
 def first_digit(spec: TargetSpec, n: int):
@@ -176,31 +160,25 @@ def first_digit(spec: TargetSpec, n: int):
         return math.inf
     if spec.family == EXP_FIRST_DIGIT:
         return _exp_digit(spec, n)
-    if spec.family == CONSTANT:
-        return spec.pre[0] if spec.pre else spec.period[0]
+    if spec.family != PERIODIC_IN_N:
+        raise ValueError(f"unknown target family {spec.family!r}")
     pre, period = spec.cycle[(n - 1) % len(spec.cycle)]
     return pre[0] if pre else period[0]
 
 
-def alpha_beta(spec: TargetSpec, window) -> tuple[float, float]:
+def growth_rate(spec: TargetSpec) -> float:
     """Limit growth rate of log a1(z_n)/n, the per-level growth term of
     `pressure.log_weight` (whose G at level n is n times this rate).
 
     It is gamma for exp:gamma, (log B)/2 for exp:half and 0 for constant
-    and periodic targets.  The window is read only to reject an empty one.
-    The same rate serves as alpha (second-branch potential) and beta
-    (third-branch potential); both entries are returned for callers that
-    name them differently.
+    and periodic targets; the second- and third-branch potentials both
+    read it.
     """
-    window = list(window)
-    if not window:
-        raise ValueError("window must be nonempty")
     if spec.family == ZERO:
         raise UndefinedForZeroTarget("a1(z_n) = +inf for the zero target")
     if spec.family == EXP_FIRST_DIGIT:
         g = spec.gamma
-        rate = 0.5 * math.log(g[1]) if isinstance(g, tuple) else float(g)
-        return rate, rate
-    if spec.family in (CONSTANT, PERIODIC_IN_N):
-        return 0.0, 0.0
+        return 0.5 * math.log(g[1]) if isinstance(g, tuple) else float(g)
+    if spec.family == PERIODIC_IN_N:
+        return 0.0
     raise ValueError(f"unknown target family {spec.family!r}")

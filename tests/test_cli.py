@@ -4,6 +4,7 @@ import csv
 import json
 import xml.dom.minidom
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,22 @@ def read_json(path):
     """Parse an artifact as strict JSON: NaN and Infinity are errors."""
     with open(path) as fh:
         return json.load(fh, parse_constant=_reject_constant)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv", [
+    ["predim", "--M", "5", "--n", "1..2"],
+    ["sstar", "--M", "5", "--n", "2..3"],
+    ["cover", "--M", "5", "--n", "2..3", "--s", "0.8"],
+], ids=lambda argv: argv[0])
+def test_table_artifacts_keep_their_text(argv, tmp_path):
+    """The CSV and JSON text of each row-table subcommand, pinned byte for byte."""
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    for ext in ("csv", "json"):
+        name = f"{argv[0]}.{ext}"
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 class TestParsing:
@@ -109,6 +126,15 @@ class TestPredim:
             err = json.loads(capsys.readouterr().out.splitlines()[-1])
             assert err["error"]["type"] == "ValueError"
             assert key in err["error"]["message"]
+
+    def test_root_below_left_edge_is_flagged(self, tmp_path):
+        assert main(["predim", "--target", "exp:40", "--n", "1..1",
+                     "--out", str(tmp_path)]) == 0
+        (row,) = read_csv(tmp_path / "predim.csv")
+        assert row["flags"] == "s3_root_below_left_edge"
+        assert (row["s3_lo"], row["s3_hi"]) == ("0.0", "0.5055")
+        assert read_json(tmp_path / "predim.json")["rows"][0]["flags"] == [
+            "s3_root_below_left_edge"]
 
 
 class TestSstar:

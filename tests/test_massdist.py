@@ -34,6 +34,7 @@ from cfshrink import (
     holder_check,
     holder_limit,
     holder_samples,
+    j_interval_bounds,
     mass_bounds_check,
     measure_of,
     membership_spotcheck,
@@ -322,6 +323,15 @@ class TestEnumerate:
         for C in enumerate_fundamental(p, exact=False):
             E = exact[C.word]
             assert E.lo <= C.lo < C.hi <= E.hi
+
+    def test_guaranteed_core_sits_inside_the_j_interval_cover(self, w_iii):
+        # the inner ball (the guaranteed core) lies in the outer one (the J-bound cover)
+        p = w_iii.params
+        for F in w_iii.intervals:
+            prefix = F.word[:-1]
+            lo, hi = md._core_interval(prefix, F.last, p)
+            cover = j_interval_bounds(prefix, F.last, p.spec, p.B, p.n).cover_intervals()
+            assert any(a <= lo < hi <= b for a, b in cover), (F.word, lo, hi, cover)
 
     def test_core_rejects_adjacent_digit(self, w_ii):
         # guaranteed core has no closed form when |a1 - last| = 1

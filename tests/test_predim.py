@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from cfshrink import _transfer, sums
@@ -12,6 +13,7 @@ from cfshrink.predim import (
     CASE_MAX_S2_S3,
     CASE_S1,
     FAIL,
+    LEFT_EDGE,
     PASS,
     PredimResult,
     _f_enclosure,
@@ -23,7 +25,7 @@ from cfshrink.predim import (
     threshold_check,
 )
 from cfshrink.rounding import enclose
-from cfshrink.targets import TargetSpec
+from cfshrink.targets import TargetSpec, first_digit
 from test_sums import zeta_enclosure
 
 # independent high-precision bisection on zeta(2s) = B^(s^2), frozen
@@ -347,6 +349,28 @@ class TestPredimResult:
         assert res.s3 == enclose(1)
         assert res.branch == CASE_MAX_S2_S3
         assert res.sn.hi_float == 1.0
+
+    @pytest.mark.parametrize("M, floor", [(20, 0.0), (None, 0.5)])
+    def test_root_below_left_edge_is_enclosed(self, M, floor):
+        # a1z ~ e^40 at n = 1: the kind-3 sum is already below 1 at LEFT_EDGE
+        a1z = first_digit(TargetSpec.exp_first_digit(40), 1)
+        res = predim_result(1, 4, a1z, M=M, tol=1e-3)
+        assert res.flags == ("s3_root_below_left_edge",)
+        assert (res.s3.lo_float, res.s3.hi_float) == (floor, LEFT_EDGE)
+        assert res.branch == CASE_S1
+
+        with mp.workdps(40):
+            def log_f(s):  # log of a1z^(-s) 4^(-s/2) sum_k k^(-2s)
+                lam = mp.zeta(2 * s) if M is None else mp.fsum(
+                    mp.mpf(k) ** (-2 * s) for k in range(1, M + 1))
+                return mp.log(lam) - s * mp.log(a1z) - s * mp.log(2)
+
+            a, b = mp.mpf(floor) + mp.mpf(10) ** -30, mp.mpf(LEFT_EDGE)
+            assert log_f(a) > 0 > log_f(b)
+            for _ in range(120):
+                mid = (a + b) / 2
+                a, b = (mid, b) if log_f(mid) > 0 else (a, mid)
+            assert res.s3.lo <= a and b <= res.s3.hi
 
     def test_zero_target_selects_first_branch(self):
         res = predim_result(2, 4, math.inf, tol=1e-3)

@@ -45,7 +45,7 @@ class TestXmin:
 ])
 def test_potential_rejects_a_nonfinite_rate(kind, name, value):
     with pytest.raises(ValueError, match=f"growth rate {name} must be finite"):
-        pr.PotentialSpec(kind, 0.8, 4, **{name: value})
+        pr.PotentialSpec(kind, 0.8, 4, rate=value)
 
 
 class TestFibonacciClosedForm:
@@ -74,7 +74,7 @@ class TestConstantShift:
         s, B, depth = 0.8, 4, 4
         p1 = pr.pressure_estimate(pr.PotentialSpec(pr.PHI1, s, B), {1, 2, 3}, depth)
         p2 = pr.pressure_estimate(
-            pr.PotentialSpec(pr.PHI2, s, B, alpha=0), {1, 2, 3}, depth
+            pr.PotentialSpec(pr.PHI2, s, B, rate=0), {1, 2, 3}, depth
         )
         shift = (Fraction(4, 5) ** 2 - Fraction(4, 5)) * math.log(B)
         for a, b in zip(p1.sup_values, p2.sup_values):
@@ -85,7 +85,7 @@ class TestConstantShift:
         s, B, depth = 0.75, 2, 3
         p1 = pr.pressure_estimate(pr.PotentialSpec(pr.PHI1, s, B), {1, 2}, depth)
         p3 = pr.pressure_estimate(
-            pr.PotentialSpec(pr.PHI3, s, B, beta=0), {1, 2}, depth
+            pr.PotentialSpec(pr.PHI3, s, B, rate=0), {1, 2}, depth
         )
         shift = (s * s - 0.5 * s) * math.log(B)
         for a, b in zip(p1.x0_values, p3.x0_values):
@@ -422,7 +422,7 @@ class TestValidation:
 
     def test_beta_warning(self):
         with pytest.warns(UserWarning):
-            pr.PotentialSpec(pr.PHI3, 0.7, 4, beta=1.0)
+            pr.PotentialSpec(pr.PHI3, 0.7, 4, rate=1.0)
 
 
 
@@ -517,5 +517,5 @@ class TestVariation:
 
     def test_depends_only_on_exponent(self):
         a = pr.variation_check(pr.PotentialSpec(pr.PHI1, 0.6, 4), 3, {1, 2})
-        b = pr.variation_check(pr.PotentialSpec(pr.PHI3, 0.6, 9, beta=0.1), 3, {1, 2})
+        b = pr.variation_check(pr.PotentialSpec(pr.PHI3, 0.6, 9, rate=0.1), 3, {1, 2})
         assert a.lo_float == b.lo_float and a.hi_float == b.hi_float

@@ -26,25 +26,25 @@ def test_sqrt_value_strips_square_factors():
 def test_golden_ratio_root():
     # x = (sqrt5 - 1)/2 solves x^2 + x - 1 = 0 exactly
     x = Quad(Fraction(-1, 2), Fraction(1, 2), 5)
-    assert (x * x + x - Quad.of(Fraction(1), 5)).sign() == 0
+    assert (x * x + x - Quad(Fraction(1), 0, 5)).sign() == 0
     assert 0.6180339 < float(x) < 0.6180340
 
 
 def test_ordering():
     r2 = Quad(Fraction(0), Fraction(1), 2)
-    assert Quad.of(Fraction(1), 2) < r2 < Quad.of(Fraction(3, 2), 2)
-    assert r2 > Quad.of(Fraction(7, 5), 2)
-    assert r2 < Quad.of(Fraction(3, 2), 2)
+    assert Quad(Fraction(1), 0, 2) < r2 < Quad(Fraction(3, 2), 0, 2)
+    assert r2 > Quad(Fraction(7, 5), 0, 2)
+    assert r2 < Quad(Fraction(3, 2), 0, 2)
 
 
 def test_inverse():
     x = Quad(Fraction(3), Fraction(1), 7)  # 3 + sqrt7
-    assert x * x.inverse() == Quad.of(Fraction(1), 7)
+    assert x * x.inverse() == Quad(Fraction(1), 0, 7)
 
 
 def test_inverse_of_pure_surd():
     x = Quad(Fraction(0), Fraction(1), 5)
-    assert x * x.inverse() == Quad.of(Fraction(1), 5)
+    assert x * x.inverse() == Quad(Fraction(1), 0, 5)
 
 
 def test_enclosure_contains_float():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cfshrink.errors import PrecisionExhausted, UndefinedForZeroTarget
 from cfshrink.surd import Quad
-from cfshrink.targets import TargetSpec, alpha_beta, first_digit, z_value
+from cfshrink.targets import TargetSpec, first_digit, growth_rate, z_value
 
 GOLDEN = 0.6180339887498949  # [0; 1, 1, 1, ...]
 
@@ -67,7 +67,7 @@ class TestZero:
 
     def test_growth_rate_undefined(self):
         with pytest.raises(UndefinedForZeroTarget):
-            alpha_beta(TargetSpec.zero(), [1, 2, 3])
+            growth_rate(TargetSpec.zero())
 
 
 class TestPeriodicInN:
@@ -227,17 +227,13 @@ def test_first_digit_agrees_with_z_value(n):
 class TestGrowthRates:
     def test_exp_rate_is_exact(self):
         g = math.log(2)
-        assert alpha_beta(TargetSpec.exp_first_digit(g), range(1, 8)) == (g, g)
+        assert growth_rate(TargetSpec.exp_first_digit(g)) == g
 
     def test_half_log_rate(self):
-        a, b = alpha_beta(TargetSpec.exp_half_log(9), range(2, 6))
-        assert a == b == pytest.approx(0.5 * math.log(9), abs=1e-15)
+        rate = growth_rate(TargetSpec.exp_half_log(9))
+        assert rate == pytest.approx(0.5 * math.log(9), abs=1e-15)
 
     def test_bounded_digits_rate_zero(self):
-        assert alpha_beta(TargetSpec.constant((), (3,)), [1, 2]) == (0.0, 0.0)
+        assert growth_rate(TargetSpec.constant((), (3,))) == 0.0
         spec = TargetSpec.periodic_in_n([((2,), ()), ((9,), ())])
-        assert alpha_beta(spec, [4]) == (0.0, 0.0)
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            alpha_beta(TargetSpec.constant((1,)), [])
+        assert growth_rate(spec) == 0.0
