@@ -1,4 +1,4 @@
-"""Certified evaluation of continuant power sums by a chord envelope.
+"""Certified evaluation of continuant power sums by a cubic-Hermite envelope.
 
 The identity q_n(a_1..a_n) = prod_k (a_k + r_{k-1}), with r_k the value of
 the reversed prefix [0; a_k, ..., a_1], turns
@@ -16,42 +16,82 @@ with 0 <= c <= 1.  L maps C into itself, because
     (a+r)^{-t} g_c(1/(a+r)) = (a+r+c)^{-t} = (a+c)^{-t} g_{1/(a+c)}(r)
 
 and 1/(a+c) lies in (0, 1].  f = 1 is g_0 and the pressure seed is g_x with
-x = x_min(A) in (0, 1), so every iterate f_k = L^k f is in C.  On r >= 0
-each g_c has g_c' <= 0 and 0 <= g_c'' = t(t+1) c^2 (1+cr)^{-2} g_c <= K g_c
-with K = t(t+1); sums keep all three facts.  So every f_k is nonnegative,
-decreasing and convex on [0, 1], with f_k'' <= K f_k.
+x = x_min(A) in (0, 1), so every iterate f_k = L^k f is in C.  On r >= 0,
+(-1)^k g_c^(k)(r) = (t)_k c^k (1 + c r)^{-t-k} lies in [0, (t)_k g_c(r)],
+with (t)_k = t (t+1) ... (t+k-1); sums keep this.  So every f in C is
+completely monotone on [0, 1], and with p = -f' (the slope):
 
-The envelope.  Upper and lower bounds U_j >= f(j/N) >= L_j are kept at the
-N+1 nodes j/N.  Because f decreases, U is replaced by its running minimum
-from the left and L by its running maximum from the right.  For a node
-interval [y1, y2] of width W and x in it, write x = y1 + lam W.  Convexity
-puts f below its chord there, f(x) <= U(y1) - lam (U(y1) - U(y2)).  The
-interpolation remainder, f(x) - chord = f''(xi)/2 (x - y1)(x - y2), and
-f'' <= K f(y1) <= K U(y1) give f(x) >= L(y1) - lam (L(y1) - L(y2)) -
-lam (1 - lam) W^2/2 K U(y1), and lam (1 - lam) <= 1/4.  One step of L at a
-node r adds one term per digit cell:
+    f decreasing, p >= 0, p decreasing (f'' >= 0), p <= t f,
+    0 <= f'''' <= (t)_4 f.
 
-- singleton a, with x = 1/(a+r) enclosed in [xd, xu]: f(x) <= f(xd), the
-  chord of U at xd on its node interval; f(x) >= f(xu), the lowered chord
-  of L at xu on its node interval (W = h = 1/N).  Both are times the
-  weight (a+r)^{-t};
-- block or tail cell A1..A2: every image x_a = 1/(a+r) lies in one node
-  interval [y1, y2] covering [1/(A2+r), 1/(A1+r)] (y1 = 0 for the tail).
-  With the weights w_a = (a+r)^{-t}, sum_a w_a lam_a = (N S1 - j1 S0)/(j2 - j1)
-  for S0 = sum_a (a+r)^{-t}, S1 = sum_a (a+r)^{-t-1} and y1 = j1/N,
-  y2 = j2/N.  So the cell lies between S0 U(y1) - (U(y1) - U(y2)) M and
-  (L(y1) - K U(y1) W^2/8) S0 - (L(y1) - L(y2)) M, with M = sum_a w_a lam_a
-  enclosed from the two Euler-Maclaurin sums of _cell_sum.
+The envelope.  Bounds L_j <= f(y_j) <= U_j and Pl_j <= p(y_j) <= Pu_j are
+kept at the N+1 nodes y_j = j/N, N a power of 2.  Before each step the
+cone tightens them: U and Pu take their running minima from the left, L and
+Pl their running maxima from the right, L, Pl >= 0 and Pu <= t U.  On a
+node interval [y1, y2] of width W, write x = y1 + lam W and let H be the
+cubic with H = f and H' = f' at both ends:
 
-Each upper term is also capped by the zeroth-order bound S0 U(y1), each
-lower term floored by S0 L(y2), and the cells are added in layout order,
-so every bound lies inside the one the bin max/min envelope of the same
-layout gives.  The error is second order in the node spacing.  Every
-operation is outward-rounded float64.
+    H(x) = f(y1) h00 + f(y2) h01 - W p(y1) h10 + W p(y2) g11,
+    h00 = (1 + 2 lam)(1 - lam)^2,  h01 = lam^2 (3 - 2 lam),
+    h10 = lam (1 - lam)^2,         g11 = lam^2 (1 - lam).
+
+All four weights are >= 0, so corners of the node bounds bound H.
+
+(a) Value.  f(x) - H(x) = f''''(xi)/24 lam^2 (1 - lam)^2 W^4 for some xi in
+[y1, y2] (Hermite's remainder), and 0 <= f''''(xi) <= (t)_4 f(xi) <=
+(t)_4 U(y1).  So H <= f <= H + (t)_4 U(y1) lam^2 (1 - lam)^2 W^4/24: H
+itself is the lower bound.
+
+(b) Slope.  -H'(x) = 6 lam (1 - lam)(f(y1) - f(y2))/W + p(y1)(1 - lam)(1 - 3 lam)
++ p(y2) lam (3 lam - 2).  The error e = f - H vanishes on cubics, so by
+Peano's theorem e'(x) = W^3 int_0^1 k(lam, s) f''''(y1 + s W) ds, with
+
+    2 k(lam, s) = s^2 (1 - lam)(1 - 3 lam + 2 s lam)    for s <= lam,
+    2 k(lam, s) = lam (1 - s)^2 (2 s (1 - lam) - lam)   for s >= lam,
+
+and k(1 - lam, 1 - s) = -k(lam, s), so take lam <= 1/2.  For lam <= 1/3
+both pieces are >= 0 (on s >= lam, 2 s (1 - lam) - lam >= lam (1 - 2 lam)),
+so int |k| = int k = lam (1 - lam)(1 - 2 lam)/12, the slope error of
+x^4/24; its maximum is sqrt(3)/216, at lam = (3 - sqrt(3))/6.  For
+1/3 < lam <= 1/2, k < 0 exactly on s < s0 = (3 lam - 1)/(2 lam), and
+int |k| = int k - 2 int_0^s0 k = lam (1 - lam)(1 - 2 lam)/12 +
+(1 - lam)(3 lam - 1)^4/(96 lam^3).  With u = 1 - 2 lam in [0, 1/3) this is
+u (1 - u^2)/48 + (1 + u)(1 - 3u)^4/(384 (1 - u)^3) <= u/48 + (1 - 2u)/384
+<= 1/128 < sqrt(3)/216, because (1 - 3u)^3 <= (1 - u)^3 and
+(1 + u)(1 - 3u) <= 1 - 2u.  So |p(x) + H'(x)| <= sqrt(3)/216 W^3 (t)_4 U(y1).
+
+One step.  (Lf)(r) = sum_a w_a f(x_a) and p_Lf(r) = sum_a w_a x_a (t f(x_a)
+- x_a p(x_a)), with w_a = (a+r)^{-t} and x_a = 1/(a+r); the bracket lies in
+[t f (1 - x), t f].  Steps run at the nodes r = j/N, and per digit cell:
+
+- singleton a: a + r is an exact float, so w_a is enclosed at a point, and
+  x_a lies in [xd, xu].  f and p decrease, so f(x_a) <= (a) at xd,
+  f(x_a) >= H at xu, p(x_a) <= (b) at xd and p(x_a) >= (b) at xu; each
+  end reads its own node interval, so a node between xd and xu is no
+  trouble.  Each bound is also clamped by the node bounds of its
+  interval, which hold by monotonicity;
+- block or tail A1..A2 with A1 >= N: every x_a lies in [0, 1/N], the first
+  node interval, at lam_a = N/(a+r).  The sums M_k = sum_a w_a lam_a^k =
+  N^k sum_a (a+r)^{-t-k}, k = 0..4, come from _cell_sum, and every weight
+  sum (a) needs is a combination of them: sum w h00 = M0 - 3 M2 + 2 M3,
+  sum w h01 = 3 M2 - 2 M3, sum w h10 = M1 - 2 M2 + M3, sum w g11 = M2 - M3
+  and sum w lam^2 (1 - lam)^2 = M2 - 2 M3 + M4; with one more factor lam
+  (the t f part of the slope, sum_a w_a x_a f(x_a) = W sum w lam f) every
+  index moves up by one, and the remainder keeps the bound without it
+  (lam <= 1).  The x p part is sum_a w_a x_a^2 p(x_a) = W^2 sum w lam^2 p
+  with p between its node bounds at 1/N and 0.  That is first order, but
+  M2 is of size N^{1-t}, so its error is about t N^{-2-t} f, and it
+  reaches the values only through the W p terms of H: below the W^4
+  remainder for t >= 1.
+
+Both bounds of each cell are clamped by the zeroth-order ones (f between
+f(y2) and f(y1) on a node interval).  Every operation is outward-rounded
+float64; the cells are summed pairwise, each point on its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,14 +99,20 @@ import numpy as np
 
 from .ivec import dir_const, dn, iln, ipow_neg, up
 
-# layouts: (nodes - 1, singleton digits, dyadic blocks).  apply_power_estimate
-# reads the same rows, and the root solvers localize with rows 0 and 1.
+# layouts: (singleton digits = node intervals N, dyadic blocks); the root
+# solvers localize with rows 0 and 1
 _LEVELS = [
-    (256, 32, 12),
-    (1024, 64, 14),
-    (1024, 128, 17),
+    (32, 12),
+    (64, 14),
+    (128, 17),
 ]
 MAX_LEVEL = len(_LEVELS) - 1
+
+# midpoint bins of apply_power_estimate, the same at every level
+_ESTIMATE_BINS = 1024
+
+# an upper bound of sqrt(3)/216, the slope constant of the module docstring
+_SLOPE_CONST = float(up(up(math.sqrt(3.0)) / 216.0))
 
 
 @dataclass(frozen=True)
@@ -85,15 +131,15 @@ class Layout:
 def make_layout(level: int = 1, digits=None) -> Layout:
     """Layout of the given level for a finite digit set, or all of N (None).
 
-    Each digit up to the level's singleton count is its own cell; each run
-    of consecutive digits above it is split into dyadic blocks, and only
-    the full alphabet gets the infinite tail.  Levels above MAX_LEVEL use
-    MAX_LEVEL.  An empty digit set, or a digit below 1, raises ValueError:
-    a cell (0, 0) would read as the tail.
+    Each digit up to the level's singleton count N is its own cell, and N
+    is also the node count; each run of consecutive digits above it is
+    split into dyadic blocks, and only the full alphabet gets the infinite
+    tail.  Levels above MAX_LEVEL use MAX_LEVEL.  An empty digit set, or a
+    digit below 1, raises ValueError: a cell (0, 0) would read as the tail.
     """
-    nbins, a0, ndyad = _LEVELS[min(level, MAX_LEVEL)]
-    if nbins < 1 or nbins & (nbins - 1):
-        raise ValueError(f"bin count {nbins} is not a power of 2, so j/nbins is inexact")
+    a0, ndyad = _LEVELS[min(level, MAX_LEVEL)]
+    if a0 < 1 or a0 & (a0 - 1):
+        raise ValueError(f"bin count {a0} is not a power of 2, so j/nbins is inexact")
     if digits is None:
         cells = [(a, a) for a in range(1, a0 + 1)]
         A = a0
@@ -101,7 +147,7 @@ def make_layout(level: int = 1, digits=None) -> Layout:
             cells.append((A + 1, 2 * A))
             A *= 2
         cells.append((A + 1, 0))
-        return Layout(nbins, tuple(cells))
+        return Layout(a0, tuple(cells))
     digits = sorted({int(a) for a in digits})
     if not digits or digits[0] < 1:
         raise ValueError("digit set must be a nonempty set of positive digits")
@@ -112,7 +158,7 @@ def make_layout(level: int = 1, digits=None) -> Layout:
             cells[-1] = (A1, a)  # extend the block A1..2(A1 - 1)
         else:
             cells.append((a, a))
-    return Layout(nbins, tuple(cells))
+    return Layout(a0, tuple(cells))
 
 
 def _sub(x, y):
@@ -120,39 +166,78 @@ def _sub(x, y):
     return dn(x[0] - y[1]), up(x[1] - y[0])
 
 
-def _end_powers(y, t):
-    """Enclosures of y^{1-t}, y^{-t}, ..., y^{-t-4} at a cell end y > 0:
-    y^{-t} from ipow_neg, each other one from its neighbour by one product
-    or division by the bounds of y."""
+def _mul(x, y):
+    """Enclosure of x y from enclosures (lo, hi) of x, y >= 0."""
+    return dn(x[0] * y[0]), up(x[1] * y[1])
+
+
+def _scale(p, c):
+    """Enclosure of p c for p = (lo, hi) >= 0 and c = (lo, hi) of either sign."""
+    return (dn(np.where(c[0] >= 0.0, p[0], p[1]) * c[0]),
+            up(np.where(c[1] >= 0.0, p[1], p[0]) * c[1]))
+
+
+# elements per kernel call, per chunk of singleton setup and per chunk of a
+# singleton step: bounds their temporaries
+_CHUNK = 2048
+
+
+def _pow_neg(bounds, t):
+    """[ipow_neg(lo, hi, t) for (lo, hi) in bounds], from kernel calls on
+    about _CHUNK elements each; every element is computed as it would be
+    alone, so one pass serves all the points of a setup."""
+    lo = np.concatenate([np.ravel(b[0]) for b in bounds])
+    hi = np.concatenate([np.ravel(b[1]) for b in bounds])
+    p_lo, p_hi = np.empty_like(lo), np.empty_like(hi)
+    for k in range(0, lo.size, _CHUNK):
+        p_lo[k : k + _CHUNK], p_hi[k : k + _CHUNK] = ipow_neg(lo[k : k + _CHUNK], hi[k : k + _CHUNK], t)
+    out, k = [], 0
+    for b in bounds:
+        n, shape = np.size(b[0]), np.shape(b[0])
+        out.append((p_lo[k : k + n].reshape(shape), p_hi[k : k + n].reshape(shape)))
+        k += n
+    return out
+
+
+def _end_powers(y, p):
+    """Enclosures of y^{1-t}, y^{-t}, ..., y^{-t-7} at a cell end y > 0 from
+    the enclosure p of y^{-t}: each from its neighbour by one product or
+    division by the bounds of y."""
     y_lo, y_hi = dn(y), up(y)
-    p = ipow_neg(y_lo, y_hi, t)
     powers = [(dn(p[0] * y_lo), up(p[1] * y_hi)), p]
-    for _ in range(4):
+    for _ in range(7):
         p = dn(p[0] / y_hi), up(p[1] / y_lo)
         powers.append(p)
     return powers
 
 
 def _cell_sum(A1, A2, c, t):
-    """Enclosures of sum_{a=A1..A2} (a+c)^{-t} and of the same sum at t + 1.
+    """Enclosures of sum_{a=A1..A2} (a+c)^{-e} for e = t, t+1, ..., t+4.
 
-    c >= 0 is exact and A2 = None is infinite.  g(x) = (x+c)^{-t} is
+    c >= 0 is exact and A2 = None is infinite.  g(x) = (x+c)^{-e} is
     completely monotone, so with a = A1 - 1/2 and b = A2 + 1/2 the sum lies
     in [I - D1, I - D1 + D3]: I is the integral of g over [a, b],
     D1 = (g'(b) - g'(a))/24 and D3 = (7/5760)(g'''(b) - g'''(a)), the b
     terms 0 for the tail.  This is midpoint Euler-Maclaurin to third order;
     the proof is the one in sums.lemma_sum_batch, with a boundary term at
-    both ends.  Both sums read the powers of _end_powers, and every
+    both ends.  Every sum reads the powers of _end_powers, and every
     coefficient is rounded outward from Fraction(t).  A1, A2 and c
     broadcast against each other; every element is computed as it would be
     alone.
     """
     c = np.asarray(c, dtype=np.float64)
     ya, yb = A1 - 0.5 + c, None if A2 is None else A2 + 0.5 + c
-    pa = _end_powers(ya, t)
-    pb = [(0.0, 0.0)] * 6 if yb is None else _end_powers(yb, t)
+    ends = [y for y in (ya, yb) if y is not None]
+    return _end_sums(ya, yb, _pow_neg([(dn(y), up(y)) for y in ends], t), t)
+
+
+def _end_sums(ya, yb, p, t):
+    """The sums of _cell_sum from its cell ends ya and yb (None: infinite)
+    and the enclosures p of their powers y^{-t}."""
+    pa = _end_powers(ya, p[0])
+    pb = [(0.0, 0.0)] * 9 if yb is None else _end_powers(yb, p[1])
     out = []
-    for k in (0, 1):  # exponent e = t + k: y^{1-e}, y^{-e-1}, y^{-e-3} are powers k, k+2, k+4
+    for k in range(5):  # exponent e = t + k: y^{1-e}, y^{-e-1}, y^{-e-3} are powers k, k+2, k+4
         e = Fraction(t) + k
         if e == 1:  # a block at t = 1: the integral is a log ratio
             i = _sub(iln(dn(yb), up(yb)), iln(dn(ya), up(ya)))
@@ -165,14 +250,7 @@ def _cell_sum(A1, A2, c, t):
         g3 = _sub(pa[k + 4], pb[k + 4])[1]
         lo = np.maximum(dn(i[0] - up(d1[1] * g1[1])), 0.0)
         out.append((lo, up(up(i[1] - dn(d1[0] * g1[0])) + up(d3[1] * g3))))
-    return out[0], out[1]
-
-
-# elements per batched kernel call: bounds the temporaries of setup and steps
-_CHUNK = 8192
-
-_FLOAT_FIELDS = ("s_lo", "s_hi", "mu", "ml", "c")
-_INDEX_FIELDS = ("ju1", "ju2", "jl1", "jl2")
+    return out
 
 
 def _node_of(x, N):
@@ -183,104 +261,250 @@ def _node_of(x, N):
     """
     xs = x * N
     j = np.minimum(np.floor(xs), N - 1)
-    return j, xs - j
+    return j.astype(np.int32), xs - j
 
 
-def _singleton_chords(A1, A2, r, t, K, N):
-    """Chord data of singleton cells a = A1 at the points r; A2 is not read."""
-    s_lo, s_hi = ipow_neg(dn(A1 + r), up(A1 + r), t)
-    ju, lam_u = _node_of(dn(1.0 / up(A1 + r)), N)  # x = 1/(a+r) in [xd, xu]
-    jl, lam_l = _node_of(np.minimum(up(1.0 / dn(A1 + r)), 1.0), N)
+def _basis(lam):
+    """Enclosures of h00, h01, h10, g11, q = lam^2 (1 - lam)^2 and of the
+    slope weights d = 6 lam (1 - lam), c10 = (1 - lam)(1 - 3 lam) and
+    c11 = lam (3 lam - 2), at exact lam in [0, 1] (2 lam is exact)."""
+    m = np.maximum(dn(1.0 - lam), 0.0), up(1.0 - lam)
+    el = lam, lam
+    m2, l2, lm = _mul(m, m), _mul(el, el), _mul(el, m)
+    h00 = _mul((dn(1.0 + 2.0 * lam), up(1.0 + 2.0 * lam)), m2)
+    h01 = _mul(l2, (dn(3.0 - 2.0 * lam), up(3.0 - 2.0 * lam)))
+    h10, g11, q = _mul(lm, m), _mul(l2, m), _mul(lm, lm)
+    d = dn(6.0 * lm[0]), up(6.0 * lm[1])
+    c10 = _scale(m, (dn(1.0 - up(3.0 * lam)), up(1.0 - dn(3.0 * lam))))
+    c11 = _scale(el, (dn(dn(3.0 * lam) - 2.0), up(up(3.0 * lam) - 2.0)))
+    return h00, h01, h10, g11, q, d, c10, c11
+
+
+def _comb(M, coefs):
+    """Enclosure of sum_k c_k M_k for the (k, c_k) in coefs, known to be >= 0."""
+    lo = hi = 0.0
+    for k, c in coefs:
+        a, b = (M[k][0], M[k][1]) if c > 0 else (M[k][1], M[k][0])
+        lo, hi = dn(lo + dn(c * a)), up(hi + up(c * b))
+    return np.maximum(lo, 0.0), hi
+
+
+# the block weight sums of h00, h01, h10, g11 and lam^2 (1 - lam)^2 as
+# combinations of the M_k (module docstring); with the factor lam every
+# index moves up by one
+_BLOCK_SUMS = (
+    ((0, 1), (2, -3), (3, 2)),
+    ((2, 3), (3, -2)),
+    ((1, 1), (2, -2), (3, 1)),
+    ((2, 1), (3, -1)),
+    ((2, 1), (3, -2), (4, 1)),
+)
+
+
+def _constants(t, N):
+    """Upper bounds of the value and slope remainders' factors, (t)_4 W^4/24
+    and sqrt(3)/216 (t)_4 W^3, with W = 1/N."""
+    k4 = t
+    for i in (1.0, 2.0, 3.0):
+        k4 = up(k4 * up(t + i))
+    return up(up(k4 / 24.0) / float(N) ** 4), up(up(k4 * _SLOPE_CONST) / float(N) ** 3)
+
+
+def _sum_terms(x, rnd):
+    """Sums over the first axis, pairwise, each addition rounded by rnd."""
+    while x.shape[0] > 1:
+        head = rnd(x[0 : x.shape[0] - 1 : 2] + x[1::2])
+        x = np.concatenate([head, x[-1:]]) if x.shape[0] & 1 else head
+    return x[0]
+
+
+def _singleton_data(a, r, w, N, cv, cd):
+    """Step data of the singleton cells a (a column) at the points r, with
+    weights w, set up in row chunks of about _CHUNK elements; every element
+    is computed as it would be alone, so nothing depends on the chunking."""
+    rows, out = max(1, _CHUNK // r.size), None
+    for k in range(0, max(a.shape[0], 1), rows):
+        part = _singleton_rows(a[k : k + rows], r, (w[0][k : k + rows], w[1][k : k + rows]), N, cv, cd)
+        if out is None:
+            out = {f: np.empty(v.shape[:-2] + (a.shape[0], r.size), v.dtype) for f, v in part.items()}
+        for f, v in part.items():
+            out[f][..., k : k + rows, :] = v
+    return out
+
+
+def _points(a, y, N):
+    """Bounds of the singleton points y = a + r: y itself while a N < 2^52,
+    where a N + j is an exact integer and so y is exact."""
+    return (y, y) if a.size == 0 or a.max() * N < 2.0**52 else (dn(y), up(y))
+
+
+def _singleton_rows(a, r, w, N, cv, cd):
+    """Step data of the singleton cells a (a column) at the points r, with
+    their weights w = (a+r)^{-t} enclosed."""
+    W, n1 = 1.0 / N, N + 1
+    iL, iU, iPl, iPu = 0, n1, 2 * n1, 3 * n1
+    y_lo, y_hi = _points(a, a + r, N)
+    xd, xu = dn(1.0 / y_hi), np.minimum(up(1.0 / y_lo), 1.0)
+    j, lam = _node_of(xd, N)  # the upper bounds, at xd
+    h00, h01, h10, g11, q, d, c10, c11 = _basis(lam)
+    dN = d[1] * N
+    hi = np.stack([
+        [up(h00[1] + up(cv * q[1])), h01[1], g11[1] * W, -(h10[0] * W)],  # f: U1, U2, Pu2, Pl1
+        [up(dN + cd), -dN, c10[1], c11[1]],  # p: U1, L2, P1, P2
+    ], axis=1)
+    hi_idx = np.stack([
+        [iU + j, iU + j + 1, iPu + j + 1, iPl + j],
+        [iU + j, iL + j + 1, np.where(c10[1] >= 0.0, iPu, iPl) + j,
+         np.where(c11[1] >= 0.0, iPu, iPl) + j + 1],
+    ], axis=1).astype(np.int32)
+    hi_cap = np.stack([iU + j, iPu + j])
+    j, lam = _node_of(xu, N)  # the lower bounds, at xu
+    h00, h01, h10, g11, _, d, c10, c11 = _basis(lam)
+    dN, zero = d[0] * N, np.zeros_like(lam)
+    lo = np.stack([
+        [h00[0], h01[0], g11[0] * W, -(h10[1] * W), zero],  # f: L1, L2, Pl2, Pu1
+        [dN, -dN, c10[0], c11[0], np.full_like(lam, -cd)],  # p: L1, U2, P1, P2, U1
+    ], axis=1)
+    lo_idx = np.stack([
+        [iL + j, iL + j + 1, iPl + j + 1, iPu + j, iL + j],
+        [iL + j, iU + j + 1, np.where(c10[0] >= 0.0, iPl, iPu) + j,
+         np.where(c11[0] >= 0.0, iPl, iPu) + j + 1, iU + j],
+    ], axis=1).astype(np.int32)
+    lo_cap = np.stack([iL + j + 1, iPl + j + 1])
+    return {"hi": hi, "hi_idx": hi_idx, "hi_cap": hi_cap, "lo": lo, "lo_idx": lo_idx,
+            "lo_cap": lo_cap, "w_hi": np.stack([w[1], up(w[1] * xu)]),
+            "w_lo": np.stack([w[0], dn(w[0] * xd)]), "x": np.stack([xd, xu]),
+            "omx": np.maximum(dn(1.0 - xu), 0.0)}
+
+
+def _block_data(M, t, N, cv):
+    """Step data of block and tail cells from enclosures M[k] = (lo, hi) of
+    their sums M_k, k = 0..4 (module docstring)."""
+    W, n1 = 1.0 / N, N + 1
+    iL, iU, iPl, iPu = 0, n1, 2 * n1, 3 * n1
+    b00, b01, b10, g11, q = (_comb(M, c) for c in _BLOCK_SUMS)
+    s00, s01, s10, s11 = (_comb(M, [(k + 1, ck) for k, ck in c]) for c in _BLOCK_SUMS[:4])
+    tw, zero = t * W, np.zeros_like(M[0][0])  # t W is exact
+    rem = up(cv * q[1])
     return {
-        "s_lo": s_lo, "s_hi": s_hi,
-        "ju1": ju, "ju2": ju + 1, "mu": np.maximum(dn(s_hi * lam_u), 0.0),
-        "jl1": jl, "jl2": jl + 1, "ml": up(s_hi * lam_l),
-        "c": up(up(lam_l * up(1.0 - lam_l)) * up(K * (0.5 / N**2))),
+        "hi": np.stack([  # (value, slope): U0, U1, Pu1, Pl0, Pl1
+            [up(b00[1] + rem), b01[1], g11[1] * W, -(b10[0] * W), zero],
+            [up(tw * up(s00[1] + rem)), up(tw * s01[1]), up(tw * s11[1]) * W,
+             -(dn(tw * s10[0]) * W), -(M[2][0] * (W * W))],
+        ], axis=1),
+        "lo": np.stack([  # (value, slope): L0, L1, Pl1, Pu0, Pu0
+            [b00[0], b01[0], g11[0] * W, -(b10[1] * W), zero],
+            [dn(tw * s00[0]), dn(tw * s01[0]), dn(tw * s11[0]) * W,
+             -(up(tw * s10[1]) * W), -(M[2][1] * (W * W))],
+        ], axis=1),
+        "hi_idx": np.array([iU, iU + 1, iPu + 1, iPl, iPl + 1]),
+        "lo_idx": np.array([iL, iL + 1, iPl + 1, iPu, iPu]),
+        "hi_cap": np.stack([M[0][1], up(tw * M[1][1])]),  # times U0
+        "lo_cap": M[0][0],  # times L1
     }
 
 
-def _block_chords(A1, A2, r, t, K, N):
-    """Chord data of block cells A1..A2 at the points r; A2 = None is the tail."""
-    (s_lo, s_hi), (s1_lo, s1_hi) = _cell_sum(A1, A2, r, t)
-    x_lo = 0.0 if A2 is None else dn(1.0 / up(A2 + r))
-    j1 = np.minimum(np.floor(x_lo * N), N - 1)
-    j2 = np.minimum(np.maximum(np.ceil(up(1.0 / dn(A1 + r)) * N), j1 + 1.0), N)
-    span = j2 - j1
-    return {
-        "s_lo": s_lo, "s_hi": s_hi,
-        "ju1": j1, "ju2": j2, "jl1": j1, "jl2": j2,
-        "mu": np.maximum(dn(dn(N * s1_lo - up(j1 * s_hi)) / span), 0.0),
-        "ml": np.minimum(up(up(N * s1_hi - dn(j1 * s_lo)) / span), s_hi),
-        "c": up(K * (span * span / (8.0 * N * N))),
-    }
+def _setup(layout, t, r):
+    """Data of one envelope step at the exact points r (module docstring).
 
-
-def _chords(layout, t, r):
-    """Data of one envelope step at the exact points r, arrays of shape (cells, r).
-
-    Upper term of a cell: min(s_hi U[ju1] - D mu, s_hi U[ju1]) with
-    D = U[ju1] - U[ju2].  Lower term: max((L[jl1] - c U[jl1]) s - E ml,
-    s_lo L[jl2]) with E = L[jl1] - L[jl2] and s the weight sum [s_lo, s_hi].
-    mu bounds sum_a w_a lam_a from below, ml from above, and c is the
-    curvature allowance; see the module docstring.  Cells of one kind are
-    set up together, in row chunks of about _CHUNK elements; every element
-    is computed as it would be alone, so nothing depends on the chunking.
+    The node bounds enter a step as one vector V = [L, U, Pl, Pu], and
+    every bound a step builds is a sum of terms coefficient * V[index],
+    each product and sum rounded toward the bound's side.  An upper bound
+    rounds its positive coefficients up and the magnitudes of its negative
+    ones down, a lower bound the other way, so each term bounds its exact
+    counterpart.  Singletons: "hi" holds the terms of the upper bounds of
+    f and p at xd, "lo" those of the lower bounds at xu, as arrays
+    (term, f or p, cell, point); "hi_cap" and "lo_cap" index the node
+    bounds that clamp them.  Blocks: the terms of the cell's upper and
+    lower (value, slope); their nodes are 0 and 1.  Every element is
+    computed as it would be alone.
     """
     N = layout.nbins
-    K = up(t * up(t + 1.0))
-    cells = np.array(layout.cells, dtype=np.float64)
-    A1, A2 = cells[:, :1], cells[:, 1:]
+    cv, cd = _constants(t, N)
+    cells = np.array(layout.cells, dtype=np.float64).reshape(-1, 2)
     single = cells[:, 0] == cells[:, 1]
-    tail = cells[:, 1] == 0
-    shape = (len(cells), r.size)
-    ch = {f: np.empty(shape) for f in _FLOAT_FIELDS}
-    ch.update({f: np.empty(shape, dtype=np.int32) for f in _INDEX_FIELDS})
-    step = max(1, round(_CHUNK / r.size))
-    groups = ((single, _singleton_chords, False), (~single & ~tail, _block_chords, False),
-              (tail, _block_chords, True))
-    for mask, setup, infinite in groups:
-        rows = np.flatnonzero(mask)
-        for k in range(0, rows.size, step):
-            sel = rows[k : k + step]
-            a2 = None if infinite else A2[sel]
-            for f, v in setup(A1[sel], a2, r, t, K, N).items():
-                ch[f][sel] = v  # index fields take whole-number floats
-    return ch
+    a, blocks = cells[single, :1], cells[~single]
+    if blocks.size and blocks[:, 0].min() < N:
+        raise ValueError(f"a block cell must start at or above the {N} node intervals")
+    blocks = np.concatenate([blocks[blocks[:, 1] > 0], blocks[blocks[:, 1] == 0]])  # the tail last
+    nf = int(np.count_nonzero(blocks[:, 1]))
+    y, ya, yb = a + r, blocks[:, :1] - 0.5 + r, blocks[:nf, 1:] + 0.5 + r
+    w, pa, pb = _pow_neg([_points(a, y, N), (dn(ya), up(ya)), (dn(yb), up(yb))], t)
+    parts = [_end_sums(ya[:nf], yb, ((pa[0][:nf], pa[1][:nf]), pb), t)] if nf else []
+    if nf < len(blocks):
+        parts.append(_end_sums(ya[nf:], None, ((pa[0][nf:], pa[1][nf:]),), t))
+    M = [tuple(np.concatenate([p[k][i] for p in parts]) * float(N) ** k  # exact scaling
+               if parts else np.zeros((0, r.size)) for i in (0, 1)) for k in range(5)]
+    return _singleton_data(a, r, w, N, cv, cd), _block_data(M, t, N, cv)
 
 
-def _terms(ch, L, U):
-    """Upper and lower terms of each cell at each point (see _chords)."""
-    U1, L1 = U[ch["ju1"]], L[ch["jl1"]]
-    D = np.maximum(dn(U1 - U[ch["ju2"]]), 0.0)
-    flat = up(U1 * ch["s_hi"])
-    t_hi = np.minimum(up(flat - dn(D * ch["mu"])), flat)
-    L2 = L[ch["jl2"]]
-    a = dn(L1 - up(ch["c"] * U[ch["jl1"]]))
-    t_lo = dn(dn(a * np.where(a >= 0.0, ch["s_lo"], ch["s_hi"])) - up(up(L1 - L2) * ch["ml"]))
-    return np.maximum(t_lo, dn(L2 * ch["s_lo"])), t_hi
+def _at_zero(data):
+    """The step data at the first point alone."""
+    return [{k: v if k.endswith("_idx") and v.ndim == 1 else v[..., :1] for k, v in part.items()}
+            for part in data]
 
 
-def _step(ch, L, U):
-    """Bounds (L, U) of Lf at the points of ch from node bounds of f."""
+def _clamp(L, U, Pl, Pu, t):
+    """Node bounds tightened by the cone (module docstring), as one vector."""
     U = np.minimum.accumulate(U)
     L = np.maximum.accumulate(np.maximum(L, 0.0)[::-1])[::-1]
-    ncells, npts = ch["s_lo"].shape
-    lo, hi = np.zeros(npts), np.zeros(npts)
-    rows = max(1, round(_CHUNK / npts))
-    for k in range(0, ncells, rows):
-        t_lo, t_hi = _terms({f: v[k : k + rows] for f, v in ch.items()}, L, U)
-        for row_lo, row_hi in zip(t_lo, t_hi):  # cells in layout order
-            lo = dn(lo + row_lo)
-            hi = up(hi + row_hi)
-    return lo, hi
+    Pu = np.minimum.accumulate(np.minimum(Pu, up(t * U)))
+    Pl = np.maximum.accumulate(np.maximum(Pl, 0.0)[::-1])[::-1]
+    return np.concatenate([L, U, Pl, Pu])
+
+
+def _singleton_terms(s, V, t):
+    """Upper and lower (value, slope) of every singleton cell at every point."""
+    f_hi, p_hi = _sum_terms(up(s["hi"] * V[s["hi_idx"]]), up)
+    f_lo, p_lo = _sum_terms(dn(s["lo"] * V[s["lo_idx"]]), dn)
+    U1, Pu1 = V[s["hi_cap"]]
+    L2, Pl2 = V[s["lo_cap"]]
+    f_hi, f_lo = np.minimum(f_hi, U1), np.maximum(f_lo, L2)
+    p_hi = np.minimum(np.minimum(p_hi, Pu1), up(t * f_hi))
+    p_lo = np.maximum(p_lo, Pl2)
+    xd, xu = s["x"]
+    g_hi = up(up(t * f_hi) - dn(xd * p_lo))  # t f - x p, in [t f (1 - x), t f]
+    tf = dn(t * f_lo)
+    g_lo = np.maximum(np.maximum(dn(tf - up(xu * p_hi)), dn(tf * s["omx"])), 0.0)
+    return up(s["w_hi"] * np.stack([f_hi, g_hi])), dn(s["w_lo"] * np.stack([f_lo, g_lo]))
+
+
+def _block_terms(b, V):
+    """Upper and lower (value, slope) of every block and tail cell at every point."""
+    hi = _sum_terms(up(b["hi"] * V[b["hi_idx"]][:, None, None, None]), up)
+    lo = _sum_terms(dn(b["lo"] * V[b["lo_idx"]][:, None, None, None]), dn)
+    n1 = V.size // 4
+    hi = np.minimum(hi, up(b["hi_cap"] * V[n1]))
+    lo = np.stack([np.maximum(lo[0], dn(b["lo_cap"] * V[1])), np.maximum(lo[1], 0.0)])
+    return hi, lo
+
+
+def _step(data, nodes, t):
+    """Bounds (L, U, Pl, Pu) of Lf and its slope at the points of data from
+    node bounds of f and its slope.  Singletons run in row chunks of about
+    _CHUNK elements, which bounds the temporaries; every element is computed
+    as it would be alone."""
+    V = _clamp(*nodes, t)
+    singles, blocks = data
+    ns, npts = singles["omx"].shape
+    nb = blocks["lo_cap"].shape[0]
+    hi, lo = np.empty((2, ns + nb, npts)), np.empty((2, ns + nb, npts))
+    rows = max(1, _CHUNK // npts)
+    for k in range(0, ns, rows):
+        cut = slice(k, min(k + rows, ns))
+        hi[:, cut], lo[:, cut] = _singleton_terms({f: v[..., cut, :] for f, v in singles.items()}, V, t)
+    if nb:
+        hi[:, ns:], lo[:, ns:] = _block_terms(blocks, V)
+    (v_hi, s_hi), (v_lo, s_lo) = _sum_terms(hi.swapaxes(0, 1), up), _sum_terms(lo.swapaxes(0, 1), dn)
+    return v_lo, v_hi, s_lo, s_hi
 
 
 def apply_power(n, t, layout, seed=None):
     """Certified (lo, hi) of (L^n f)(0); f = 1 unless a seed is given.
 
-    seed: optional (lo_arr, hi_arr) of bounds of f at the nbins + 1 nodes.
-    f must lie in the cone of the module docstring, as (1 + x r)^{-t} for
-    0 <= x <= 1 does.
+    seed: optional (lo, hi, dlo, dhi) arrays of bounds of f and of f' at
+    the nbins + 1 nodes.  f must lie in the cone of the module docstring,
+    as (1 + x r)^{-t} for 0 <= x <= 1 does.
     """
     return apply_powers(n, t, layout, [seed])[0][-1]
 
@@ -304,18 +528,24 @@ def apply_powers(n, t, layout, seeds):
     """
     _check_power(n, t, layout)
     N = layout.nbins
-    starts = [(np.ones(N + 1), np.ones(N + 1)) if seed is None
-              else [np.asarray(v, dtype=np.float64) for v in seed] for seed in seeds]
-    if any(v.shape != (N + 1,) for start in starts for v in start):
-        raise ValueError(f"a seed holds bounds at the {N + 1} nodes")
-    ch = _chords(layout, t, layout.edges if n > 1 else np.zeros(1))
-    last = {f: v[:, :1] for f, v in ch.items()}  # node 0: r = 0
+    starts = []
+    for seed in seeds:
+        if seed is None:
+            starts.append((np.ones(N + 1), np.ones(N + 1), np.zeros(N + 1), np.zeros(N + 1)))
+            continue
+        seed = [np.asarray(v, dtype=np.float64) for v in seed]
+        if len(seed) != 4 or any(v.shape != (N + 1,) for v in seed):
+            raise ValueError(f"a seed holds bounds of f and f' at the {N + 1} nodes")
+        lo, hi, dlo, dhi = seed
+        starts.append((lo, hi, -dhi, -dlo))
+    data = _setup(layout, t, layout.edges if n > 1 else np.zeros(1))
+    last = _at_zero(data)  # node 0: r = 0
     out = []
-    for L, U in starts:
+    for nodes in starts:
         sums = []
         for k in range(1, n + 1):
-            L, U = _step(ch if k < n else last, L, U)
-            sums.append((max(float(L[0]), 0.0), float(U[0])))
+            nodes = _step(data if k < n else last, nodes, t)
+            sums.append((max(float(nodes[0][0]), 0.0), float(nodes[1][0])))
         out.append(sums)
     return out
 
@@ -330,10 +560,11 @@ def _block_mid_weight(A1, A2, r, t):
 
 
 def apply_power_estimate(n, t, layout):
-    """Fast midpoint estimate of (L^n f)(0).  NOT certified; used only to
-    localize roots before the enclosure machinery confirms them."""
+    """Fast midpoint estimate of (L^n f)(0) on _ESTIMATE_BINS bins, whatever
+    the layout's node count.  NOT certified; used only to localize roots
+    before the enclosure machinery confirms them."""
     _check_power(n, t, layout)
-    N = layout.nbins
+    N = _ESTIMATE_BINS
     r = (np.arange(N) + 0.5) / N
     U = np.ones(N)
 

@@ -270,14 +270,14 @@ def _run_pressure(cfg) -> int:
     blo, bhi = res.certified_bracket.lo_float, res.certified_bracket.hi_float
     _write_csv(
         _path(cfg, "pressure.csv"),
-        ["kind", "B", "M", "depth", "root", "bracket_lo", "bracket_hi", "certified"],
-        [[res.kind, cfg.B, cfg.M, res.depth, res.root, blo, bhi, res.certified]],
+        ["kind", "B", "M", "depth", "root", "bracket_lo", "bracket_hi"],
+        [[res.kind, cfg.B, cfg.M, res.depth, res.root, blo, bhi]],
     )
     _write_json(
         _path(cfg, "pressure.json"),
         {"subcommand": "pressure", "B": cfg.B, "M": cfg.M, "depth": res.depth,
          "kind": res.kind, "rate": cfg.rate, "root": res.root,
-         "bracket": [blo, bhi], "certified": res.certified},
+         "bracket": [blo, bhi]},
     )
     print(f"pressure: root {res.root:.6f} in [{blo:.6f}, {bhi:.6f}]")
     return 0

@@ -143,7 +143,6 @@ class PressureRootResult:
     depth: int
     root: float
     certified_bracket: Enclosure
-    certified: bool = False
 
 
 def x_min_value(A):
@@ -216,10 +215,15 @@ def _route(alpha: tuple, depth: int, method: str):
 
 
 def _sup_seed(layout, xe, t):
-    """Bounds of (1 + x r)^{-t} at the layout's nodes, for x in the enclosure xe."""
+    """Bounds of f(r) = (1 + x r)^{-t} and of f'(r) = -t x (1 + x r)^{-t-1}
+    at the layout's nodes, for x >= 0 in the enclosure xe."""
     xlo, xhi = rd.to_f64(xe)
     r = layout.edges
-    return ipow_neg(dn(1.0 + dn(xlo * r)), up(1.0 + up(xhi * r)), t)
+    b_lo, b_hi = dn(1.0 + dn(xlo * r)), up(1.0 + up(xhi * r))
+    f_lo, f_hi = ipow_neg(b_lo, b_hi, t)
+    p_lo = dn(dn(t * xlo) * dn(f_lo / b_hi))  # t x (1 + x r)^{-t-1}, each factor >= 0
+    p_hi = up(up(t * xhi) * up(f_hi / b_lo))
+    return f_lo, f_hi, -p_hi, -p_lo
 
 
 def _sums(route, depth: int, s, xe) -> list:
@@ -310,7 +314,7 @@ def pressure_root(
 
     The point value bisects the ratio-extrapolated pressure
     log(Sigma_d / Sigma_{d-1}) to width tol, or until the midpoint stops
-    moving (flagged non-certified); tol sets nothing else and must be
+    moving; it carries no certificate.  tol sets nothing else and must be
     positive and finite.  The bracket sandwiches the true root using
     (1/n)(log Sigma_n - s log 4) <= P <= (1/n) log Sigma_n at n = depth.
     Each end takes 26 halvings on [0.02, 1.49], certified near the

@@ -45,6 +45,16 @@ def test_table_artifacts_keep_their_text(argv, tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
+def test_cover_totals_nest_inside_the_chord_envelope_totals():
+    """The golden cover totals (cubic-Hermite envelope) lie inside the ones the
+    chord envelope wrote for the same run."""
+    chord = {2: (0.636293884221554, 0.6372143278446564),
+             3: (0.33416987744730214, 0.3349465461710618)}
+    for row in read_csv(GOLDEN / "cover.csv"):
+        lo, hi = chord[int(row["n"])]
+        assert lo <= float(row["total_lo"]) <= float(row["total_hi"]) <= hi
+
+
 class TestParsing:
     def test_targets(self):
         assert parse_target("zero", 4) == TargetSpec.zero()
@@ -226,9 +236,13 @@ class TestPressure:
         assert main(["pressure", "--M", "6", "--depth", "7", "--out", str(tmp_path)]) == 0
         payload = read_json(tmp_path / "pressure.json")
         assert payload["root"] == 0.59673095703125
-        assert payload["bracket"] == [0.5725897779383453, 0.6050928598642349]
-        assert payload["certified"] is False
+        # the cubic-Hermite envelope certifies halvings the chord envelope's
+        # [0.5725897779383453, 0.6050928598642349] left straddling
+        assert payload["bracket"] == [0.5725898095618649, 0.605092837959528]
+        assert 0.5725897779383453 <= payload["bracket"][0] <= payload["bracket"][1] <= 0.6050928598642349
+        assert "certified" not in payload  # never set, so no longer written
         rows = read_csv(tmp_path / "pressure.csv")
+        assert "certified" not in rows[0]
         assert [float(rows[0][k]) for k in ("root", "bracket_lo", "bracket_hi")] == [
             payload["root"], *payload["bracket"]]
 
@@ -241,7 +255,9 @@ class TestPressure:
         assert (payload["M"], payload["depth"]) == (20, 8)
         assert payload["root"].hex() == "0x1.5dfe666666666p-1"
         assert [v.hex() for v in payload["bracket"]] == [
-            "0x1.537fe1ba6ae52p-1", "0x1.60ddde347ae14p-1"]
+            "0x1.537fe3110b52cp-1", "0x1.60ddde347ae14p-1"]
+        # inside the chord envelope's bracket
+        assert float.fromhex("0x1.537fe1ba6ae52p-1") <= payload["bracket"][0]
 
     def test_zero_tol_is_rejected_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "out"

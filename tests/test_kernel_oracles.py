@@ -9,6 +9,7 @@ sides in full (four corner products per exp Horner step, both atanh
 chains and the remainder for ln).
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chord_envelope import _FLOAT_FIELDS, _INDEX_FIELDS, chord_layout, chords
 from cfshrink import _transfer, ivec
 from cfshrink import rounding as rd
 from cfshrink.ivec import (
@@ -193,15 +195,24 @@ def test_ipow_neg_matches_reference_on_the_node_grids(t, reference_kernels):
 
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_chords_match_reference(level, reference_kernels):
-    layouts = [_transfer.make_layout(level), _transfer.make_layout(level, range(1, 41))]
-    cases = [(layout, t) for layout in layouts for t in (1.26, 1.7)]
-    got = [_transfer._chords(layout, t, layout.edges) for layout, t in cases]
+    """The chord oracle's step data, and the Hermite envelope's, have the
+    bits of the reference kernels."""
+    alphabets = itertools.product((None, range(1, 41)), (1.26, 1.7))
+    cases, c_cases = zip(*(((_transfer.make_layout(level, d), t), (chord_layout(level, d), t))
+                           for d, t in alphabets))
+    got = [chords(layout, t, layout.edges) for layout, t in c_cases]
+    got_h = [_transfer._setup(layout, t, layout.edges) for layout, t in cases]
     reference_kernels()
-    for (layout, t), ch in zip(cases, got):
-        want = _transfer._chords(layout, t, layout.edges)
+    for (layout, t), ch in zip(c_cases, got):
+        want = chords(layout, t, layout.edges)
         assert ch.keys() == want.keys()
-        assert all(_same_bits(ch[f], want[f]) for f in _transfer._FLOAT_FIELDS)
-        assert all(np.array_equal(ch[f], want[f]) for f in _transfer._INDEX_FIELDS)
+        assert all(_same_bits(ch[f], want[f]) for f in _FLOAT_FIELDS)
+        assert all(np.array_equal(ch[f], want[f]) for f in _INDEX_FIELDS)
+    for (layout, t), data in zip(cases, got_h):
+        for part, want in zip(data, _transfer._setup(layout, t, layout.edges)):
+            assert part.keys() == want.keys()
+            assert all(_same_bits(v, want[f]) if v.dtype == np.float64
+                       else np.array_equal(v, want[f]) for f, v in part.items())
 
 
 # -- iln -------------------------------------------------------------------------

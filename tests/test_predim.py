@@ -153,19 +153,23 @@ class TestFailFast:
             solve_predim(n, 4, 1, tol=tol)
         assert evals[0] <= 12
 
-    def test_straddle_at_level_two(self, evals):
-        # the last point straddles 1 at levels 0, 1 and 2
-        with pytest.raises(PrecisionExhausted, match="straddles 1 at the sharpest level"):
-            solve_predim(3, 4, 1, tol=1.5e-6)
-        assert evals[0] == 9
+    def test_former_level_two_straddle_now_certifies(self, evals):
+        # the chord envelope straddled 1 at levels 0, 1 and 2 on a point of
+        # this walk; the Hermite envelope decides every point at level 0
+        e = solve_predim(3, 4, 1, tol=1.5e-6)
+        assert (e.lo_float.hex(), e.hi_float.hex()) == (
+            "0x1.830d3b92c343cp-1", "0x1.830d68df2ca8ep-1")
+        assert evals[0] == 7
+        # it meets the tol-1e-6 bracket of test_shifted_bracket_keeps_its_bits
+        assert e.lo_float <= float.fromhex("0x1.830d527843bcep-1")
 
-    def test_level_two_decides_an_end(self, evals):
-        # the second point is certified only at level 2; the bracket does
-        # not depend on which level decides each end
+    def test_level_zero_decides_the_former_level_two_end(self, evals):
+        # the chord envelope certified the second point only at level 2; the
+        # bracket does not depend on which level decides each end
         e = solve_predim(5, 4, 1, tol=1e-5)
         assert (e.lo_float.hex(), e.hi_float.hex()) == (
             "0x1.81277cf99d452p-1", "0x1.8128aaf70691ep-1")
-        assert evals[0] == 4
+        assert evals[0] == 2
 
     def test_tight_level_one_decides_at_level_zero(self, evals):
         # the envelope decides both ends of the tol-1e-8 bracket at level 0

@@ -160,7 +160,6 @@ class TestRoot:
         # the pressure root should sit near the truncated-alphabet exponents
         res = pr.pressure_root(pr.PHI1, 4, None, range(1, 21), depth=8)
         assert 0.5 < res.root < 1.0
-        assert not res.certified
         for n in (4, 5, 6):
             e = predim.solve_predim(n, 4, 1, M=20, tol=1e-3)
             mid = 0.5 * (e.lo_float + e.hi_float)

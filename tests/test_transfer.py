@@ -1,17 +1,20 @@
-"""The chord envelope against the bin max/min envelope it replaced.
+"""The cubic-Hermite envelope against exact sums and the envelopes it replaced.
 
-`apply_power` keeps bounds of L^k f at the nodes j/N and interpolates them
-by chords (see the `cfshrink._transfer` docstring).  The oracle below is
-the method it replaced: bounds of L^k f over each bin, every step taking
-the max and min over the bins a cell's image covers.  Its block weights
-come from the first-order midpoint bound the cell sums used before
-(`first_order_cell_sum`), and the third-order sums of `_transfer._cell_sum`
-lie inside them, so on one layout every chord enclosure must lie inside the
-oracle's.  The cell weights are checked bit for bit against a per-cell
-setup, the cell sums against Hurwitz zeta, and the oracle against the
-float.hex pins of the parent's `apply_power`.
+`apply_power` keeps bounds of L^k f and of its slope at the nodes j/N and
+interpolates them by cubic Hermite polynomials (see the `cfshrink._transfer`
+docstring).  Two oracles stand behind it.  The bin max/min envelope (below)
+took, each step, the max and min over the bins a cell's image covers, with
+block weights from the first-order midpoint bound (`first_order_cell_sum`);
+the oracle reproduces the float.hex pins of its `apply_power`.  The chord
+envelope (`chord_envelope.py`) interpolated node bounds by chords; it nests
+inside the bin oracle and has the bits of the chord `apply_power`.  The
+Hermite envelope must contain exact enumerations, overlap the chord oracle
+and be at least 10x narrower at levels 1 and 2.  Its cell weights are
+checked bit for bit against a per-cell setup, the cell sums against Hurwitz
+zeta, and its two interpolation bounds against mpmath.
 """
 
+import functools
 import itertools
 import math
 import sys
@@ -21,12 +24,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from chord_envelope import (
+    _INDEX_FIELDS, _block_chords, chord_apply_power, chord_apply_powers, chord_layout,
+    chord_sup_seed, chords, terms,
+)
 from cfshrink import _transfer
 from cfshrink import rounding as rd
 from cfshrink.ivec import _ln_one_sided, dn, iexp, ipow_neg, up
 from cfshrink.pressure import _sup_seed
 
-# the level table before the chord envelope: (bins, singleton digits, dyadic blocks)
+# the level table of the bin envelope: (bins, singleton digits, dyadic blocks)
 BIN_LEVELS = [(256, 32, 12), (1024, 64, 14), (4096, 128, 17), (8192, 256, 20)]
 
 
@@ -37,8 +44,9 @@ def _upto(amax):
 
 def _bin_layout(monkeypatch, level, amax):
     """The layout the bin method used at `level`."""
-    monkeypatch.setattr(_transfer, "_LEVELS", [BIN_LEVELS[level]])
-    return _transfer.make_layout(0, _upto(amax))
+    nbins, a0, ndyad = BIN_LEVELS[level]
+    monkeypatch.setattr(_transfer, "_LEVELS", [(a0, ndyad)])
+    return _transfer.Layout(nbins, _transfer.make_layout(0, _upto(amax)).cells)
 
 
 # -- the bin envelope (the parent's apply_power) --------------------------------
@@ -168,11 +176,22 @@ def first_order_cell_sum(A1, A2, c, t):
     return (np.maximum(dn(i0[0] - corr0), 0.0), i0[1]), (np.maximum(dn(i1[0] - corr1), 0.0), i1[1])
 
 
+def _setup_rows(layout):
+    """Row of each cell in the singleton and block arrays of _transfer._setup."""
+    single = [A1 == A2 for A1, A2 in layout.cells]
+    blocks = [k for k, s in enumerate(single) if not s]
+    order = [k for k in blocks if layout.cells[k][1]] + [k for k in blocks if not layout.cells[k][1]]
+    return {k: i for i, k in enumerate(k for k, s in enumerate(single) if s)}, {
+        k: i for i, k in enumerate(order)}
+
+
 def _cell_weight(A1, A2, c, t):
-    """Weight enclosure of one cell (A1, A2) at the exact points c; A2 = 0 is infinite."""
+    """Weight enclosure of one cell (A1, A2) at the exact points c; A2 = 0 is
+    infinite: a singleton by ipow_neg at the exact point a + c, a block by
+    the first sum of _cell_sum."""
     if A1 == A2:
-        a = float(A1)
-        return ipow_neg(dn(a + c), up(a + c), t)
+        y = float(A1) + c
+        return ipow_neg(y, y, t)
     return _transfer._cell_sum(A1, A2 if A2 else None, c, t)[0]
 
 
@@ -197,11 +216,16 @@ def _same_bits(a, b):
 
 
 def _check_against_oracle(layout, t):
+    rows_s, rows_b = _setup_rows(layout)
     for r in (layout.edges, np.zeros(1)):  # every node, and the n = 1 path
-        ch = _transfer._chords(layout, t, r)
+        singles, blocks = _transfer._setup(layout, t, r)
         for k, (A1, A2) in enumerate(layout.cells):
             lo, hi = _cell_weight(A1, A2, r, t)
-            assert _same_bits(ch["s_lo"][k], lo) and _same_bits(ch["s_hi"][k], hi), (A1, A2)
+            if A1 == A2:
+                got = singles["w_lo"][0, rows_s[k]], singles["w_hi"][0, rows_s[k]]
+            else:
+                got = blocks["lo_cap"][rows_b[k]], blocks["hi_cap"][0, rows_b[k]]
+            assert _same_bits(got[0], lo) and _same_bits(got[1], hi), (A1, A2)
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
@@ -218,47 +242,59 @@ def test_edge_weights_match_oracle_level3_subset(monkeypatch):
     full = _bin_layout(monkeypatch, 3, None)
     cells = full.cells[:2] + full.cells[254:258] + full.cells[-3:]
     assert len(cells) == 9
-    layout = _transfer.Layout(full.nbins, cells)
+    layout = _transfer.Layout(256, cells)  # every block starts above 256
     for t in (1.1, 1.9):
         _check_against_oracle(layout, t)
 
 
 def test_edge_weights_do_not_depend_on_chunking(monkeypatch):
-    layout = _transfer.make_layout(0)
-    ref = _transfer._chords(layout, 1.6, layout.edges)
+    layout = _transfer.make_layout(1)
+    ref = _transfer._setup(layout, 1.6, layout.edges)
     ref_power = _transfer.apply_power(3, 1.6, layout)
     for chunk in (1, 100, 3000, 10**7):
         monkeypatch.setattr(_transfer, "_CHUNK", chunk)
-        got = _transfer._chords(layout, 1.6, layout.edges)
-        assert got.keys() == ref.keys()
-        assert all(np.array_equal(got[f], ref[f]) for f in ref)
+        got = _transfer._setup(layout, 1.6, layout.edges)
+        for part, want in zip(got, ref):
+            assert part.keys() == want.keys()
+            assert all(np.array_equal(part[f], want[f]) for f in want)
         assert _transfer.apply_power(3, 1.6, layout) == ref_power
+
+
+def test_blocks_must_start_above_the_nodes():
+    """A block below the node count would map across several node intervals."""
+    layout = _transfer.Layout(64, ((1, 1), (33, 64)))
+    with pytest.raises(ValueError, match="block"):
+        _transfer.apply_power(2, 1.5, layout)
 
 
 @pytest.mark.parametrize("A1, A2", [(33, 64), (65, 100), (129, 256), (4097, None)])
 @pytest.mark.parametrize("t", [0.7, 1.02, 1.5, 2.2])
 def test_cell_sum_at_t_plus_one_contains_the_sum(A1, A2, t):
-    """The sum at t + 1, built from the powers at t, against mpmath and a direct evaluation."""
+    """The sums at t + k, k = 1..4, built from the powers at t, against mpmath
+    and a direct evaluation at t + k."""
     if A2 is None and t < 1:
         return  # the tail sum at t diverges
     c = np.array([0.0, 0.25, 1.0])
-    (lo, hi), (lo1, hi1) = _transfer._cell_sum(float(A1), None if A2 is None else float(A2), c, t)
-    d_lo, d_hi = _transfer._cell_sum(float(A1), None if A2 is None else float(A2), c, t + 1.0)[0]
+    a2 = None if A2 is None else float(A2)
+    sums = _transfer._cell_sum(float(A1), a2, c, t)
+    assert len(sums) == 5
     with mp.workdps(30):
-        for k, ck in enumerate(c):
-            for e, (l, h) in ((t, (lo, hi)), (t + 1.0, (lo1, hi1))):
-                g = lambda a: (a + mp.mpf(ck)) ** (-mp.mpf(e))
-                exact = mp.zeta(e, A1 + mp.mpf(ck)) if A2 is None else mp.fsum(
+        for k, (lo, hi) in enumerate(sums):
+            d_lo, d_hi = _transfer._cell_sum(float(A1), a2, c, t + k)[0]
+            for i, ci in enumerate(c):
+                g = lambda a: (a + mp.mpf(ci)) ** (-mp.mpf(t + k))  # noqa: E731
+                exact = mp.zeta(t + k, A1 + mp.mpf(ci)) if A2 is None else mp.fsum(
                     g(a) for a in range(A1, A2 + 1))
-                assert mp.mpf(l[k]) <= exact <= mp.mpf(h[k]), (e, ck)
-            assert max(lo1[k], d_lo[k]) <= min(hi1[k], d_hi[k])
-            assert hi1[k] - lo1[k] <= 1.01 * (d_hi[k] - d_lo[k]) + 1e-15 * hi1[k]
+                assert mp.mpf(lo[i]) <= exact <= mp.mpf(hi[i]), (k, ci)
+                assert max(lo[i], d_lo[i]) <= min(hi[i], d_hi[i])
+                assert hi[i] - lo[i] <= 1.01 * (d_hi[i] - d_lo[i]) + 1e-15 * hi[i]
 
 
 @pytest.mark.parametrize("A1, A2", [(1, 1), (2, 3), (33, 64), (129, 256), (2, None), (129, None)])
 @pytest.mark.parametrize("t", [0.7, 1.02, 1.3, 1.6, 2.2, 3.0])
 def test_cell_sum_contains_hurwitz_sums(A1, A2, t):
-    """Both sums inside 40-digit Hurwitz zeta differences, and inside the first-order bound.
+    """Every sum inside 40-digit Hurwitz zeta differences, and the first two
+    inside the first-order bound.
 
     The single digit 1 is only checked for containment: at c = 0 its lower
     end is a = 1/2, where D3 > D1, so the third-order upper end lies above
@@ -273,24 +309,25 @@ def test_cell_sum_contains_hurwitz_sums(A1, A2, t):
     new = _transfer._cell_sum(float(A1), a2, c, t)
     old = first_order_cell_sum(float(A1), a2, c, t)
     with mp.workdps(40):
-        for (lo, hi), (o_lo, o_hi), e in zip(new, old, (mp.mpf(t), mp.mpf(t) + 1)):
-            for k, ck in enumerate(c):
-                q = A1 + mp.mpf(ck)
-                exact = mp.zeta(e, q) - (0 if A2 is None else mp.zeta(e, A2 + 1 + mp.mpf(ck)))
-                assert mp.mpf(lo[k]) <= exact <= mp.mpf(hi[k]), (e, ck)
-                if A1 > 1:
-                    assert o_lo[k] <= lo[k] <= hi[k] <= o_hi[k], (e, ck)
+        for k, (lo, hi) in enumerate(new):
+            e = mp.mpf(t) + k
+            for i, ci in enumerate(c):
+                q = A1 + mp.mpf(ci)
+                exact = mp.zeta(e, q) - (0 if A2 is None else mp.zeta(e, A2 + 1 + mp.mpf(ci)))
+                assert mp.mpf(lo[i]) <= exact <= mp.mpf(hi[i]), (e, ci)
+                if A1 > 1 and k < 2:
+                    o_lo, o_hi = old[k]
+                    assert o_lo[i] <= lo[i] <= hi[i] <= o_hi[i], (e, ci)
     if (A1, A2, t) == (129, 256, 1.6):
         (lo, hi), (o_lo, o_hi) = new[0], old[0]
         assert np.all(hi - lo <= 1e-11) and np.all(o_hi - o_lo > 2e-7)
 
 
-# -- the parent's apply_power, pinned -------------------------------------------
+# -- the parent envelopes, pinned ------------------------------------------------
 
-# results of the parent's apply_power (the bin method) with the per-cell
-# setup and np.nextafter rounding, as float.hex: (level, amax, n, t, seeded)
-# -> (lo, hi), on the layouts of BIN_LEVELS.  The seed is the pressure sup
-# seed at x = 0.3.
+# results of the bin method's apply_power with the per-cell setup and
+# np.nextafter rounding, as float.hex: (level, amax, n, t, seeded) -> (lo, hi),
+# on the layouts of BIN_LEVELS.  The seed is the pressure sup seed at x = 0.3.
 PARENT_FLOATS = {
     (0, None, 1, 1.6, False): ("0x1.2493e529de98cp+1", "0x1.249439b3aa5f0p+1"),
     (0, None, 2, 1.3, False): ("0x1.ba62aae7a0bdbp+3", "0x1.bb6c7c8fcdd5fp+3"),
@@ -304,19 +341,36 @@ PARENT_FLOATS = {
     (2, 20, 2, 1.3, True): ("0x1.1edf37aa31497p+2", "0x1.1ef1bc54fce94p+2"),
 }
 
+# the cubic-Hermite apply_power on make_layout(level, amax), same keys
+HERMITE_FLOATS = {
+    (0, None, 1, 1.6, False): ("0x1.2493f821df47cp+1", "0x1.2493f82635f26p+1"),
+    (0, None, 2, 1.3, False): ("0x1.bae103119e29dp+3", "0x1.bae1072e63cd1p+3"),
+    (1, None, 3, 1.6, False): ("0x1.b23fbb758b72ap+2", "0x1.b23fbbf925933p+2"),
+    (2, None, 2, 2.2, False): ("0x1.e991bee64864bp-1", "0x1.e991bee8c2517p-1"),
+    (1, 5, 3, 1.3, False): ("0x1.b0b0d98d6136ep+1", "0x1.b0b0d9af38487p+1"),
+    (1, 20, 1, 1.3, False): ("0x1.4ae2d8cdf9259p+1", "0x1.4ae2d8cdf9276p+1"),
+    (2, 20, 2, 1.6, False): ("0x1.4f2c759803b5ep+1", "0x1.4f2c7598f1daep+1"),
+    (0, 5, 3, 2.2, True): ("0x1.69317cae61078p-2", "0x1.69318a0550622p-2"),
+    (1, 20, 3, 1.6, True): ("0x1.9500ee31f9d9ap+1", "0x1.9500eeaa3e080p+1"),
+    (2, 20, 2, 1.3, True): ("0x1.1ee83dd913cbfp+2", "0x1.1ee83ddafa861p+2"),
+}
+
 
 @pytest.mark.parametrize("key", sorted(PARENT_FLOATS, key=repr))
 def test_apply_power_keeps_parent_floats(key, monkeypatch):
-    """The oracle reproduces the parent's bits; the chord envelope nests inside."""
+    """The bin oracle reproduces its bits and the chord oracle nests inside it;
+    the Hermite envelope has its pinned bits and lies inside the bin result."""
     level, amax, n, t, seeded = key
-    layout = _bin_layout(monkeypatch, level, amax)
     xe = rd.enclose(0.3)
-    seed = bin_sup_seed(layout, xe, t) if seeded else None
-    lo, hi = bin_apply_power(n, t, layout, seed=seed)
+    layout = _transfer.make_layout(level, _upto(amax))
+    h_lo, h_hi = _transfer.apply_power(n, t, layout, seed=_sup_seed(layout, xe, t) if seeded else None)
+    assert (h_lo.hex(), h_hi.hex()) == HERMITE_FLOATS[key]
+    layout = _bin_layout(monkeypatch, level, amax)
+    lo, hi = bin_apply_power(n, t, layout, seed=bin_sup_seed(layout, xe, t) if seeded else None)
     assert (float(lo).hex(), float(hi).hex()) == PARENT_FLOATS[key]
-    c_lo, c_hi = _transfer.apply_power(
-        n, t, layout, seed=_sup_seed(layout, xe, t) if seeded else None)
+    c_lo, c_hi = chord_apply_power(n, t, layout, seed=chord_sup_seed(layout, xe, t) if seeded else None)
     assert lo <= c_lo <= c_hi <= hi
+    assert lo <= h_lo <= h_hi <= hi
 
 
 # -- nesting, containment and width ---------------------------------------------
@@ -335,26 +389,26 @@ def _memoize(monkeypatch, owner, name):
 
 @pytest.fixture
 def shared_weights(monkeypatch):
-    """Memoize the step data of both envelopes across one test."""
-    _memoize(monkeypatch, _transfer, "_chords")
+    """Memoize the step data of both oracles across one test."""
+    _memoize(monkeypatch, sys.modules["chord_envelope"], "chords")
     _memoize(monkeypatch, sys.modules[__name__], "bin_weights")
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
 @pytest.mark.parametrize("amax", [None, 5, 20, 100])
 def test_chord_nests_inside_bin_envelope(level, amax, shared_weights, monkeypatch):
-    """Inside the bin oracle, and inside the chord envelope on first-order block weights."""
-    layout = _transfer.make_layout(level, _upto(amax))
+    """The chord oracle inside the bin oracle, and inside itself on first-order block weights."""
+    layout = chord_layout(level, _upto(amax))
     ts = (1.02, 1.5, 2.2) if amax is None else (0.7, 1.02, 1.5, 2.2)
     xe = rd.enclose(0.3)
     for t, seeded in itertools.product(ts, (False, True)):
-        seed = _sup_seed(layout, xe, t) if seeded else None
+        seed = chord_sup_seed(layout, xe, t) if seeded else None
         bseed = bin_sup_seed(layout, xe, t) if seeded else None
         with monkeypatch.context() as m:
             m.setattr(_transfer, "_cell_sum", first_order_cell_sum)
-            [first_order] = _transfer.apply_powers(6, t, layout, [seed])
+            [first_order] = chord_apply_powers(6, t, layout, [seed])
         for n, (f_lo, f_hi) in enumerate(first_order, 1):
-            lo, hi = _transfer.apply_power(n, t, layout, seed=seed)
+            lo, hi = chord_apply_power(n, t, layout, seed=seed)
             b_lo, b_hi = bin_apply_power(n, t, layout, seed=bseed)
             assert b_lo <= lo <= hi <= b_hi, (t, seeded, n, (lo, hi), (b_lo, b_hi))
             if n > 1:
@@ -362,16 +416,31 @@ def test_chord_nests_inside_bin_envelope(level, amax, shared_weights, monkeypatc
             assert f_lo <= lo <= hi <= f_hi, (t, seeded, n, (lo, hi), (f_lo, f_hi))
 
 
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_hermite_overlaps_chord_and_is_narrower(level):
+    """On the full alphabet the Hermite enclosure meets the chord oracle's, is
+    no wider at level 0 and, from n = 2 on, at least 10x narrower at levels 1
+    and 2 (at n = 1 both are the cell sums at r = 0)."""
+    layout, c_layout = _transfer.make_layout(level), chord_layout(level)
+    xe = rd.enclose(0.3)
+    for t, seeded in itertools.product((1.02, 1.5, 2.2), (False, True)):
+        [got] = _transfer.apply_powers(5, t, layout, [_sup_seed(layout, xe, t) if seeded else None])
+        [want] = chord_apply_powers(5, t, c_layout, [chord_sup_seed(c_layout, xe, t) if seeded else None])
+        for n, ((lo, hi), (c_lo, c_hi)) in enumerate(zip(got, want), 1):
+            assert max(lo, c_lo) <= min(hi, c_hi), (t, seeded, n)
+            assert hi - lo <= (c_hi - c_lo) / (10.0 if level and n > 1 else 1.0), (t, seeded, n)
+
+
+@functools.lru_cache(maxsize=None)
 def _exact_sup_sum(digits, n, t, x):
-    """sum over digits^n of (q_n + x q_{n-1})^{-t}, at 60 digits."""
-    with mp.workdps(60):
-        tot = mp.mpf(0)
-        for w in itertools.product(digits, repeat=n):
-            q, qp = 1, 0
-            for a in w:
-                q, qp = a * q + qp, q
-            tot += (q + mp.mpf(x.numerator) / x.denominator * qp) ** (-mp.mpf(t))
-        return tot
+    """sum over digits^n of (q_n + x q_{n-1})^{-t}, at 30 digits."""
+    q, qp = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        a = np.repeat(np.array(digits, dtype=np.int64), q.size)
+        q, qp = a * np.tile(q, len(digits)) + np.tile(qp, len(digits)), np.tile(q, len(digits))
+    with mp.workdps(30):
+        xm, mt = mp.mpf(x.numerator) / x.denominator, -mp.mpf(t)
+        return mp.fsum((int(a) + xm * int(b)) ** mt for a, b in zip(q, qp))
 
 
 @pytest.mark.parametrize("level", [0, 1])
@@ -381,7 +450,7 @@ def test_contains_exact_sums(level):
         xe = rd.enclose(x)
         seed = _sup_seed(layout, xe, t) if x else None
         lo, hi = _transfer.apply_power(n, t, layout, seed=seed)
-        exact = _exact_sup_sum(range(1, 6), n, t, x)
+        exact = _exact_sup_sum(tuple(range(1, 6)), n, t, x)
         assert mp.mpf(lo) <= exact <= mp.mpf(hi), (t, x, n)
 
 
@@ -401,31 +470,297 @@ def test_contains_exact_sums_over_gappy_digits(digits, depths):
         assert mp.mpf(lo) <= exact <= mp.mpf(hi), (t, x, n)
 
 
+@pytest.mark.parametrize("digits", [tuple(range(1, 6)), tuple(range(1, 21)), (1, 2, 3, 5)])
+def test_hermite_contains_exact_enumeration(digits):
+    """Singleton-only alphabets at every level, n = 2..4, seeded and not."""
+    for level, t, x, n in itertools.product((0, 1, 2), (0.8, 1.6, 2.6),
+                                            (Fraction(0), Fraction(3, 10)), (2, 3, 4)):
+        layout = _transfer.make_layout(level, digits)
+        seed = _sup_seed(layout, rd.enclose(x), t) if x else None
+        lo, hi = _transfer.apply_power(n, t, layout, seed=seed)
+        exact = _exact_sup_sum(digits, n, t, x)
+        assert mp.mpf(lo) <= exact <= mp.mpf(hi), (level, t, x, n)
+        if level == 2 and t == 1.6:
+            assert hi - lo < 1e-8 * hi, (x, n)
+
+
 def test_second_order_width():
-    """Widths fall like the square of the node spacing, not like the spacing."""
+    """The chord oracle's widths fall like the square of the node spacing."""
     w = []
     for nbins in (256, 1024):
         layout = _transfer.Layout(nbins, tuple((a, a) for a in range(1, 6)))
-        lo, hi = _transfer.apply_power(4, 1.5, layout)
+        lo, hi = chord_apply_power(4, 1.5, layout)
         w.append((hi - lo) / hi)
     assert w[0] < 2e-5 and w[1] < w[0] / 8
 
 
+def test_fourth_order_width():
+    """The Hermite widths fall like the fourth power of the node spacing."""
+    w = []
+    for nbins in (32, 64, 128):
+        layout = _transfer.Layout(nbins, tuple((a, a) for a in range(1, 6)))
+        lo, hi = _transfer.apply_power(4, 1.5, layout)
+        w.append((hi - lo) / hi)
+    assert w[0] < 5e-7 and w[1] < w[0] / 12 and w[2] < w[1] / 12
+
+
 def test_full_alphabet_level0_width():
     lo, hi = _transfer.apply_power(5, 1.5, _transfer.make_layout(0))
-    assert 0 < (hi - lo) / hi < 2e-4
+    assert 0 < (hi - lo) / hi < 2e-6
+    c_lo, c_hi = chord_apply_power(5, 1.5, chord_layout(0))
+    assert 0 < (c_hi - c_lo) / c_hi < 2e-4
+
+
+# -- the two interpolation bounds -------------------------------------------------
+
+def _peano(lam, s):
+    """The slope Peano kernel k(lam, s) of the module docstring (W = 1)."""
+    if s <= lam:
+        return s**2 * (1 - lam) * (1 - 3 * lam + 2 * s * lam) / 2
+    return lam * (1 - s) ** 2 * (2 * s * (1 - lam) - lam) / 2
+
+
+def _hermite(f0, f1, d0, d1, lam):
+    """H and H' on [0, 1] from values and derivatives at the ends."""
+    h = ((1 + 2 * lam) * (1 - lam) ** 2 * f0 + lam**2 * (3 - 2 * lam) * f1
+         + lam * (1 - lam) ** 2 * d0 - lam**2 * (1 - lam) * d1)
+    dh = -6 * lam * (1 - lam) * (f0 - f1) + (1 - lam) * (1 - 3 * lam) * d0 + lam * (3 * lam - 2) * d1
+    return h, dh
+
+
+def test_peano_kernel_constant_is_sqrt3_over_216():
+    """The kernel is the slope error of the Hermite cubic of (x - s)_+^3/6, and
+    max over lam of int |k(lam, .)| is sqrt(3)/216, at lam = (3 - sqrt(3))/6."""
+    with mp.workdps(30):
+        for lam, s in itertools.product((0.1, 0.3, 0.45, 0.6, 0.9), (0.05, 0.35, 0.5, 0.8)):
+            lam, s = mp.mpf(lam), mp.mpf(s)
+            _, dh = _hermite(0, (1 - s) ** 3 / 6, 0, (1 - s) ** 2 / 2, lam)
+            assert abs(max(lam - s, 0) ** 2 / 2 - dh - _peano(lam, s)) < mp.mpf(10) ** -25
+
+        def mass(lam):
+            pts = sorted({mp.mpf(0), lam, mp.mpf(1)} | (
+                {(3 * lam - 1) / (2 * lam)} if lam > mp.mpf(1) / 3 else set()))
+            return mp.quad(lambda s: abs(_peano(lam, s)), pts)
+
+        const = mp.sqrt(3) / 216
+        star = (3 - mp.sqrt(3)) / 6
+        assert abs(mass(star) - const) < mp.mpf(10) ** -20
+        grid = [mp.mpf(i) / 200 for i in range(1, 200)]
+        assert max(mass(lam) for lam in grid) <= const
+        assert all(mass(lam) <= mp.mpf(1) / 128 for lam in grid if 1 / mp.mpf(3) <= lam <= 0.5)
+        assert float(const) <= _transfer._SLOPE_CONST <= float(const) * (1 + 1e-15)
+
+
+def test_hermite_remainders_on_the_cone():
+    """f - H in [0, (t)_4 f(y1) lam^2 (1 - lam)^2 W^4/24] and |f' - H'| <=
+    sqrt(3)/216 W^3 (t)_4 f(y1), for sampled sums of g_c(r) = (1 + c r)^{-t}."""
+    rng = np.random.default_rng(611)
+    with mp.workdps(40):
+        for _ in range(60):
+            t = mp.mpf(1 + 2 * rng.random()) if rng.random() < 0.9 else mp.mpf(3)
+            cs = [mp.mpf(c) for c in rng.random(rng.integers(1, 4))]
+            cs[0] = mp.mpf(1) if rng.random() < 0.3 else cs[0]  # the edge of the cone
+            ws = [mp.mpf(w) for w in rng.random(len(cs)) + 0.1]
+            f = lambda r: mp.fsum(w * (1 + c * r) ** -t for w, c in zip(ws, cs))  # noqa: E731
+            df = lambda r: mp.fsum(-t * w * c * (1 + c * r) ** (-t - 1) for w, c in zip(ws, cs))  # noqa: E731
+            W = mp.mpf(2) ** -int(rng.integers(0, 6))
+            y1 = W * int(rng.integers(0, int(1 / W)))
+            k4 = t * (t + 1) * (t + 2) * (t + 3) * f(y1)
+            for lam in [mp.mpf(i) / 16 for i in range(17)] + [(3 - mp.sqrt(3)) / 6]:
+                h, dh = _hermite(f(y1), f(y1 + W), W * df(y1), W * df(y1 + W), lam)
+                x = y1 + lam * W
+                err = f(x) - h
+                assert -mp.mpf(10) ** -30 <= err <= k4 * lam**2 * (1 - lam) ** 2 * W**4 / 24
+                assert abs(df(x) - dh / W) <= mp.sqrt(3) / 216 * W**3 * k4
+
+
+def test_block_term_needs_its_curvature_allowance():
+    """At the edge of the cone, f(r) = (1 + r)^{-t} has f'' = t(t+1) f at r = 0.
+
+    With the block's sums enclosed tightly, the chord oracle's lower term
+    must stay below the exact cell sum, and without the K W^2/8 allowance it
+    would not.
+    """
+    t, N = 2.2, 256
+    K = up(t * up(t + 1.0))
+    ch = _block_chords(np.array([[33.0]]), np.array([[64.0]]), np.zeros(1), t, K, N)
+    j1, j2 = int(ch["ju1"][0, 0]), int(ch["ju2"][0, 0])
+    with mp.workdps(40):
+        s0 = mp.fsum(mp.mpf(a) ** -t for a in range(33, 65))
+        s1 = mp.fsum(mp.mpf(a) ** (-t - 1) for a in range(33, 65))
+        m = (N * s1 - j1 * s0) / (j2 - j1)
+        exact = mp.fsum(mp.mpf(a + 1) ** -t for a in range(33, 65))  # sum of a^-t f(1/a)
+        nodes = [(1 + mp.mpf(j) / N) ** -t for j in range(N + 1)]
+    tight = {"s_lo": dn(float(s0)), "s_hi": up(float(s0)), "mu": dn(float(m)), "ml": up(float(m))}
+    ch = {f: np.array([[tight.get(f, v[0, 0])]]) for f, v in ch.items()}
+    ch.update({f: ch[f].astype(np.int32) for f in _INDEX_FIELDS})
+    L = np.array([dn(float(v)) for v in nodes])
+    U = np.array([up(float(v)) for v in nodes])
+    t_lo, t_hi = terms(ch, L, U)
+    assert t_lo[0, 0] <= exact <= t_hi[0, 0]
+    ch["c"] = np.zeros((1, 1))
+    assert terms(ch, L, U)[0][0, 0] > exact
+
+
+def _edge_nodes(t, N):
+    """Tight node bounds of f(r) = (1 + r)^{-t} and of its slope t (1 + r)^{-t-1}."""
+    with mp.workdps(40):
+        f = [(1 + mp.mpf(j) / N) ** -t for j in range(N + 1)]
+        p = [t * (1 + mp.mpf(j) / N) ** (-t - 1) for j in range(N + 1)]
+    return (np.array([dn(float(v)) for v in f]), np.array([up(float(v)) for v in f]),
+            np.array([dn(float(v)) for v in p]), np.array([up(float(v)) for v in p]))
+
+
+_BASIS = (lambda x: (1 + 2 * x) * (1 - x) ** 2, lambda x: x**2 * (3 - 2 * x),
+          lambda x: x * (1 - x) ** 2, lambda x: x**2 * (1 - x))
+
+
+def _exact_block_sums(A1, A2, t, N, r):
+    """40-digit M_k = sum over a cell of w lam^k, k = 0..5, with w = (a+r)^{-t}
+    and lam = N/(a+r), from Hurwitz zeta, and the sums of w h00, w h01, w h10,
+    w g11 (value) and of the same times lam (slope) as combinations of them,
+    checked against the digit sums themselves on a short finite block."""
+    with mp.workdps(40):
+        c = mp.mpf(r)
+        M = [(mp.zeta(t + k, A1 + c) - (mp.zeta(t + k, A2 + 1 + c) if A2 else 0)) * N**k
+             for k in range(6)]
+        value = [M[0] - 3 * M[2] + 2 * M[3], 3 * M[2] - 2 * M[3], M[1] - 2 * M[2] + M[3], M[2] - M[3]]
+        slope = [M[1] - 3 * M[3] + 2 * M[4], 3 * M[3] - 2 * M[4], M[2] - 2 * M[3] + M[4], M[3] - M[4]]
+        if A2 and A2 - A1 <= 100:
+            lam = [N / (a + c) for a in range(A1, A2 + 1)]
+            w = [(a + c) ** -t for a in range(A1, A2 + 1)]
+            direct = ([mp.fsum(wi * h(x) for wi, x in zip(w, lam)) for h in _BASIS]
+                      + [mp.fsum(wi * x * h(x) for wi, x in zip(w, lam)) for h in _BASIS])
+            assert all(abs(a - b) < mp.mpf(10) ** -30 for a, b in zip(value + slope, direct))
+        return M, value, slope
+
+
+def _tight_moments(A1, A2, t, N, r):
+    """M_0..M_4 of one cell at one point, enclosed to a float either side."""
+    M = _exact_block_sums(A1, A2, t, N, r)[0]
+    return [(np.array([[dn(float(m))]]), np.array([[up(float(m))]])) for m in M[:5]]
+
+
+def test_block_term_needs_its_remainder():
+    """At the edge of the cone, f(r) = (1 + r)^{-t}, with the block's sums
+    enclosed tightly, the Hermite block terms bracket the exact cell sums of
+    value and slope, and without the fourth-order remainder the value's upper
+    term falls below the exact sum (H <= f)."""
+    t, N = 2.2, 32
+    V = np.concatenate(_edge_nodes(t, N))
+    M = _tight_moments(33, 64, t, N, 0.0)
+    cv = _transfer._constants(t, N)[0]
+    with mp.workdps(40):
+        value = mp.fsum(mp.mpf(a + 1) ** -t for a in range(33, 65))  # sum a^-t f(1/a)
+        slope = mp.fsum(t * mp.mpf(a + 1) ** (-t - 1) for a in range(33, 65))  # -(d/dr) at r = 0
+    hi, lo = _transfer._block_terms(_transfer._block_data(M, t, N, cv), V)
+    assert lo[0, 0, 0] <= value <= hi[0, 0, 0]
+    assert lo[1, 0, 0] <= slope <= hi[1, 0, 0]
+    assert _transfer._block_terms(_transfer._block_data(M, t, N, 0.0), V)[0][0, 0, 0] < value
+
+
+@pytest.mark.parametrize("loose", ["none", "values", "slopes"])
+def test_singleton_terms_bracket_value_and_slope(loose, monkeypatch):
+    """At the edge of the cone, f(r) = (1 + r)^{-t} on 4 node intervals, every
+    singleton's value w f(x) and slope w x (t f(x) - x p(x)) lie inside its
+    terms, with tight node bounds and with loose ones of f or of p (which
+    test each term's choice of bound).  With tight ones, dropping either
+    remainder puts some exact value or slope outside."""
+    t, N = 2.2, 4
+    layout = _transfer.Layout(N, tuple((a, a) for a in range(1, 13)))
+    r = np.arange(9) / 8.0
+    L, U, Pl, Pu = _edge_nodes(t, N)
+    if loose == "values":
+        L, U = 0.9 * L, 1.1 * U
+    elif loose == "slopes":
+        Pl, Pu = 0.5 * Pl, 1.5 * Pu
+    V = np.concatenate([L, U, Pl, Pu])
+    with mp.workdps(30):
+        exact = np.empty((2, len(layout.cells), r.size), dtype=object)
+        for i, (a, _) in enumerate(layout.cells):
+            for k, rk in enumerate(r):
+                y = a + mp.mpf(float(rk))
+                x = 1 / y
+                f, p = (1 + x) ** -t, t * (1 + x) ** (-t - 1)
+                exact[:, i, k] = y**-t * f, y**-t * x * (t * f - x * p)
+
+    def inside():
+        hi, lo = _transfer._singleton_terms(_transfer._setup(layout, t, r)[0], V, t)
+        return [bool(np.all(lo[m] <= exact[m]) and np.all(exact[m] <= hi[m])) for m in (0, 1)]
+
+    assert inside() == [True, True]
+    if loose == "none":
+        cv, cd = _transfer._constants(t, N)
+        monkeypatch.setattr(_transfer, "_constants", lambda t, N: (0.0, cd))
+        assert not inside()[0]
+        monkeypatch.setattr(_transfer, "_constants", lambda t, N: (cv, 0.0))
+        assert not inside()[1]
+
+
+@pytest.mark.parametrize("amax", [None, 100])
+def test_block_chord_data_bracket_the_exact_sums(amax):
+    """Per block and tail cell of the chord oracle: s_lo <= S0 <= s_hi, mu <=
+    sum_a w_a lam_a <= ml, and every image 1/(a+r) lies in [ju1/N, ju2/N]."""
+    layout = chord_layout(0, _upto(amax))
+    t = 1.5
+    r = layout.edges[::37]
+    ch = chords(layout, t, r)
+    N = layout.nbins
+    with mp.workdps(30):
+        for k, (A1, A2) in enumerate(layout.cells):
+            if A1 == A2:
+                continue
+            for i, ri in enumerate(r):
+                c = mp.mpf(float(ri))
+                s0, s1 = (mp.zeta(e, A1 + c) - (mp.zeta(e, A2 + 1 + c) if A2 else 0)
+                          for e in (t, t + 1))
+                j1, j2 = int(ch["ju1"][k, i]), int(ch["ju2"][k, i])
+                assert (j1, j2) == (int(ch["jl1"][k, i]), int(ch["jl2"][k, i]))
+                assert j1 <= N / (A2 + c) if A2 else j1 == 0
+                assert N / (A1 + c) <= j2
+                m = (N * s1 - j1 * s0) / (j2 - j1)
+                assert ch["s_lo"][k, i] <= s0 <= ch["s_hi"][k, i]
+                assert ch["mu"][k, i] <= m <= ch["ml"][k, i], (A1, A2, ri)
+
+
+@pytest.mark.parametrize("amax", [None, 100])
+def test_block_hermite_sums_bracket_the_exact_sums(amax):
+    """Per block and tail cell, every coefficient of _setup's block terms bounds
+    its 40-digit value toward its side, and so do the clamps."""
+    layout = _transfer.make_layout(0, _upto(amax))
+    t, N = 1.5, layout.nbins
+    W, tw = mp.mpf(1) / N, mp.mpf(t) / N
+    r = layout.edges[::8]
+    _, blocks = _transfer._setup(layout, t, r)
+    _, rows = _setup_rows(layout)
+    for k, (A1, A2) in enumerate(layout.cells):
+        if A1 == A2:
+            continue
+        for i, ri in enumerate(r):
+            M, (b00, b01, b10, g11), (s00, s01, s10, s11) = _exact_block_sums(A1, A2, t, N, float(ri))
+            exact = [[b00, b01, W * g11, -W * b10, 0],
+                     [tw * s00, tw * s01, tw * W * s11, -tw * W * s10, -W * W * M[2]]]
+            for j in range(5):
+                for out in (0, 1):
+                    lo, hi = blocks["lo"][j, out, rows[k], i], blocks["hi"][j, out, rows[k], i]
+                    assert lo <= exact[out][j] <= hi, (A1, A2, ri, j, out)
+            assert blocks["lo_cap"][rows[k], i] <= M[0] <= blocks["hi_cap"][0, rows[k], i]
+            assert tw * M[1] <= blocks["hi_cap"][1, rows[k], i]
 
 
 # -- layouts and seeds ------------------------------------------------------------
 
 def test_make_layout_needs_dyadic_bins(monkeypatch):
-    monkeypatch.setattr(_transfer, "_LEVELS", [(1000, 32, 12)])
+    monkeypatch.setattr(_transfer, "_LEVELS", [(48, 12)])
     with pytest.raises(ValueError, match="power of 2"):
         _transfer.make_layout(0)
 
 
 def test_levels_clamp_and_keep_the_estimate_rows():
-    assert _transfer._LEVELS[:2] == BIN_LEVELS[:2]  # the float estimates read them
+    """Each level's node count is its singleton count; the float estimate keeps
+    its own 1024 bins at every level."""
+    assert [_transfer.make_layout(level).nbins for level in range(3)] == [32, 64, 128]
+    assert _transfer._ESTIMATE_BINS == 1024
     assert _transfer.make_layout(3) == _transfer.make_layout(_transfer.MAX_LEVEL)
     assert _transfer.make_layout(7, range(1, 10)) == _transfer.make_layout(
         _transfer.MAX_LEVEL, range(1, 10))
@@ -434,7 +769,7 @@ def test_levels_clamp_and_keep_the_estimate_rows():
 def _contiguous_cells(level, amax):
     """Reference cells for {1..amax}, or the full alphabet (None), built
     from the singleton count upward as the level table describes."""
-    _, a0, ndyad = _transfer._LEVELS[min(level, _transfer.MAX_LEVEL)]
+    a0, ndyad = _transfer._LEVELS[min(level, _transfer.MAX_LEVEL)]
     if amax is None:
         cells = [(a, a) for a in range(1, a0 + 1)]
         A = a0
@@ -500,13 +835,16 @@ def test_apply_powers_runs_each_seed_as_alone(digits):
 def test_apply_powers_at_n_one_with_two_seeds(digits):
     """n = 1 sets up at r = 0 alone; it has the bits of node 0 of a full step."""
     layout = _transfer.make_layout(1, digits)
-    t = 1.5
+    t, N = 1.5, layout.nbins
     seeds = [_sup_seed(layout, rd.enclose(Fraction(3, 10)), t), None]
-    full = _transfer._chords(layout, t, layout.edges)
+    full = _transfer._setup(layout, t, layout.edges)
     want = []
     for seed in seeds:
-        L, U = (np.ones(layout.nbins + 1),) * 2 if seed is None else seed
-        lo, hi = _transfer._step(full, L, U)
+        if seed is None:
+            nodes = np.ones(N + 1), np.ones(N + 1), np.zeros(N + 1), np.zeros(N + 1)
+        else:
+            nodes = seed[0], seed[1], -seed[3], -seed[2]
+        lo, hi = _transfer._step(full, nodes, t)[:2]
         want.append([(max(float(lo[0]), 0.0).hex(), float(hi[0]).hex())])
     got = _transfer.apply_powers(1, t, layout, seeds)
     assert [[(lo.hex(), hi.hex()) for lo, hi in run] for run in got] == want
@@ -516,17 +854,34 @@ def test_seed_needs_node_bounds():
     layout = _transfer.make_layout(0, range(1, 6))
     per_bin = np.ones(layout.nbins)
     with pytest.raises(ValueError, match="nodes"):
-        _transfer.apply_power(2, 1.5, layout, seed=(per_bin, per_bin))
+        _transfer.apply_power(2, 1.5, layout, seed=(per_bin, per_bin, -per_bin, per_bin * 0))
+    node = np.ones(layout.nbins + 1)
+    with pytest.raises(ValueError, match="nodes"):
+        _transfer.apply_power(2, 1.5, layout, seed=(node, node))  # no slope bounds
+
+
+def test_sup_seed_brackets_the_seed_and_its_slope():
+    layout = _transfer.make_layout(1, range(1, 6))
+    x, t = Fraction(3, 10), 1.7
+    lo, hi, dlo, dhi = _sup_seed(layout, rd.enclose(x), t)
+    with mp.workdps(30):
+        for j, r in enumerate(layout.edges):
+            b = 1 + mp.mpf(x.numerator) / x.denominator * mp.mpf(float(r))
+            assert lo[j] <= b**-t <= hi[j]
+            assert dlo[j] <= -t * mp.mpf(0.3) * b ** (-t - 1) <= dhi[j] <= 0
 
 
 def test_chord_step_is_outward_at_a_constant():
-    """f = 1 at n = 1: the bound equals the plain weight sum, so nothing is lost."""
-    layout = _transfer.make_layout(0, range(1, 21))
-    lo, hi = _transfer.apply_power(1, 1.5, layout)
+    """f = 1 at n = 1: the chord bound equals the bin oracle's plain weight sum,
+    and the Hermite bound (point weights) lies inside it."""
+    layout = chord_layout(0, range(1, 21))
+    lo, hi = chord_apply_power(1, 1.5, layout)
     b_lo, b_hi = bin_apply_power(1, 1.5, layout)
     assert (lo, hi) == (b_lo, b_hi)
+    h_lo, h_hi = _transfer.apply_power(1, 1.5, _transfer.make_layout(0, range(1, 21)))
     exact = math.fsum(a**-1.5 for a in range(1, 21))
-    assert lo <= exact <= hi
+    assert lo <= h_lo <= exact <= h_hi <= hi
+    assert h_hi - h_lo < 1e-14 * h_hi
 
 
 def test_blocks_at_t_equal_one():
@@ -536,7 +891,7 @@ def test_blocks_at_t_equal_one():
     for level, n in itertools.product((0, 1), (1, 2)):
         lo, hi = _transfer.apply_power(n, 1.0, _transfer.make_layout(level, range(1, 101)))
         assert Fraction(lo) <= exact[n] <= Fraction(hi), (level, n)
-        assert hi - lo < 1e-3 * hi
+        assert hi - lo < 1e-6 * hi
 
 
 @pytest.mark.parametrize("t", [0.7, 1.0])
@@ -544,6 +899,8 @@ def test_full_alphabet_needs_t_above_one(t):
     with pytest.raises(ValueError, match="diverges"):
         _transfer.apply_power(2, t, _transfer.make_layout(0))
 
+
+# -- the float estimate -------------------------------------------------------------
 
 def _block_mid_weight_ref(A1, A2, r, t):
     """The estimate's block weight with no t = 1 case, kept as the reference off t = 1."""
@@ -565,6 +922,76 @@ def test_estimate_keeps_its_floats_off_t_equal_one(level, digits, monkeypatch):
     assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
+# apply_power_estimate before the Hermite envelope, on 1024 bins over the
+# cells of make_layout(level, digits), as float.hex: (level, amax, n, t) -> value.
+# Levels 1 and 2 had 1024 bins, so these are the estimates every solver saw.
+ESTIMATE_FLOATS = {
+    (0, None, 1, 1.1): "0x1.52b40d80cd67ep+3",
+    (0, None, 1, 1.6): "0x1.249439b3aa57ep+1",
+    (0, None, 1, 2.4): "0x1.6222ce1522058p+0",
+    (0, None, 2, 1.1): "0x1.b9013888c71aep+6",
+    (0, None, 2, 1.6): "0x1.e268785429aa9p+1",
+    (0, None, 2, 2.4): "0x1.60cca5e02d5fep-1",
+    (0, None, 3, 1.1): "0x1.1f81200448afep+10",
+    (0, None, 3, 1.6): "0x1.b256b1c9d4b2cp+2",
+    (0, None, 3, 2.4): "0x1.fa17535f76205p-2",
+    (0, 5, 1, 1.1): "0x1.1397f5accf3bdp+1",
+    (0, 5, 1, 1.6): "0x1.aff0e08468e35p+0",
+    (0, 5, 1, 2.4): "0x1.5166ace52a839p+0",
+    (0, 5, 2, 1.1): "0x1.a3ecdf8630d9ap+1",
+    (0, 5, 2, 1.6): "0x1.8a16e19fc4b20p+0",
+    (0, 5, 2, 2.4): "0x1.165bea176ca73p-1",
+    (0, 5, 3, 1.1): "0x1.5fc14f25a8c1bp+2",
+    (0, 5, 3, 1.6): "0x1.b3a838865a8d3p+0",
+    (0, 5, 3, 2.4): "0x1.5bba5faa7c11ap-2",
+    (1, None, 1, 1.1): "0x1.52b3dc7f6bbbfp+3",
+    (1, None, 1, 1.6): "0x1.2494032ecb53cp+1",
+    (1, None, 1, 2.4): "0x1.6222c320284c1p+0",
+    (1, None, 2, 1.1): "0x1.b8ffa47e739f6p+6",
+    (1, None, 2, 1.6): "0x1.e25f6e43ff320p+1",
+    (1, None, 2, 2.4): "0x1.60c9a5f54b257p-1",
+    (1, None, 3, 1.1): "0x1.1f7f3f9138319p+10",
+    (1, None, 3, 1.6): "0x1.b245dd728332dp+2",
+    (1, None, 3, 2.4): "0x1.fa0c8e1bd7782p-2",
+    (1, 5, 1, 1.1): "0x1.1397f5accf3bdp+1",
+    (1, 5, 1, 1.6): "0x1.aff0e08468e35p+0",
+    (1, 5, 1, 2.4): "0x1.5166ace52a839p+0",
+    (1, 5, 2, 1.1): "0x1.a3ecdf8630d9ap+1",
+    (1, 5, 2, 1.6): "0x1.8a16e19fc4b20p+0",
+    (1, 5, 2, 2.4): "0x1.165bea176ca73p-1",
+    (1, 5, 3, 1.1): "0x1.5fc14f25a8c1bp+2",
+    (1, 5, 3, 1.6): "0x1.b3a838865a8d3p+0",
+    (1, 5, 3, 2.4): "0x1.5bba5faa7c11ap-2",
+    (2, None, 1, 1.1): "0x1.52b3d0d95a927p+3",
+    (2, None, 1, 1.6): "0x1.2493f9fcd7876p+1",
+    (2, None, 1, 2.4): "0x1.6222c20ee5111p+0",
+    (2, None, 2, 1.1): "0x1.b8fec027e34f4p+6",
+    (2, None, 2, 1.6): "0x1.e25b72558fdabp+1",
+    (2, None, 2, 2.4): "0x1.60c8eb36dbfd9p-1",
+    (2, None, 3, 1.1): "0x1.1f7e314443b13p+10",
+    (2, None, 3, 1.6): "0x1.b23f9b0e1575ep+2",
+    (2, None, 3, 2.4): "0x1.fa0a5c60e5c3dp-2",
+    (2, 5, 1, 1.1): "0x1.1397f5accf3bdp+1",
+    (2, 5, 1, 1.6): "0x1.aff0e08468e35p+0",
+    (2, 5, 1, 2.4): "0x1.5166ace52a839p+0",
+    (2, 5, 2, 1.1): "0x1.a3ecdf8630d9ap+1",
+    (2, 5, 2, 1.6): "0x1.8a16e19fc4b20p+0",
+    (2, 5, 2, 2.4): "0x1.165bea176ca73p-1",
+    (2, 5, 3, 1.1): "0x1.5fc14f25a8c1bp+2",
+    (2, 5, 3, 1.6): "0x1.b3a838865a8d3p+0",
+    (2, 5, 3, 2.4): "0x1.5bba5faa7c11ap-2",
+}
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("amax", [None, 5])
+def test_estimate_keeps_parent_floats(level, amax):
+    layout = _transfer.make_layout(level, _upto(amax))
+    for n, t in itertools.product((1, 2, 3), (1.1, 1.6, 2.4)):
+        got = _transfer.apply_power_estimate(n, t, layout).hex()
+        assert got == ESTIMATE_FLOATS[(level, amax, n, t)], (n, t)
+
+
 @pytest.mark.parametrize("level", [0, 1])
 def test_estimate_at_t_equal_one_is_near_the_certified_sum(level):
     layout = _transfer.make_layout(level, range(1, 101))
@@ -578,56 +1005,3 @@ def test_estimate_at_t_equal_one_is_near_the_certified_sum(level):
 def test_full_alphabet_estimate_needs_t_above_one(t):
     with pytest.raises(ValueError, match="diverges"):
         _transfer.apply_power_estimate(2, t, _transfer.make_layout(0))
-
-
-def test_block_term_needs_its_curvature_allowance():
-    """At the edge of the cone, f(r) = (1 + r)^{-t} has f'' = t(t+1) f at r = 0.
-
-    With the block's sums enclosed tightly, its lower term must stay below
-    the exact cell sum, and without the K W^2/8 allowance it would not.
-    """
-    t, N = 2.2, 256
-    K = up(t * up(t + 1.0))
-    ch = _transfer._block_chords(np.array([[33.0]]), np.array([[64.0]]), np.zeros(1), t, K, N)
-    j1, j2 = int(ch["ju1"][0, 0]), int(ch["ju2"][0, 0])
-    with mp.workdps(40):
-        s0 = mp.fsum(mp.mpf(a) ** -t for a in range(33, 65))
-        s1 = mp.fsum(mp.mpf(a) ** (-t - 1) for a in range(33, 65))
-        m = (N * s1 - j1 * s0) / (j2 - j1)
-        exact = mp.fsum(mp.mpf(a + 1) ** -t for a in range(33, 65))  # sum of a^-t f(1/a)
-        nodes = [(1 + mp.mpf(j) / N) ** -t for j in range(N + 1)]
-    tight = {"s_lo": dn(float(s0)), "s_hi": up(float(s0)), "mu": dn(float(m)), "ml": up(float(m))}
-    ch = {f: np.array([[tight.get(f, v[0, 0])]]) for f, v in ch.items()}
-    ch.update({f: ch[f].astype(np.int32) for f in _transfer._INDEX_FIELDS})
-    L = np.array([dn(float(v)) for v in nodes])
-    U = np.array([up(float(v)) for v in nodes])
-    t_lo, t_hi = _transfer._terms(ch, L, U)
-    assert t_lo[0, 0] <= exact <= t_hi[0, 0]
-    ch["c"] = np.zeros((1, 1))
-    assert _transfer._terms(ch, L, U)[0][0, 0] > exact
-
-
-@pytest.mark.parametrize("amax", [None, 100])
-def test_block_chord_data_bracket_the_exact_sums(amax):
-    """Per block and tail cell: s_lo <= S0 <= s_hi, mu <= sum_a w_a lam_a <= ml, and
-    every image 1/(a+r) lies in the node interval [ju1/N, ju2/N]."""
-    layout = _transfer.make_layout(0, _upto(amax))
-    t = 1.5
-    r = layout.edges[::37]
-    ch = _transfer._chords(layout, t, r)
-    N = layout.nbins
-    with mp.workdps(30):
-        for k, (A1, A2) in enumerate(layout.cells):
-            if A1 == A2:
-                continue
-            for i, ri in enumerate(r):
-                c = mp.mpf(float(ri))
-                s0, s1 = (mp.zeta(e, A1 + c) - (mp.zeta(e, A2 + 1 + c) if A2 else 0)
-                          for e in (t, t + 1))
-                j1, j2 = int(ch["ju1"][k, i]), int(ch["ju2"][k, i])
-                assert (j1, j2) == (int(ch["jl1"][k, i]), int(ch["jl2"][k, i]))
-                assert j1 <= N / (A2 + c) if A2 else j1 == 0
-                assert N / (A1 + c) <= j2
-                m = (N * s1 - j1 * s0) / (j2 - j1)
-                assert ch["s_lo"][k, i] <= s0 <= ch["s_hi"][k, i]
-                assert ch["mu"][k, i] <= m <= ch["ml"][k, i], (A1, A2, ri)
