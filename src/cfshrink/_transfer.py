@@ -72,7 +72,7 @@ One step.  (Lf)(r) = sum_a w_a f(x_a) and p_Lf(r) = sum_a w_a x_a (t f(x_a)
   interval, which hold by monotonicity;
 - block or tail A1..A2 with A1 >= N: every x_a lies in [0, 1/N], the first
   node interval, at lam_a = N/(a+r).  The sums M_k = sum_a w_a lam_a^k =
-  N^k sum_a (a+r)^{-t-k}, k = 0..4, come from _cell_sum, and every weight
+  N^k sum_a (a+r)^{-t-k}, k = 0..4, come from _end_sums, and every weight
   sum (a) needs is a combination of them: sum w h00 = M0 - 3 M2 + 2 M3,
   sum w h01 = 3 M2 - 2 M3, sum w h10 = M1 - 2 M2 + M3, sum w g11 = M2 - M3
   and sum w lam^2 (1 - lam)^2 = M2 - 2 M3 + M4; with one more factor lam
@@ -211,29 +211,21 @@ def _end_powers(y, p):
     return powers
 
 
-def _cell_sum(A1, A2, c, t):
-    """Enclosures of sum_{a=A1..A2} (a+c)^{-e} for e = t, t+1, ..., t+4.
+def _end_sums(ya, yb, p, t):
+    """Enclosures of sum_{a=A1..A2} (a+c)^{-e} for e = t, t+1, ..., t+4,
+    from the cell ends ya = A1 - 1/2 + c and yb = A2 + 1/2 + c and the
+    enclosures p of their powers y^{-t}.
 
-    c >= 0 is exact and A2 = None is infinite.  g(x) = (x+c)^{-e} is
-    completely monotone, so with a = A1 - 1/2 and b = A2 + 1/2 the sum lies
-    in [I - D1, I - D1 + D3]: I is the integral of g over [a, b],
+    c >= 0 is exact and yb = None means A2 is infinite.  g(x) = (x+c)^{-e}
+    is completely monotone, so with a = A1 - 1/2 and b = A2 + 1/2 the sum
+    lies in [I - D1, I - D1 + D3]: I is the integral of g over [a, b],
     D1 = (g'(b) - g'(a))/24 and D3 = (7/5760)(g'''(b) - g'''(a)), the b
     terms 0 for the tail.  This is midpoint Euler-Maclaurin to third order;
     the proof is the one in sums.lemma_sum_batch, with a boundary term at
     both ends.  Every sum reads the powers of _end_powers, and every
-    coefficient is rounded outward from Fraction(t).  A1, A2 and c
-    broadcast against each other; every element is computed as it would be
-    alone.
+    coefficient is rounded outward from Fraction(t).  The ends broadcast
+    against each other; every element is computed as it would be alone.
     """
-    c = np.asarray(c, dtype=np.float64)
-    ya, yb = A1 - 0.5 + c, None if A2 is None else A2 + 0.5 + c
-    ends = [y for y in (ya, yb) if y is not None]
-    return _end_sums(ya, yb, _pow_neg([(dn(y), up(y)) for y in ends], t), t)
-
-
-def _end_sums(ya, yb, p, t):
-    """The sums of _cell_sum from its cell ends ya and yb (None: infinite)
-    and the enclosures p of their powers y^{-t}."""
     pa = _end_powers(ya, p[0])
     pb = [(0.0, 0.0)] * 9 if yb is None else _end_powers(yb, p[1])
     out = []

@@ -1,10 +1,9 @@
 """Exact continued-fraction arithmetic.
 
-Gauss map, digit expansion, continuant ladders, cylinder intervals and
-their left-to-right ordering.  Everything here is exact arithmetic on
-integers, rationals or quadratic surds (`surd.Quad`: the Gauss step and a
-word on a tail take either); no floating point.  All values are
-immutable and all functions pure.
+Gauss map, continuant ladders, word values and cylinder intervals.
+Everything here is exact arithmetic on integers, rationals or quadratic
+surds (`surd.Quad`: the Gauss step and a word on a tail take either); no
+floating point.  All values are immutable and all functions pure.
 """
 
 from __future__ import annotations
@@ -34,24 +33,6 @@ def gauss_step(x):
         return Fraction(0)
     inv = 1 / x
     return inv - math.floor(inv)
-
-
-def expand(x: Fraction, max_digits: int = 64) -> Word:
-    """Digits of x by the floor algorithm, stopping at 0 or max_digits.
-
-    Terminating expansions are canonical: the last digit is whatever the
-    floor algorithm produces, never a trailing-1 rewrite.
-    """
-    x = Fraction(x)
-    if not 0 < x < 1:
-        raise ValueError(f"expand needs x in (0,1), got {x}")
-    digits = []
-    while x != 0 and len(digits) < max_digits:
-        inv = 1 / x
-        a = inv.numerator // inv.denominator
-        digits.append(a)
-        x = inv - a
-    return tuple(digits)
 
 
 @dataclass(frozen=True)
@@ -141,17 +122,3 @@ def eval_word(w: Word, tail=Fraction(0)):
     n = len(w)
     return (c.p(n) + tail * c.p(n - 1)) / (c.q(n) + tail * c.q(n - 1))
 
-
-def compare_cylinders(w: Word, a: int, b: int) -> int:
-    """-1 if I(w+(a,)) lies left of I(w+(b,)), else 1.
-
-    Sub-cylinders run left-to-right as the digit increases when |w| is
-    odd, and right-to-left when |w| is even.
-    """
-    _check_word(w)
-    if a == b:
-        raise ValueError("digits must differ")
-    if a < 1 or b < 1:
-        raise ValueError("digits must be >= 1")
-    digit_order = -1 if a < b else 1
-    return digit_order if len(w) % 2 == 1 else -digit_order

@@ -338,7 +338,7 @@ def _run_witness(cfg) -> int:
         cfg.case, len(cfg.u), cfg.u, cfg.ell, cfg.M, n_lo, cfg.B,
         parse_target(cfg.target, cfg.B), cfg.t, cfg.eps, rate=cfg.rate, relax=cfg.relax,
     )
-    witness = md.build_witness(params, exact=not cfg.core)
+    witness = md.build_witness(params)
     spot = md.membership_spotcheck(witness.intervals, params, points=5)
     gaps = md.gap_check(witness.intervals, params)
     masses = md.mass_bounds_check(witness)
@@ -582,7 +582,6 @@ _SUBCOMMANDS = {
         t=_Option(_fraction, "3/200"), eps=_Option(_fraction, "101/200"),
         rate=_Option(lambda v: None if v is None else _fraction(v), None),
         relax=_Option(_flag, False),
-        core=_Option(_flag, False, "use the guaranteed cores instead of exact solving"),
         samples=_Option(_int, 2000))),
     "simulate": (_run_simulate, dict(
         B=_B, target=_TARGET, out=_OUT,

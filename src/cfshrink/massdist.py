@@ -286,9 +286,6 @@ class FundamentalInterval:
     def address(self):
         return self.blocks + (self.last,)
 
-    def parent_cylinder(self):
-        return cylinder(self.word)
-
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi
 
@@ -341,7 +338,7 @@ def _core_interval(prefix: Word, last: int, params: WitnessParams):
         d = abs(a1 - last)
         if d == 1:
             raise ValueError(
-                "guaranteed core needs |a1(z_n) - last| >= 2; keep exact solving on"
+                "guaranteed core needs |a1(z_n) - last| >= 2, not an adjacent closing digit"
             )
         R = Fraction(a1 * last, 2 * d * Bn)
     return _map_piece(prefix + (last,), *_clip_ball(tz, R))
@@ -378,15 +375,18 @@ def _floor_enclosure(params: WitnessParams, qn: int, last: int) -> Enclosure:
     return rd.div(enclose(1), den)
 
 
-def enumerate_fundamental(params: WitnessParams, *, exact=True, budget=20_000):
+def enumerate_fundamental(params: WitnessParams, *, budget=20_000):
     """All fundamental intervals of the family, sorted left to right.
 
-    Endpoints come from exact extremal solving on each (n+1)-cylinder by
-    default; exact=False substitutes the guaranteed inner interval from the
-    hit-set length bounds.  Every interval is checked against its case's
-    length floor.
+    When z_n and Tz_n are rational, endpoints come from exact extremal
+    solving on each (n+1)-cylinder; a quadratic-surd target, which that
+    solving cannot take, gets the guaranteed inner interval from the
+    hit-set length bounds instead.  Every interval is checked against its
+    case's length floor.
     """
     p = params
+    z, _, tz = z_value(p.spec, p.n)
+    exact = isinstance(z, Fraction) and isinstance(tz, Fraction)
     lasts = _last_entries(p)
     blocks = _block_words(p.ell, p.M)
     total = len(blocks) ** p.m * len(lasts)
@@ -496,10 +496,10 @@ class WitnessMeasure:
         return min(gaps) if gaps else self.root_length
 
 
-def build_witness(params: WitnessParams, *, exact=True, budget=20_000) -> WitnessMeasure:
+def build_witness(params: WitnessParams, *, budget=20_000) -> WitnessMeasure:
     """Enumerate the family and attach the normalized product measure."""
     p = params
-    intervals = tuple(enumerate_fundamental(p, exact=exact, budget=budget))
+    intervals = tuple(enumerate_fundamental(p, budget=budget))
     s = (p.s_lo + p.s_hi) / 2
     factor = _block_factor(p.case, p.ell, p.B, p.rate, s, rd.PREC)
     raw = {a: Fraction(rd.mul(rd.powr(enclose(_q_of(a)), -2 * s), factor).mid_float)
@@ -517,41 +517,6 @@ def build_witness(params: WitnessParams, *, exact=True, budget=20_000) -> Witnes
         float(abs(total - 1)),
         per * len(lasts),
     )
-
-
-@dataclass(frozen=True)
-class Ball:
-    x: Fraction
-    r: Fraction
-
-
-def measure_of(query, witness: WitnessMeasure) -> Fraction:
-    """Exact mass of a block-cylinder address or of a ball.
-
-    An address is a tuple of blocks, optionally closed by the last digit:
-    ((1,2), (2,1)) is the cylinder after two blocks, ((1,2), (2,1), 4) the
-    fundamental interval.  A Ball(x, r) integrates the uniform densities
-    over [x - r, x + r].
-    """
-    if isinstance(query, Ball):
-        x, r = Fraction(query.x), Fraction(query.r)
-        if r <= 0:
-            raise ValueError("ball radius must be positive")
-        return _ball_mass(witness, x, r)
-    blocks = []
-    last = None
-    for i, part in enumerate(query):
-        if isinstance(part, int):
-            if i != len(query) - 1:
-                raise ValueError("only the final address entry may be a digit")
-            last = part
-        else:
-            blocks.append(tuple(part))
-    if len(blocks) > witness.params.m:
-        raise ValueError(f"address has more than m={witness.params.m} blocks")
-    if last is not None and len(blocks) != witness.params.m:
-        raise ValueError("closing digit needs all m blocks")
-    return witness.weight(blocks, last)
 
 
 def _ball_mass(w: WitnessMeasure, x: Fraction, r: Fraction) -> Fraction:
@@ -863,7 +828,7 @@ def holder_check(witness: WitnessMeasure, samples, *, prec=RATIO_PREC) -> Holder
     groups' maxima and under the limit: it cannot set a maximum, the
     argmax, a failure or a verdict (fine_verdict reads the fine maximum).
     The report is the one that the prec-bit path on every sample gives.
-    A sample of radius r <= 0 raises ValueError, as measure_of does.
+    A sample of radius r <= 0 raises ValueError.
 
     delta = 2^-40 covers the gap between the exact ratio (<= hi) and the
     prec-bit path's hi_float.  A nontrivial pre-bound has |t ln(L0/r)| <=

@@ -348,23 +348,3 @@ def sstar_estimate(
         running_hi=tuple(run_hi),
     )
 
-
-def em_dimension(m: int, B, *, M: int = 20, depth: int = 8, tol: float = 1e-3):
-    """Certified bracket for the order-m set dimension at alphabet cutoff M.
-
-    The defining pressure potential carries the constant -f_m(s) log B,
-    with f_1(s) = s and f_{k+1}(s) = s f_k(s) / (1 - s + f_k(s)); m = 2
-    gives the quadratic-exponent potential, m = 1 the linear one with zero
-    growth rate.  Cross-checks the level-root trajectory.
-    """
-    if m == 1:
-        res = pressure.pressure_root(
-            pressure.PHI2, B, 0.0, range(1, M + 1), depth=depth, tol=tol
-        )
-    elif m == 2:
-        res = pressure.pressure_root(
-            pressure.PHI1, B, None, range(1, M + 1), depth=depth, tol=tol
-        )
-    else:
-        raise ValueError("only m in {1, 2} is wired to the dimension pipeline")
-    return res.certified_bracket

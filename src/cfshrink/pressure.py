@@ -23,7 +23,7 @@ import numpy as np
 from . import _transfer
 from . import rounding as rd
 from .errors import DepthTooLarge, NoRoot
-from .ivec import dn, iln, ipow_neg, tree_sum, up
+from .ivec import dn, ipow_neg, tree_sum, up
 from .rounding import Enclosure, enclose
 from .surd import quad_to_enclosure
 from .targets import _purely_periodic_value
@@ -165,7 +165,7 @@ def _norm_alphabet(A) -> tuple:
 # exact enumeration of continuant data over A^n
 
 def _enumerate(alpha: tuple, depth: int):
-    """Per-level arrays (q_n, q_{n-1}, p_n, p_{n-1}) for all words in A^n."""
+    """Per-level arrays (q_n, q_{n-1}) for all words in A^n."""
     if len(alpha) ** depth > _BUDGET:
         raise DepthTooLarge(
             f"|A|^depth = {len(alpha)}^{depth} exceeds the enumeration budget {_BUDGET}"
@@ -181,18 +181,13 @@ def _enumerate_levels(alpha: tuple, depth: int):
     digits = np.array(alpha, dtype=np.int64)
     q = np.array([1], dtype=np.int64)
     qp = np.array([0], dtype=np.int64)
-    p = np.array([0], dtype=np.int64)
-    pp = np.array([1], dtype=np.int64)
     levels = []
     for _ in range(depth):
         a = np.repeat(digits, q.size)
         q, qp = a * np.tile(q, digits.size) + np.tile(qp, digits.size), np.tile(
             q, digits.size
         )
-        p, pp = a * np.tile(p, digits.size) + np.tile(pp, digits.size), np.tile(
-            p, digits.size
-        )
-        levels.append((q, qp, p, pp))
+        levels.append((q, qp))
     return levels
 
 
@@ -235,7 +230,7 @@ def _sums(route, depth: int, s, xe) -> list:
     else:
         xlo, xhi = rd.to_f64(xe)
         sup, x0 = [], []
-        for q, qp, _, _ in route:
+        for q, qp in route:
             qf, qpf = q.astype(np.float64), qp.astype(np.float64)
             sup.append(tree_sum(*ipow_neg(dn(qf + dn(xlo * qpf)), up(qf + up(xhi * qpf)), t)))
             x0.append(tree_sum(*ipow_neg(qf, qf, t)))
@@ -420,28 +415,3 @@ def pressure_root(
         certified_bracket=rd.from_f64(lo_end, hi_end),
     )
 
-
-def variation_check(phi: PotentialSpec, n: int, A) -> Enclosure:
-    """Upper bound on the level-n oscillation of the potential.
-
-    The constant part drops out, so this is 2s times the largest
-    log-ratio of cylinder endpoints over words in A^n; endpoints are the
-    exact rationals p_n/q_n and (p_n + p_{n-1})/(q_n + q_{n-1}).
-    """
-    alpha = _norm_alphabet(A)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    q, qp, p, pp = _enumerate(alpha, n)[n - 1]
-    qf, qpf = q.astype(np.float64), qp.astype(np.float64)
-    pf, ppf = p.astype(np.float64), pp.astype(np.float64)
-    qa = pf / qf
-    qb = (pf + ppf) / (qf + qpf)  # operands exact by the float64 magnitude guard
-    a_lo, a_hi = dn(qa), up(qa)
-    b_lo, b_hi = dn(qb), up(qb)
-    hi_ratio = up(np.maximum(a_hi, b_hi) / dn(np.minimum(a_lo, b_lo)))
-    lo_ratio = dn(np.maximum(a_lo, b_lo) / up(np.minimum(a_hi, b_hi)))
-    llo, lhi = iln(np.maximum(lo_ratio, 1.0), hi_ratio)
-    t = 2.0 * float(phi.s)
-    return rd.from_f64(
-        float(dn(t * np.max(llo))), float(up(t * np.max(lhi)))
-    )

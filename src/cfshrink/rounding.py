@@ -137,12 +137,6 @@ class Enclosure:
     def certified_gt(self, x) -> bool:
         return _cmp_frac(self.lo._mpf_, Fraction(x)) > 0
 
-    def is_subset_of(self, other: "Enclosure") -> bool:
-        return (
-            mpf_cmp(other.lo._mpf_, self.lo._mpf_) <= 0
-            and mpf_cmp(self.hi._mpf_, other.hi._mpf_) <= 0
-        )
-
 
 def _mk(lot, hit) -> Enclosure:
     return Enclosure(make_mpf(lot), make_mpf(hit))

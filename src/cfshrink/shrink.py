@@ -1,4 +1,4 @@
-"""Level-n target hits: membership, the distance identity, J-intervals.
+"""Level-n target hits: membership, J-interval balls, extremal pieces, covers.
 
 Membership at level n asks |T^n x - z_n| |T^{n+1} x - T z_n| < B^{-n}.
 On an (n+1)-cylinder both orbit points are Moebius functions of the tail
@@ -17,15 +17,11 @@ from fractions import Fraction
 from . import predim as predim_mod
 from . import rounding as rd
 from . import sums
-from .cf_core import Word, continuants, cylinder, eval_word, gauss_step
-from .errors import AmbiguousBranch, ExponentTooSmall, Inapplicable
+from .cf_core import Word, eval_word, gauss_step
+from .errors import AmbiguousBranch, ExponentTooSmall
 from .rounding import Enclosure, enclose
-from .surd import Quad, quad_to_enclosure, sqrt_value
+from .surd import Quad, sqrt_value
 from .targets import TargetSpec, first_digit, z_value
-
-FAR = "FAR"
-ADJACENT = "ADJACENT"
-EQUAL = "EQUAL"
 
 BRANCH_S1 = "s1<=s2"
 BRANCH_MAX = "s1>s2"
@@ -110,61 +106,8 @@ def hit_times(x, spec: TargetSpec, B, N: int) -> HitReport:
     return HitReport(x=x0, B=B, horizon=N, hits=hits)
 
 
-def identity_check(x, z, n: int):
-    """|T^n x - z| and the quotient over (a_{n+1}(x)+T^{n+1}x)(a_1(z)+Tz).
-
-    Both sides are exact rationals and must coincide; the quotient's
-    numerator is |(a_1(z) - a_{n+1}(x)) + (Tz - T^{n+1}x)|.
-    """
-    x = Fraction(x)
-    z = Fraction(z)
-    if not 0 < z < 1:
-        raise ValueError("z must lie in (0, 1)")
-    if not 0 <= x < 1:
-        raise ValueError("x must lie in [0, 1)")
-    pts = _orbit(x, n + 1)
-    tn, tn1 = pts[n], pts[n + 1]
-    if tn == 0:
-        raise ValueError(f"x has no digit at position {n + 1}; expansion too short")
-    inv = 1 / tn
-    an1 = inv.numerator // inv.denominator
-    a1z = (1 / z).numerator // (1 / z).denominator
-    tz = gauss_step(z)
-    lhs = abs(tn - z)
-    rhs = abs((a1z - an1) + (tz - tn1)) / ((an1 + tn1) * (a1z + tz))
-    return lhs, rhs
-
-
 # ---------------------------------------------------------------------------
-# J-interval bounds
-
-@dataclass(frozen=True)
-class JIntervalBound:
-    """Length bounds and tail-space cover of F_n inside one (n+1)-cylinder.
-
-    upper_len bounds each emitted piece from above; lower_len bounds the
-    guaranteed contained interval (0 in the two-piece adjacent case, where
-    none is derived).  cover_ts are exact tail intervals whose Moebius
-    images cover F_n within the cylinder.
-    """
-
-    prefix: Word
-    next_digit: int
-    case: str
-    n: int
-    B: object
-    a1z: int
-    upper_len: object
-    lower_len: object
-    pieces: int
-    cover_ts: tuple
-    degenerate: bool = False
-
-    def cover_intervals(self) -> tuple:
-        """Exact x-space cover pieces, each as an ordered (lo, hi) pair."""
-        word = self.prefix + (self.next_digit,)
-        return tuple(_map_piece(word, t0, t1) for (t0, t1) in self.cover_ts)
-
+# J-interval balls
 
 def _b_pow_half(B, n: int):
     """B^{-n/2} exactly: a Fraction when B^n is a square, else a Quad."""
@@ -187,61 +130,6 @@ def _clip_ball(center, radius) -> tuple:
     return (lo, hi)
 
 
-def j_interval_bounds(prefix: Word, a_next: int, spec: TargetSpec, B, n: int) -> JIntervalBound:
-    """Case tag, length bounds and tail cover for F_n cap I_{n+1}(prefix, a_next)."""
-    prefix = tuple(prefix)
-    if len(prefix) != n or n < 1:
-        raise ValueError("prefix length must equal the level n >= 1")
-    _check_base(B)
-    if a_next < 1:
-        raise ValueError("next digit must be a positive integer")
-    a1z = first_digit(spec, n)
-    if a1z == math.inf:
-        raise Inapplicable("z_n = 0: the cover runs through the first branch, "
-                           "no J-interval normal form exists")
-    _, _, tz = z_value(spec, n)
-    c = continuants(prefix)
-    qn = c.q(n)
-    q2 = qn * qn
-    Bn = Fraction(B) ** n
-    delta = abs(a1z - a_next)
-
-    if delta == 0:
-        half = _b_pow_half(B, n)
-        upper = 2 * half / (q2 * a1z)
-        lower = half / (4 * q2 * a1z)
-        ball = _clip_ball(tz, 2 * a1z * half)
-        return JIntervalBound(prefix, a_next, EQUAL, n, B, a1z, upper, lower,
-                              1, (ball,) if ball else ())
-
-    if delta == 1:
-        radius = Fraction(8 * a1z * a_next) / Bn
-        if 2 * radius >= 1:
-            cyl = cylinder(prefix + (a_next,)).length
-            return JIntervalBound(prefix, a_next, ADJACENT, n, B, a1z, cyl, cyl,
-                                  1, ((Fraction(0), Fraction(1)),), degenerate=True)
-        upper = Fraction(16 * a1z, q2 * a_next) / Bn
-        ts = []
-        ball = _clip_ball(tz, radius)
-        if ball:
-            ts.append(ball)
-        left_end = tz - 1 + radius
-        if left_end > 0:
-            ts.append((Fraction(0), left_end))
-        right_end = tz + 1 - radius
-        if right_end < 1:
-            ts.append((right_end, Fraction(1)))
-        return JIntervalBound(prefix, a_next, ADJACENT, n, B, a1z, upper,
-                              Fraction(0), len(ts), tuple(sorted(ts)))
-
-    upper = Fraction(16 * a1z, q2 * a_next * delta) / Bn
-    lower = Fraction(a1z, 16 * q2 * a_next * delta) / Bn
-    radius = Fraction(8 * a1z * a_next, delta) / Bn
-    ball = _clip_ball(tz, radius)
-    return JIntervalBound(prefix, a_next, FAR, n, B, a1z, upper, lower,
-                          1, (ball,) if ball else ())
-
-
 # ---------------------------------------------------------------------------
 # exact extremal pieces
 
@@ -257,10 +145,6 @@ class ExtremalPiece:
     t_hi: object
     x_lo: object
     x_hi: object
-
-    def length_enclosure(self, prec: int = 128) -> Enclosure:
-        return rd.sub(quad_to_enclosure(self.x_hi, prec),
-                      quad_to_enclosure(self.x_lo, prec), prec)
 
 
 def _poly_le_zero(a2, a1, a0, u: Fraction, v: Fraction) -> list:

@@ -11,7 +11,7 @@ cell:
   times the weight (a+r)^{-t}, enclosed from dn/up(a+r);
 - block or tail A1..A2: every image lies in one node interval [y1, y2]
   covering [1/(A2+r), 1/(A1+r)].  With S0 = sum (a+r)^{-t},
-  S1 = sum (a+r)^{-t-1} (the first two sums of `_transfer._cell_sum`) and
+  S1 = sum (a+r)^{-t-1} (the first two sums of `_cell_sum`) and
   M = (N S1 - j1 S0)/(j2 - j1), the cell lies between S0 U(y1) -
   (U(y1) - U(y2)) M and (L(y1) - K U(y1) W^2/8) S0 - (L(y1) - L(y2)) M.
 
@@ -47,6 +47,18 @@ def chord_sup_seed(layout, xe, t):
     return ipow_neg(dn(1.0 + dn(xlo * r)), up(1.0 + up(xhi * r)), t)
 
 
+def _cell_sum(A1, A2, c, t):
+    """Enclosures of sum_{a=A1..A2} (a+c)^{-e} for e = t, t+1, ..., t+4:
+    `_transfer._end_sums` at the ends of the cells A1..A2 shifted by the
+    exact c >= 0; A2 = None is infinite.  A1, A2 and c broadcast against
+    each other; every element is computed as it would be alone.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    ya, yb = A1 - 0.5 + c, None if A2 is None else A2 + 0.5 + c
+    ends = [y for y in (ya, yb) if y is not None]
+    return _transfer._end_sums(ya, yb, _transfer._pow_neg([(dn(y), up(y)) for y in ends], t), t)
+
+
 def _node_of(x, N):
     xs = x * N
     j = np.minimum(np.floor(xs), N - 1)
@@ -68,7 +80,7 @@ def _singleton_chords(A1, A2, r, t, K, N):
 
 def _block_chords(A1, A2, r, t, K, N):
     """Chord data of block cells A1..A2 at the points r; A2 = None is the tail."""
-    (s_lo, s_hi), (s1_lo, s1_hi) = _transfer._cell_sum(A1, A2, r, t)[:2]
+    (s_lo, s_hi), (s1_lo, s1_hi) = _cell_sum(A1, A2, r, t)[:2]
     x_lo = 0.0 if A2 is None else dn(1.0 / up(A2 + r))
     j1 = np.minimum(np.floor(x_lo * N), N - 1)
     j2 = np.minimum(np.maximum(np.ceil(up(1.0 / dn(A1 + r)) * N), j1 + 1.0), N)

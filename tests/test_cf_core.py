@@ -5,17 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfshrink.cf_core import (
-    compare_cylinders,
-    continuants,
-    cylinder,
-    eval_word,
-    expand,
-    gauss_step,
-)
+from cfshrink.cf_core import Word, continuants, cylinder, eval_word, gauss_step
 from cfshrink.surd import Quad, sqrt_value
 
 words = st.lists(st.integers(1, 50), min_size=1, max_size=12).map(tuple)
+
+
+def expand(x: Fraction, max_digits: int = 64) -> Word:
+    """Digits of x by the floor algorithm, stopping at 0 or max_digits.
+
+    Terminating expansions are canonical: the last digit is whatever the
+    floor algorithm produces, never a trailing-1 rewrite.
+    """
+    x = Fraction(x)
+    if not 0 < x < 1:
+        raise ValueError(f"expand needs x in (0,1), got {x}")
+    digits = []
+    while x != 0 and len(digits) < max_digits:
+        inv = 1 / x
+        a = inv.numerator // inv.denominator
+        digits.append(a)
+        x = inv - a
+    return tuple(digits)
 
 
 def test_gauss_step():
@@ -91,13 +102,6 @@ def test_eval_word_examples():
     assert cylinder((2, 2)).contains(eval_word((2, 2), Fraction(1, 3)))
 
 
-def test_compare_cylinders_examples():
-    # |w| = 1 odd: sub-cylinders run left to right as the digit increases
-    assert compare_cylinders((1,), 1, 2) == -1
-    # level 0 (even): I((1)) = (1/2,1] lies right of I((2)) = (1/3,1/2]
-    assert compare_cylinders((), 1, 2) == 1
-
-
 @given(words)
 @settings(max_examples=80, deadline=None)
 def test_determinant_identity(w):
@@ -159,19 +163,6 @@ def test_expand_roundtrip(x):
     assert eval_word(w, Fraction(0)) == x
     for n in range(1, len(w) + 1):
         assert cylinder(w[:n]).contains(x)
-
-
-@given(words, st.integers(1, 9), st.integers(1, 9))
-@settings(max_examples=60, deadline=None)
-def test_compare_cylinders_against_endpoints(w, a, b):
-    if a == b:
-        b += 1
-    ia, ib = cylinder(w + (a,)), cylinder(w + (b,))
-    verdict = compare_cylinders(w, a, b)
-    if verdict == -1:
-        assert ia.right <= ib.left
-    else:
-        assert ib.right <= ia.left
 
 
 def test_digit_removal_bound():

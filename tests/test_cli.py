@@ -204,6 +204,15 @@ class TestWitness:
         dump = (tmp_path / "witness.txt").read_text()
         assert dump.startswith("case=I")
 
+    def test_surd_target_builds_from_the_guaranteed_cores(self, tmp_path):
+        # exact extremal solving takes rational targets only; z = [0; 2, 3, 3, ...] is a surd
+        assert main(["witness", "--target", "const:2|3", "--samples", "400",
+                     "--out", str(tmp_path)]) == 0
+        payload = read_json(tmp_path / "witness.json")
+        assert payload["intervals"] == 81
+        assert set(payload["verdicts"].values()) == {"PASS"}
+        assert [r["exact"] for r in read_csv(tmp_path / "witness.csv")] == ["False"] * 81
+
     def test_invariant_failure_is_structured(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(md, "extremal_interval", lambda *args: [])
         assert main(["witness", "--samples", "10", "--out", str(tmp_path)]) == 1
@@ -323,7 +332,7 @@ _FLAG_RUNS = [
     (["pressure", "--M", "6", "--depth", "7"], {"M": 6, "depth": 7, "kind": "phi1"}),
     (["cover", "--B", "4", "--target", "zero", "--s", "0.8", "--n", "2..4", "--M", "12"],
      {"B": 4, "target": "zero", "s": 0.8, "n": "2..4", "M": 12}),
-    (["witness", "--samples", "400"], {"samples": 400, "core": False, "t": "3/200"}),
+    (["witness", "--samples", "400"], {"samples": 400, "relax": False, "t": "3/200"}),
     (["simulate", "--B", "3", "--target", "ones", "--x", "w:1,1,1,2,1,1,3", "--N", "12"],
      {"B": 3, "target": "ones", "x": "w:1,1,1,2,1,1,3", "N": 12}),
     (["lemmas", "--threads", "1"], {"threads": 1}),
@@ -346,7 +355,7 @@ class TestConfigFiles:
             assert (by_flag / name).read_bytes() == (by_file / name).read_bytes(), name
 
     @pytest.mark.parametrize("sub, values, key", [
-        ("witness", {"core": "false"}, "core"),
+        ("witness", {"core": False}, "core"),  # no such key: the witness picks its path
         ("witness", {"relax": "false"}, "relax"),
         ("predim", {"B": 4.7}, "B"),
         ("predim", {"B": True}, "B"),
@@ -410,7 +419,7 @@ class TestRejectedRequests:
 
     @pytest.mark.parametrize("argv", [
         ["lemmas", "--B", "4"], ["simulate", "--n", "3"], ["witness", "--tol", "0.1"],
-        ["pressure", "--target", "ones"], ["predim", "--seed", "1"],
+        ["pressure", "--target", "ones"], ["predim", "--seed", "1"], ["witness", "--core"],
     ])
     def test_options_the_subcommand_does_not_read(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

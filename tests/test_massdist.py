@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from cfshrink import massdist as md
 from cfshrink import rounding as rd
+from cfshrink.cf_core import cylinder
 from cfshrink.errors import BudgetExceeded, NoRoot
 from cfshrink import (
-    Ball,
     CASE_I,
     CASE_II,
     CASE_III,
@@ -30,17 +30,17 @@ from cfshrink import (
     content_lower_bound,
     dump_witness,
     enumerate_fundamental,
+    extremal_interval,
     gap_check,
     holder_check,
     holder_limit,
     holder_samples,
-    j_interval_bounds,
     mass_bounds_check,
-    measure_of,
     membership_spotcheck,
     predim_result,
     solve_finite_s,
 )
+from j_bounds import j_interval_bounds
 
 # frozen 40-digit roots of the hand-written defining sums
 S_I_2_3_B4 = 0.5220791998322338
@@ -309,7 +309,7 @@ class TestEnumerate:
         flat = sum(F.blocks, ())
         assert F.word == w_main.params.u_tilde + flat + (F.last,)
         assert F.address == F.blocks + (F.last,)
-        assert F.parent_cylinder().contains(F.lo + F.length / 2)
+        assert cylinder(F.word).contains(F.lo + F.length / 2)
 
     def test_membership_inside_every_interval(self, all_witnesses):
         for w in all_witnesses:
@@ -318,11 +318,13 @@ class TestEnumerate:
             assert rep.checked == 5 * len(w.intervals)
 
     def test_guaranteed_core_sits_inside_exact(self):
+        # on a rational target the exact pieces contain the core the surd path uses
         p = params_case_iii()
-        exact = {F.word: F for F in enumerate_fundamental(p, exact=True)}
-        for C in enumerate_fundamental(p, exact=False):
-            E = exact[C.word]
-            assert E.lo <= C.lo < C.hi <= E.hi
+        for F in enumerate_fundamental(p):
+            prefix = F.word[:-1]
+            lo, hi = md._core_interval(prefix, F.last, p)
+            pieces = extremal_interval(prefix, F.last, p.spec, p.B, p.n)
+            assert any(pc.x_lo <= lo < hi <= pc.x_hi for pc in pieces), F.word
 
     def test_guaranteed_core_sits_inside_the_j_interval_cover(self, w_iii):
         # the inner ball (the guaranteed core) lies in the outer one (the J-bound cover)
@@ -360,7 +362,6 @@ class TestMeasure:
             * w_main.last_weights[F.last]
         )
         assert w_main.interval_mass(F) == expect
-        assert measure_of(F.address, w_main) == expect
 
     def test_address_prefix_mass(self, w_main):
         # one-block address sums the masses of its continuations
@@ -368,35 +369,21 @@ class TestMeasure:
         total = sum(
             w_main.interval_mass(F) for F in w_main.intervals if F.blocks[0] == blk
         )
-        assert measure_of((blk,), w_main) == total
-
-    def test_address_validation(self, w_main):
-        with pytest.raises(ValueError):
-            measure_of(((1, 1), (1, 1), (1, 1)), w_main)  # more than m blocks
-        with pytest.raises(ValueError):
-            measure_of(((1, 1), 2), w_main)  # digit before all blocks are given
-        with pytest.raises(ValueError):
-            measure_of((2, (1, 1)), w_main)  # digit not in final position
-        with pytest.raises(KeyError):
-            measure_of(((9, 9),), w_main)  # not in the alphabet
+        assert w_main.weight((blk,)) == total
 
     def test_ball_mass_exact_half(self, w_main):
         F = w_main.intervals[0]
-        got = measure_of(Ball(F.lo, F.length / 2), w_main)
+        got = md._ball_mass(w_main, F.lo, F.length / 2)
         assert got == w_main.interval_mass(F) / 2
 
     def test_ball_covering_support(self, w_main):
-        assert measure_of(Ball(Fraction(1, 2), Fraction(2)), w_main) == Fraction(1)
+        assert md._ball_mass(w_main, Fraction(1, 2), Fraction(2)) == Fraction(1)
 
     def test_ball_in_gap_has_no_mass(self, w_main):
         a, b = w_main.intervals[0], w_main.intervals[1]
         mid = (a.hi + b.lo) / 2
         r = (b.lo - a.hi) / 4
-        assert measure_of(Ball(mid, r), w_main) == 0
-
-    def test_ball_needs_positive_radius(self, w_main):
-        with pytest.raises(ValueError):
-            measure_of(Ball(Fraction(1, 2), Fraction(0)), w_main)
+        assert md._ball_mass(w_main, mid, r) == 0
 
     def test_last_entry_normalization_recorded(self, w_main, w_iii):
         # uniform 1/count is used; the unnormalized convention is reported
@@ -410,7 +397,7 @@ class TestMeasure:
         x = w_main.intervals[idx].lo
         r1 = Fraction(steps, 600)
         r2 = r1 + Fraction(1, 600)
-        assert measure_of(Ball(x, r1), w_main) <= measure_of(Ball(x, r2), w_main)
+        assert md._ball_mass(w_main, x, r1) <= md._ball_mass(w_main, x, r2)
 
 
 class TestGapLemma:
@@ -637,7 +624,7 @@ class TestHolderOracle:
             assert holder_check(w_iii, samples) == ref
         assert holder_check(w_iii, []) == _holder_every_sample(w_iii, [])
         F = w_iii.intervals[5]
-        for r in (0, -F.length / 4):  # measure_of rejects these balls too
+        for r in (0, -F.length / 4):
             with pytest.raises(ValueError, match="ball radius must be positive"):
                 holder_check(w_iii, samples[:50] + [(F.lo + F.length / 2, r)])
 

@@ -378,15 +378,12 @@ class TestTolerance:
 
 class TestEmDimension:
     def test_order_and_range(self):
-        d2 = predim.em_dimension(2, 4, M=10, depth=6)
-        d1 = predim.em_dimension(1, 4, M=10, depth=6)
+        # the quadratic-exponent potential (PHI1) and the linear one at zero growth (PHI2)
+        d2 = pr.pressure_root(pr.PHI1, 4, None, range(1, 11), depth=6).certified_bracket
+        d1 = pr.pressure_root(pr.PHI2, 4, 0.0, range(1, 11), depth=6).certified_bracket
         assert 0.5 < d1.lo_float and d1.hi_float < 1.0
         assert 0.5 < d2.lo_float and d2.hi_float < 1.0
         assert d1.hi_float < d2.hi_float
-
-    def test_rejects_other_m(self):
-        with pytest.raises(ValueError):
-            predim.em_dimension(3, 4)
 
 
 class TestValidation:
@@ -489,32 +486,3 @@ class TestLogWeight:
     def test_rejects_an_unknown_kind(self):
         with pytest.raises(ValueError):
             pr.log_weight(4, 1, 0.7, 4, 0.1)
-
-
-class TestVariation:
-    def test_matches_brute_force(self):
-        from itertools import product
-
-        A, n, s = (1, 2), 3, 0.6
-        var = pr.variation_check(pr.PotentialSpec(pr.PHI1, s, 4), n, A)
-        worst = 0.0
-        for w in product(A, repeat=n):
-            p, q, pp, qq = 0, 1, 1, 0
-            for a in w:
-                p, pp = a * p + pp, p
-                q, qq = a * q + qq, q
-            e0 = Fraction(p, q)
-            e1 = Fraction(p + pp, q + qq)
-            worst = max(worst, 2 * s * abs(math.log(e0 / e1)))
-        assert var.lo_float - 1e-9 <= worst <= var.hi_float + 1e-9
-
-    def test_shrinks_with_depth(self):
-        phi = pr.PotentialSpec(pr.PHI1, 0.7, 4)
-        v2 = pr.variation_check(phi, 2, {1, 2, 3})
-        v5 = pr.variation_check(phi, 5, {1, 2, 3})
-        assert v5.hi_float < v2.hi_float
-
-    def test_depends_only_on_exponent(self):
-        a = pr.variation_check(pr.PotentialSpec(pr.PHI1, 0.6, 4), 3, {1, 2})
-        b = pr.variation_check(pr.PotentialSpec(pr.PHI3, 0.6, 9, rate=0.1), 3, {1, 2})
-        assert a.lo_float == b.lo_float and a.hi_float == b.hi_float

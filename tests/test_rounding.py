@@ -132,13 +132,6 @@ def test_certified_comparisons():
     assert not e.certified_lt(Fraction(1, 3))
 
 
-def test_union_and_subset():
-    a, b = enclose(1), enclose(2)
-    u = rd.from_f64(1.0, 2.0)
-    assert a.is_subset_of(u) and b.is_subset_of(u)
-    assert not u.is_subset_of(a) and not a.is_subset_of(b)
-
-
 def test_sum_enclosures():
     xs = [enclose(Fraction(1, k)) for k in range(1, 20)]
     tot = rd.sum_enclosures(xs)

@@ -1,22 +1,18 @@
-import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cfshrink import rounding as rd
 from cfshrink import shrink as sh
-from cfshrink.cf_core import continuants, cylinder, eval_word, gauss_step
+from cfshrink.cf_core import continuants, cylinder, eval_word
 from cfshrink.errors import ExponentTooSmall, Inapplicable
-from cfshrink.surd import Quad, sqrt_value
+from cfshrink.surd import Quad, quad_to_enclosure, sqrt_value
 from cfshrink.targets import TargetSpec, z_value
+from j_bounds import ADJACENT, EQUAL, FAR, j_interval_bounds
 
 ZERO = TargetSpec.zero()
 C23 = TargetSpec.constant((2, 3))      # z = 3/7, Tz = 1/3, a1(z) = 2
 GOLD = TargetSpec.constant((), (1,))   # z = (sqrt(5)-1)/2, a fixed point of T
-
-words = st.lists(st.integers(1, 9), min_size=3, max_size=8).map(tuple)
 
 
 def _sgn(v):
@@ -56,34 +52,6 @@ class TestMembership:
             sh.membership(F(3, 2), ZERO, 4, 1)
 
 
-class TestIdentity:
-    @given(xw=st.lists(st.integers(1, 9), min_size=4, max_size=8).map(tuple),
-           zw=st.lists(st.integers(1, 6), min_size=2, max_size=4).map(tuple),
-           n=st.integers(1, 2))
-    @settings(max_examples=60, deadline=None)
-    def test_equality_is_exact(self, xw, zw, n):
-        # canonical expansions drop at most one trailing digit, so a_{n+1}
-        # survives for n <= 2
-        lhs, rhs = sh.identity_check(eval_word(xw), eval_word(zw), n)
-        assert lhs == rhs
-
-    def test_against_direct_orbit(self):
-        x, z, n = F(5, 13), F(3, 7), 2
-        lhs, rhs = sh.identity_check(x, z, n)
-        tn = gauss_step(gauss_step(x))
-        assert lhs == abs(tn - z) == rhs
-
-    def test_rejects_unit_or_zero_target(self):
-        for z in (F(0), F(1)):
-            with pytest.raises(ValueError):
-                sh.identity_check(F(1, 3), z, 1)
-
-    def test_rejects_short_expansion(self):
-        # x = 1/2 has one digit; no a_3 exists
-        with pytest.raises(ValueError):
-            sh.identity_check(F(1, 2), F(3, 7), 2)
-
-
 class TestHitTimes:
     def test_fixed_point_hits_every_level(self):
         g = (sqrt_value(F(5)) - 1) / 2
@@ -115,7 +83,7 @@ def test_base_must_exceed_one(B):
     calls = (
         lambda: sh.membership(F(1, 3), GOLD, B, 2),
         lambda: sh.hit_times(F(1, 3), GOLD, B, 10),
-        lambda: sh.j_interval_bounds((1, 2), 1, GOLD, B, 2),
+        lambda: j_interval_bounds((1, 2), 1, GOLD, B, 2),
         lambda: sh.extremal_interval((1, 2), 1, GOLD, B, 2),
     )
     for call in calls:
@@ -125,33 +93,33 @@ def test_base_must_exceed_one(B):
 
 class TestJBounds:
     def test_equal_worked_example(self):
-        j = sh.j_interval_bounds((1, 1), 2, C23, 4, 2)
-        assert j.case == sh.EQUAL
+        j = j_interval_bounds((1, 1), 2, C23, 4, 2)
+        assert j.case == EQUAL
         assert j.upper_len == F(1, 16)
         assert j.lower_len == F(1, 128)
         assert j.pieces == 1
         assert j.cover_ts == ((F(0), F(1)),)  # radius 2*a1z*B^{-n/2} = 1
 
     def test_far_formulas_and_ratio(self):
-        j = sh.j_interval_bounds((1, 1), 9, C23, 4, 2)
-        assert j.case == sh.FAR
+        j = j_interval_bounds((1, 1), 9, C23, 4, 2)
+        assert j.case == FAR
         assert j.upper_len == F(1, 126)
         assert j.lower_len == F(1, 32256)
         assert j.upper_len / j.lower_len == 256
         for a in (5, 12, 40):
-            jb = sh.j_interval_bounds((1, 2), a, C23, 4, 2)
+            jb = j_interval_bounds((1, 2), a, C23, 4, 2)
             assert jb.upper_len / jb.lower_len == 256
 
     def test_adjacent_degenerate_is_whole_cylinder(self):
-        j = sh.j_interval_bounds((1,), 3, C23, 4, 1)
-        assert j.case == sh.ADJACENT and j.degenerate
+        j = j_interval_bounds((1,), 3, C23, 4, 1)
+        assert j.case == ADJACENT and j.degenerate
         assert j.pieces == 1
         assert j.cover_ts == ((F(0), F(1)),)
         assert j.upper_len == j.lower_len == cylinder((1, 3)).length == F(1, 20)
 
     def test_adjacent_single_piece(self):
-        j = sh.j_interval_bounds((1, 1, 1), 1, C23, 4, 3)
-        assert j.case == sh.ADJACENT and not j.degenerate
+        j = j_interval_bounds((1, 1, 1), 1, C23, 4, 3)
+        assert j.case == ADJACENT and not j.degenerate
         assert j.pieces == 1
         assert j.cover_ts == ((F(1, 12), F(7, 12)),)
         assert j.upper_len == F(1, 18)
@@ -160,18 +128,18 @@ class TestJBounds:
     def test_adjacent_two_pieces_near_one(self):
         # z = [0;1,1,5]: Tz = 5/6 sits near 1, so the wrap piece appears
         spec = TargetSpec.constant((1, 1, 5))
-        j = sh.j_interval_bounds((2,), 2, spec, 64, 1)
-        assert j.case == sh.ADJACENT and not j.degenerate
+        j = j_interval_bounds((2,), 2, spec, 64, 1)
+        assert j.case == ADJACENT and not j.degenerate
         assert j.pieces == 2
         assert j.cover_ts == ((F(0), F(1, 12)), (F(7, 12), F(1)))
 
     def test_zero_target_has_no_normal_form(self):
         with pytest.raises(Inapplicable):
-            sh.j_interval_bounds((1, 1), 3, ZERO, 4, 2)
+            j_interval_bounds((1, 1), 3, ZERO, 4, 2)
 
     def test_cover_maps_into_cylinder(self):
         for a in (1, 2, 9):
-            j = sh.j_interval_bounds((2, 1), a, C23, 4, 2)
+            j = j_interval_bounds((2, 1), a, C23, 4, 2)
             cyl = cylinder((2, 1, a))
             for lo, hi in j.cover_intervals():
                 assert _sgn(hi - lo) > 0
@@ -179,19 +147,20 @@ class TestJBounds:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sh.j_interval_bounds((1,), 2, C23, 4, 2)
+            j_interval_bounds((1,), 2, C23, 4, 2)
         with pytest.raises(ValueError):
-            sh.j_interval_bounds((1, 1), 0, C23, 4, 2)
+            j_interval_bounds((1, 1), 0, C23, 4, 2)
 
 
 def _piece_lengths(pieces):
-    return [p.length_enclosure() for p in pieces]
+    return [rd.sub(quad_to_enclosure(p.x_hi, 128), quad_to_enclosure(p.x_lo, 128), 128)
+            for p in pieces]
 
 
 class TestExtremal:
     def test_far_sandwich(self):
         for a in (5, 7, 12):
-            jb = sh.j_interval_bounds((1, 1), a, C23, 4, 2)
+            jb = j_interval_bounds((1, 1), a, C23, 4, 2)
             pieces = sh.extremal_interval((1, 1), a, C23, 4, 2)
             assert pieces
             encs = _piece_lengths(pieces)
@@ -203,7 +172,7 @@ class TestExtremal:
             assert total.certified_ge(jb.lower_len)
 
     def test_equal_sandwich(self):
-        jb = sh.j_interval_bounds((1, 1), 2, C23, 4, 2)
+        jb = j_interval_bounds((1, 1), 2, C23, 4, 2)
         pieces = sh.extremal_interval((1, 1), 2, C23, 4, 2)
         assert pieces
         total = _piece_lengths(pieces)[0]
@@ -213,14 +182,14 @@ class TestExtremal:
         assert total.certified_le(jb.upper_len * len(pieces))
 
     def test_adjacent_upper(self):
-        jb = sh.j_interval_bounds((1, 1, 1), 1, C23, 4, 3)
+        jb = j_interval_bounds((1, 1, 1), 1, C23, 4, 3)
         for e in _piece_lengths(sh.extremal_interval((1, 1, 1), 1, C23, 4, 3)):
             assert e.certified_le(jb.upper_len)
 
     def test_pieces_live_inside_the_cover_bounds(self):
         cases = [((1, 1), 9, 2), ((1, 1), 2, 2), ((1, 1, 1), 1, 3), ((2,), 1, 1)]
         for prefix, a, n in cases:
-            jb = sh.j_interval_bounds(prefix, a, C23, 4, n)
+            jb = j_interval_bounds(prefix, a, C23, 4, n)
             for p in sh.extremal_interval(prefix, a, C23, 4, n):
                 assert any(
                     _sgn(p.t_lo - lo) >= 0 and _sgn(hi - p.t_hi) >= 0

@@ -25,8 +25,8 @@ import numpy as np
 import pytest
 
 from chord_envelope import (
-    _INDEX_FIELDS, _block_chords, chord_apply_power, chord_apply_powers, chord_layout,
-    chord_sup_seed, chords, terms,
+    _INDEX_FIELDS, _block_chords, _cell_sum, chord_apply_power, chord_apply_powers,
+    chord_layout, chord_sup_seed, chords, terms,
 )
 from cfshrink import _transfer
 from cfshrink import rounding as rd
@@ -192,7 +192,7 @@ def _cell_weight(A1, A2, c, t):
     if A1 == A2:
         y = float(A1) + c
         return ipow_neg(y, y, t)
-    return _transfer._cell_sum(A1, A2 if A2 else None, c, t)[0]
+    return _cell_sum(A1, A2 if A2 else None, c, t)[0]
 
 
 def bin_weights(layout, t, r):
@@ -276,11 +276,11 @@ def test_cell_sum_at_t_plus_one_contains_the_sum(A1, A2, t):
         return  # the tail sum at t diverges
     c = np.array([0.0, 0.25, 1.0])
     a2 = None if A2 is None else float(A2)
-    sums = _transfer._cell_sum(float(A1), a2, c, t)
+    sums = _cell_sum(float(A1), a2, c, t)
     assert len(sums) == 5
     with mp.workdps(30):
         for k, (lo, hi) in enumerate(sums):
-            d_lo, d_hi = _transfer._cell_sum(float(A1), a2, c, t + k)[0]
+            d_lo, d_hi = _cell_sum(float(A1), a2, c, t + k)[0]
             for i, ci in enumerate(c):
                 g = lambda a: (a + mp.mpf(ci)) ** (-mp.mpf(t + k))  # noqa: E731
                 exact = mp.zeta(t + k, A1 + mp.mpf(ci)) if A2 is None else mp.fsum(
@@ -306,7 +306,7 @@ def test_cell_sum_contains_hurwitz_sums(A1, A2, t):
         return  # the tail sum at t diverges
     c = np.array([0.0, 0.5, 1.0])
     a2 = None if A2 is None else float(A2)
-    new = _transfer._cell_sum(float(A1), a2, c, t)
+    new = _cell_sum(float(A1), a2, c, t)
     old = first_order_cell_sum(float(A1), a2, c, t)
     with mp.workdps(40):
         for k, (lo, hi) in enumerate(new):
@@ -379,7 +379,7 @@ def _memoize(monkeypatch, owner, name):
     memo, fn = {}, getattr(owner, name)
 
     def cached(layout, t, r):
-        key = (layout, t, r.size, _transfer._cell_sum)
+        key = (layout, t, r.size, sys.modules["chord_envelope"]._cell_sum)
         if key not in memo:
             memo[key] = fn(layout, t, r)
         return memo[key]
@@ -405,7 +405,7 @@ def test_chord_nests_inside_bin_envelope(level, amax, shared_weights, monkeypatc
         seed = chord_sup_seed(layout, xe, t) if seeded else None
         bseed = bin_sup_seed(layout, xe, t) if seeded else None
         with monkeypatch.context() as m:
-            m.setattr(_transfer, "_cell_sum", first_order_cell_sum)
+            m.setattr(sys.modules["chord_envelope"], "_cell_sum", first_order_cell_sum)
             [first_order] = chord_apply_powers(6, t, layout, [seed])
         for n, (f_lo, f_hi) in enumerate(first_order, 1):
             lo, hi = chord_apply_power(n, t, layout, seed=seed)
