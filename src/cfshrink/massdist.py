@@ -9,8 +9,8 @@ the fundamental interval.  Block weights are a product measure tuned so the
 per-block sum is exactly 1 at the finite-alphabet exponent s(ell, M); the
 closing digit is weighted uniformly by exact count.
 
-Endpoints and weights are rationals (quadratic endpoints are shaved inward
-by a 192-bit enclosure), so distances, cylinder masses and ball masses all
+Endpoints and weights are rationals (irrational ends are shaved inward
+from a 192-bit enclosure), so distances, cylinder masses and ball masses all
 evaluate exactly; only t-power comparisons go through directed rounding.
 """
 
@@ -31,16 +31,15 @@ from .cf_core import Word, continuants, cylinder
 from .errors import BudgetExceeded, InvalidWitness, NoRoot, PrecisionExhausted
 from .pressure import log_weight
 from .rounding import Enclosure, enclose
-from .shrink import _b_pow_half, _clip_ball, _map_piece, extremal_interval, membership
+from .shrink import SHAVE_PREC, _b_pow_half, extremal_interval, membership
 from .surd import quad_to_enclosure
-from .targets import TargetSpec, first_digit, z_value
+from .targets import TargetSpec, first_digit
 
 CASE_I = "I"
 CASE_II = "II"
 CASE_III = "III"
 _CASES = (CASE_I, CASE_II, CASE_III)
 
-SHAVE_PREC = 192
 RATIO_PREC = 96
 _FINE_LIMIT = 128  # the ball lemma's constant on the fine regime
 _PREBOUND_SLACK = 1.0 + 2.0**-40  # 1 + delta, see holder_check
@@ -323,41 +322,16 @@ def _last_entries(params: WitnessParams):
     return tuple(range(b, top + 1, 2))
 
 
-def _core_interval(prefix: Word, last: int, params: WitnessParams):
-    """Conservative sub-interval of the hit set, no extremal solving: the
-    J-interval ball of radius R around Tz_n (Tz_n = 0 for the zero target),
-    clipped to [0, 1], mapped into the cylinder of prefix + (last,)."""
-    p = params
-    _, a1, tz = z_value(p.spec, p.n)
-    Bn = p.B**p.n
-    if a1 is math.inf:
-        R = Fraction(last, 2 * Bn)
-    elif last == a1:
-        R = _b_pow_half(p.B, p.n) * a1 / 2
-    else:
-        d = abs(a1 - last)
-        if d == 1:
-            raise ValueError(
-                "guaranteed core needs |a1(z_n) - last| >= 2, not an adjacent closing digit"
-            )
-        R = Fraction(a1 * last, 2 * d * Bn)
-    return _map_piece(prefix + (last,), *_clip_ball(tz, R))
-
-
-def _carve(prefix: Word, last: int, params: WitnessParams, exact: bool):
-    if exact:
-        pieces = extremal_interval(prefix, last, params.spec, params.B, params.n)
-        if not pieces:
-            raise InvalidWitness(f"hit set empty inside cylinder {prefix + (last,)}")
-        best = max(pieces, key=lambda pc: float(pc.x_hi) - float(pc.x_lo))
-        x_lo, x_hi = best.x_lo, best.x_hi
-    else:
-        x_lo, x_hi = _core_interval(prefix, last, params)
-    lo, ok_lo = _inside_fraction(x_lo, "lo")
-    hi, ok_hi = _inside_fraction(x_hi, "hi")
+def _carve(prefix: Word, last: int, params: WitnessParams):
+    pieces = extremal_interval(prefix, last, params.spec, params.B, params.n)
+    if not pieces:
+        raise InvalidWitness(f"hit set empty inside cylinder {prefix + (last,)}")
+    best = max(pieces, key=lambda pc: float(pc.x_hi) - float(pc.x_lo))
+    lo, ok_lo = _inside_fraction(best.x_lo, "lo")
+    hi, ok_hi = _inside_fraction(best.x_hi, "hi")
     if lo >= hi:
         raise InvalidWitness(f"degenerate fundamental interval at {prefix + (last,)}")
-    return lo, hi, ok_lo and ok_hi
+    return lo, hi, best.exact and ok_lo and ok_hi
 
 
 def _floor_enclosure(params: WitnessParams, qn: int, last: int) -> Enclosure:
@@ -378,15 +352,12 @@ def _floor_enclosure(params: WitnessParams, qn: int, last: int) -> Enclosure:
 def enumerate_fundamental(params: WitnessParams, *, budget=20_000):
     """All fundamental intervals of the family, sorted left to right.
 
-    When z_n and Tz_n are rational, endpoints come from exact extremal
-    solving on each (n+1)-cylinder; a quadratic-surd target, which that
-    solving cannot take, gets the guaranteed inner interval from the
-    hit-set length bounds instead.  Every interval is checked against its
-    case's length floor.
+    Each (n+1)-cylinder's interval is the longest piece of the hit set that
+    `shrink.extremal_interval` solves there, for a rational or a
+    quadratic-surd target alike, with irrational ends shaved to rationals.
+    Every interval is checked against its case's length floor.
     """
     p = params
-    z, _, tz = z_value(p.spec, p.n)
-    exact = isinstance(z, Fraction) and isinstance(tz, Fraction)
     lasts = _last_entries(p)
     blocks = _block_words(p.ell, p.M)
     total = len(blocks) ** p.m * len(lasts)
@@ -397,7 +368,7 @@ def enumerate_fundamental(params: WitnessParams, *, budget=20_000):
         prefix = _block_prefix(p, combo)
         qn = continuants(prefix).q(p.n)
         for last in lasts:
-            lo, hi, was_exact = _carve(prefix, last, p, exact)
+            lo, hi, was_exact = _carve(prefix, last, p)
             floor = _floor_enclosure(p, qn, last)
             if not floor.certified_le(hi - lo):
                 raise InvalidWitness(

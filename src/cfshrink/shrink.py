@@ -2,10 +2,11 @@
 
 Membership at level n asks |T^n x - z_n| |T^{n+1} x - T z_n| < B^{-n}.
 On an (n+1)-cylinder both orbit points are Moebius functions of the tail
-t = T^{n+1} x, so the boundary condition is a rational quadratic in t:
-the extremal sub-intervals solve in closed form with rational or
-quadratic-surd endpoints, and every verdict here is exact (the supported
-target families produce rational or surd values, never bare floats).
+t = T^{n+1} x, so between the knots {0, 1, Tz, 1/z - a} the boundary
+condition is one quadratic in t with coefficients in Q, or in Q(sqrt D)
+for a quadratic-surd target.  Rational coefficients give exact rational or
+surd roots; surd ones give roots in a degree-4 field, shaved to rationals
+and proved by exact sign tests.  Every verdict here is exact.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from . import predim as predim_mod
 from . import rounding as rd
 from . import sums
 from .cf_core import Word, eval_word, gauss_step
-from .errors import AmbiguousBranch, ExponentTooSmall
+from .errors import AmbiguousBranch, ExponentTooSmall, PrecisionExhausted
 from .rounding import Enclosure, enclose
-from .surd import Quad, sqrt_value
+from .surd import Quad, quad_to_enclosure, sqrt_value
 from .targets import TargetSpec, first_digit, z_value
 
 BRANCH_S1 = "s1<=s2"
 BRANCH_MAX = "s1>s2"
+SHAVE_PREC = 192  # bits of the enclosures that irrational ends are shaved from
 
 
 def _as_value(x):
@@ -114,22 +116,6 @@ def _b_pow_half(B, n: int):
     return sqrt_value(Fraction(1, Fraction(B) ** n))
 
 
-def _clip_ball(center, radius) -> tuple:
-    """[center - radius, center + radius] clipped to [0, 1], or None.
-
-    An end at or past 0 or 1 becomes the exact Fraction(0) or Fraction(1),
-    never a zero-valued Quad."""
-    lo = center - radius
-    hi = center + radius
-    if _sign(lo) <= 0:
-        lo = Fraction(0)
-    if _sign(hi - 1) >= 0:
-        hi = Fraction(1)
-    if _sign(hi - lo) <= 0:
-        return None
-    return (lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # exact extremal pieces
 
@@ -137,18 +123,44 @@ def _clip_ball(center, radius) -> tuple:
 class ExtremalPiece:
     """One maximal tail interval where the membership product is <= B^{-n}.
 
-    Endpoints are exact (Fraction or Quad); x endpoints are the Moebius
-    images inside the (n+1)-cylinder, ordered x_lo <= x_hi.
+    x endpoints are the Moebius images inside the (n+1)-cylinder, ordered
+    x_lo <= x_hi.  Ends are exact (Fraction or Quad) unless exact is False:
+    a surd target's root ends are rationals shaved inward.
     """
 
     t_lo: object
     t_hi: object
     x_lo: object
     x_hi: object
+    exact: bool
 
 
-def _poly_le_zero(a2, a1, a0, u: Fraction, v: Fraction) -> list:
-    """Solution of a2 t^2 + a1 t + a0 <= 0 on [u, v], exact endpoints."""
+def _shaved_roots(a2, a1, disc) -> tuple:
+    """(-a1 -+ sqrt(disc)) / (2 a2) from SHAVE_PREC-bit enclosures, the first
+    rounded up and the second down to rationals: each moves to the side
+    where the quadratic is <= 0, whatever the sign of a2."""
+    prec = SHAVE_PREC
+    sq = rd.sqrt_(quad_to_enclosure(disc, prec), prec)
+    neg_a1, den = quad_to_enclosure(-a1, prec), quad_to_enclosure(2 * a2, prec)
+    r_minus = rd.div(rd.sub(neg_a1, sq, prec), den, prec)
+    r_plus = rd.div(rd.add(neg_a1, sq, prec), den, prec)
+    return rd.raw_fraction(r_minus.hi._mpf_), rd.raw_fraction(r_plus.lo._mpf_)
+
+
+def _le_zero_on(a2, a1, a0, lo, hi) -> bool:
+    """Exact proof that a2 t^2 + a1 t + a0 <= 0 on [lo, hi] (a2 != 0): it
+    is at both ends, and the quadratic is convex or has no vertex inside."""
+    vertex = -a1 / (2 * a2)
+    return (all(_sign((a2 * e + a1) * e + a0) <= 0 for e in (lo, hi))
+            and (a2 > 0 or not lo < vertex < hi))
+
+
+def _poly_le_zero(a2, a1, a0, u, v) -> list:
+    """Solution of a2 t^2 + a1 t + a0 <= 0 on [u, v] as closed pieces.
+
+    Rational coefficients give exact ends.  Otherwise root ends are shaved
+    (_shaved_roots) and each piece proved exactly, else PrecisionExhausted.
+    """
     if a2 == 0:
         if a1 == 0:
             return [(u, v)] if a0 <= 0 else []
@@ -156,26 +168,31 @@ def _poly_le_zero(a2, a1, a0, u: Fraction, v: Fraction) -> list:
         if a1 > 0:
             return [(u, min(v, r))] if r > u else []
         return [(max(u, r), v)] if r < v else []
-    disc = Fraction(a1) * a1 - 4 * Fraction(a2) * a0
+    disc = a1 * a1 - 4 * a2 * a0
     if disc <= 0:
         return [] if a2 > 0 else [(u, v)]
-    sq = sqrt_value(disc)
-    r1 = (-a1 - sq) / (2 * a2)
-    r2 = (-a1 + sq) / (2 * a2)
-    if _sign(r2 - r1) < 0:
-        r1, r2 = r2, r1
+    shaved = any(isinstance(c, Quad) for c in (a2, a1, a0))
+    if shaved:
+        r_minus, r_plus = _shaved_roots(a2, a1, disc)
+    else:
+        sq = sqrt_value(disc)
+        r_minus, r_plus = (-a1 - sq) / (2 * a2), (-a1 + sq) / (2 * a2)
     out = []
-    if a2 > 0:
-        lo = u if _sign(r1 - u) < 0 else r1
-        hi = v if _sign(r2 - v) > 0 else r2
+    if a2 > 0:  # between the roots, r_minus < r_plus
+        lo = u if _sign(r_minus - u) < 0 else r_minus
+        hi = v if _sign(r_plus - v) > 0 else r_plus
         out.append((lo, hi))
     else:
-        # opens downward: solution is the complement of (r1, r2)
-        if _sign(r1 - u) > 0:
-            out.append((u, v if _sign(r1 - v) > 0 else r1))
-        if _sign(r2 - v) < 0:
-            out.append((r2 if _sign(r2 - u) > 0 else u, v))
-    return [(lo, hi) for (lo, hi) in out if _sign(hi - lo) > 0]
+        # opens downward: solution is the complement of (r_plus, r_minus)
+        if _sign(r_plus - u) > 0:
+            out.append((u, v if _sign(r_plus - v) > 0 else r_plus))
+        if _sign(r_minus - v) < 0:
+            out.append((r_minus if _sign(r_minus - u) > 0 else u, v))
+    out = [(lo, hi) for (lo, hi) in out if _sign(hi - lo) > 0]
+    if shaved and not all(_le_zero_on(a2, a1, a0, lo, hi) for lo, hi in out):
+        raise PrecisionExhausted(
+            f"cannot prove a piece with shaved root ends at {SHAVE_PREC} bits on [{u}, {v}]")
+    return out
 
 
 def _map_piece(word: Word, t0, t1) -> tuple:
@@ -186,20 +203,19 @@ def _map_piece(word: Word, t0, t1) -> tuple:
 
 
 def extremal_interval(prefix: Word, a_next: int, spec: TargetSpec, B, n: int) -> tuple:
-    """Exact maximal sub-intervals of the cylinder where membership holds.
+    """Maximal sub-intervals of the cylinder where membership holds.
 
     Solves |1/(a+t) - z| |t - Tz| <= B^{-n} for the tail t by splitting
     [0,1] at the factor sign changes; on each part the boundary is one
-    rational quadratic.  Needs a rational target (surd targets get only
-    enclosure verdicts, not closed forms).
+    quadratic (_poly_le_zero), and pieces meeting at a knot are joined.
+    Root ends are exact for a rational target, shaved for a surd one.
     """
     prefix = tuple(prefix)
     if len(prefix) != n or n < 1:
         raise ValueError("prefix length must equal the level n >= 1")
     _check_base(B)
     z, _, tz = z_value(spec, n)
-    if isinstance(z, Quad) or isinstance(tz, Quad):
-        raise ValueError("exact extremal solving needs a rational target value")
+    surd = isinstance(z, Quad)
     a = a_next
     c = Fraction(B) ** (-n)
 
@@ -220,23 +236,17 @@ def extremal_interval(prefix: Word, a_next: int, spec: TargetSpec, B, n: int) ->
         a2 = -sigma * z
         a1 = sigma * (1 - z * a + z * tz) - c
         a0 = -sigma * (1 - z * a) * tz - c * a
-        t_pieces.extend(_poly_le_zero(a2, a1, a0, u, v))
-
-    merged = []
-    for lo, hi in t_pieces:
-        if merged:
-            plo, phi = merged[-1]
-            if isinstance(phi, Fraction) and isinstance(lo, Fraction) and phi == lo:
-                merged[-1] = (plo, hi)
-                continue
-        merged.append((lo, hi))
+        for lo, hi in _poly_le_zero(a2, a1, a0, u, v):
+            # only a root end can be shaved, and only for a surd target
+            exact = not surd or (_sign(lo - u) == 0 and _sign(hi - v) == 0)
+            if t_pieces and _sign(t_pieces[-1][1] - lo) == 0:
+                plo, _, pexact = t_pieces.pop()
+                lo, exact = plo, pexact and exact
+            t_pieces.append((lo, hi, exact))
 
     word = prefix + (a_next,)
-    out = []
-    for t0, t1 in merged:
-        x_lo, x_hi = _map_piece(word, t0, t1)
-        out.append(ExtremalPiece(t0, t1, x_lo, x_hi))
-    return tuple(out)
+    return tuple(ExtremalPiece(t0, t1, *_map_piece(word, t0, t1), exact)
+                 for t0, t1, exact in t_pieces)
 
 
 # ---------------------------------------------------------------------------

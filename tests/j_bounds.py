@@ -2,11 +2,10 @@
 
 `j_interval_bounds` tags each (n+1)-cylinder by |a1(z_n) - a_{n+1}| (EQUAL
 for 0, ADJACENT for 1, FAR above), bounds the length of the hit set inside
-it from both sides, and covers it by exact tail intervals.  The tests
-check `shrink.extremal_interval` against these bounds and covers, and the
-witness's guaranteed cores (`massdist._core_interval`) against the covers.
-It shares the J-ball (`shrink._b_pow_half`, `_clip_ball`, `_map_piece`)
-with those cores.
+it from both sides, and covers it by exact tail intervals (J-balls around
+Tz_n, clipped to [0, 1] by `_clip_ball`).  The tests check
+`shrink.extremal_interval` against these bounds and covers, and the
+witness's fundamental intervals against the covers.
 """
 
 import math
@@ -15,7 +14,7 @@ from fractions import Fraction
 
 from cfshrink.cf_core import Word, continuants, cylinder
 from cfshrink.errors import Inapplicable
-from cfshrink.shrink import _b_pow_half, _check_base, _clip_ball, _map_piece
+from cfshrink.shrink import _b_pow_half, _check_base, _map_piece, _sign
 from cfshrink.targets import TargetSpec, first_digit, z_value
 
 FAR = "FAR"
@@ -49,6 +48,22 @@ class JIntervalBound:
         """Exact x-space cover pieces, each as an ordered (lo, hi) pair."""
         word = self.prefix + (self.next_digit,)
         return tuple(_map_piece(word, t0, t1) for (t0, t1) in self.cover_ts)
+
+
+def _clip_ball(center, radius) -> tuple:
+    """[center - radius, center + radius] clipped to [0, 1], or None.
+
+    An end at or past 0 or 1 becomes the exact Fraction(0) or Fraction(1),
+    never a zero-valued Quad."""
+    lo = center - radius
+    hi = center + radius
+    if _sign(lo) <= 0:
+        lo = Fraction(0)
+    if _sign(hi - 1) >= 0:
+        hi = Fraction(1)
+    if _sign(hi - lo) <= 0:
+        return None
+    return (lo, hi)
 
 
 def j_interval_bounds(prefix: Word, a_next: int, spec: TargetSpec, B, n: int) -> JIntervalBound:

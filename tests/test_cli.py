@@ -204,10 +204,14 @@ class TestWitness:
         dump = (tmp_path / "witness.txt").read_text()
         assert dump.startswith("case=I")
 
-    def test_surd_target_builds_from_the_guaranteed_cores(self, tmp_path):
-        # exact extremal solving takes rational targets only; z = [0; 2, 3, 3, ...] is a surd
-        assert main(["witness", "--target", "const:2|3", "--samples", "400",
-                     "--out", str(tmp_path)]) == 0
+    @pytest.mark.parametrize("argv", [
+        ["--target", "const:2|3"],  # z = [0; 2, 3, 3, ...]
+        ["--target", "ones"],  # a1(z_n) = 1 next to the closing digit 2
+        ["--target", "const:1|2", "--case", "III", "--relax"],
+    ], ids=["const-2-3", "ones", "const-1-2-III"])
+    def test_surd_target_builds(self, argv, tmp_path):
+        # root ends shaved to rationals in the tail: no interval is exact
+        assert main(["witness", *argv, "--samples", "400", "--out", str(tmp_path)]) == 0
         payload = read_json(tmp_path / "witness.json")
         assert payload["intervals"] == 81
         assert set(payload["verdicts"].values()) == {"PASS"}

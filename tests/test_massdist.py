@@ -30,7 +30,6 @@ from cfshrink import (
     content_lower_bound,
     dump_witness,
     enumerate_fundamental,
-    extremal_interval,
     gap_check,
     holder_check,
     holder_limit,
@@ -317,30 +316,21 @@ class TestEnumerate:
             assert rep.verdict == "PASS", rep.failures[:3]
             assert rep.checked == 5 * len(w.intervals)
 
-    def test_guaranteed_core_sits_inside_exact(self):
-        # on a rational target the exact pieces contain the core the surd path uses
-        p = params_case_iii()
-        for F in enumerate_fundamental(p):
-            prefix = F.word[:-1]
-            lo, hi = md._core_interval(prefix, F.last, p)
-            pieces = extremal_interval(prefix, F.last, p.spec, p.B, p.n)
-            assert any(pc.x_lo <= lo < hi <= pc.x_hi for pc in pieces), F.word
-
-    def test_guaranteed_core_sits_inside_the_j_interval_cover(self, w_iii):
-        # the inner ball (the guaranteed core) lies in the outer one (the J-bound cover)
-        p = w_iii.params
-        for F in w_iii.intervals:
-            prefix = F.word[:-1]
-            lo, hi = md._core_interval(prefix, F.last, p)
-            cover = j_interval_bounds(prefix, F.last, p.spec, p.B, p.n).cover_intervals()
-            assert any(a <= lo < hi <= b for a, b in cover), (F.word, lo, hi, cover)
-
-    def test_core_rejects_adjacent_digit(self, w_ii):
-        # guaranteed core has no closed form when |a1 - last| = 1
-        from cfshrink.massdist import _core_interval
-
-        with pytest.raises(ValueError, match="adjacent|exact solving"):
-            _core_interval((1, 1, 1, 1), 8, w_ii.params)
+    def test_guaranteed_core_sits_inside_the_j_interval_cover(self):
+        # a surd target's fundamental intervals lie in the J-bound cover
+        for case, spec in [
+            (CASE_I, TargetSpec.constant((), (1,))),  # a1 = 1 next to the closing digit 2
+            (CASE_III, TargetSpec.constant((1,), (2,))),
+            (CASE_III, TargetSpec.constant((), (3,))),
+        ]:
+            p = WitnessParams(case, 1, (1,), 2, 3, 5, 4, spec, Fraction(3, 200),
+                              Fraction(101, 200), relax=True)
+            intervals = enumerate_fundamental(p)
+            assert len(intervals) == 81
+            for F in intervals:
+                prefix = F.word[:-1]
+                cover = j_interval_bounds(prefix, F.last, p.spec, p.B, p.n).cover_intervals()
+                assert any(a <= F.lo < F.hi <= b for a, b in cover), (F.word, F.lo, F.hi, cover)
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):

@@ -5,7 +5,7 @@ import pytest
 from cfshrink import rounding as rd
 from cfshrink import shrink as sh
 from cfshrink.cf_core import continuants, cylinder, eval_word
-from cfshrink.errors import ExponentTooSmall, Inapplicable
+from cfshrink.errors import ExponentTooSmall, Inapplicable, PrecisionExhausted
 from cfshrink.surd import Quad, quad_to_enclosure, sqrt_value
 from cfshrink.targets import TargetSpec, z_value
 from j_bounds import ADJACENT, EQUAL, FAR, j_interval_bounds
@@ -13,6 +13,7 @@ from j_bounds import ADJACENT, EQUAL, FAR, j_interval_bounds
 ZERO = TargetSpec.zero()
 C23 = TargetSpec.constant((2, 3))      # z = 3/7, Tz = 1/3, a1(z) = 2
 GOLD = TargetSpec.constant((), (1,))   # z = (sqrt(5)-1)/2, a fixed point of T
+S23 = TargetSpec.constant((2,), (3,))  # z = [0; 2, 3, 3, ...], Tz = [0; 3, 3, ...]
 
 
 def _sgn(v):
@@ -204,14 +205,32 @@ class TestExtremal:
         assert (p.x_lo, p.x_hi) == (F(2, 7), F(8, 27))
 
     def test_probe_agreement_with_membership(self):
+        # surd targets (GOLD, S23) get root ends shaved inward, so a probe
+        # inside a piece is a member; only a probe within 2^-192 of a root
+        # could be a member outside every piece
         cases = [
             (C23, (1, 1), 9, 4, 2),
             (C23, (1, 1), 2, 4, 2),
             (C23, (2,), 1, 4, 1),
             (ZERO, (2,), 3, 5, 1),
+            (GOLD, (1, 1), 1, 4, 2),
+            (GOLD, (1, 1), 2, 4, 2),
+            (GOLD, (1, 1, 1), 6, 2, 3),
+            (GOLD, (2,), 1, 3, 1),
+            (GOLD, (1, 1, 1, 1), 2, 4, 4),  # one piece, joined across the knot Tz
+            (S23, (1, 1), 2, 4, 2),
+            (S23, (1, 1), 9, 4, 2),
+            (S23, (1, 1, 1), 3, 4, 3),
+            (S23, (2,), 1, 4, 1),
         ]
         for spec, prefix, a, B, n in cases:
             pieces = sh.extremal_interval(prefix, a, spec, B, n)
+            assert pieces, (spec, prefix, a)
+            for p in pieces:
+                # a surd target's knots Tz and 1/z - a lie inside the hit set,
+                # so its pieces end at 0, 1 or a shaved root
+                whole = (p.t_lo, p.t_hi) == (0, 1)
+                assert p.exact == (spec in (C23, ZERO) or whole), (spec, prefix, a)
             word = prefix + (a,)
             c = continuants(word)
             m = len(word)
@@ -231,8 +250,12 @@ class TestExtremal:
                     prod = abs(1 / (a + t) - z) * abs(t - tz)
                     assert prod == bound
 
-    def test_surd_target_rejected(self):
-        with pytest.raises(ValueError):
+    def test_shaved_root_off_the_solution_side_raises(self, monkeypatch):
+        # move each shaved root 2^-100 outward: the exact sign test must catch it
+        shaved = sh._shaved_roots
+        monkeypatch.setattr(sh, "_shaved_roots", lambda *args: tuple(
+            r + d for r, d in zip(shaved(*args), (-F(1, 2**100), F(1, 2**100)))))
+        with pytest.raises(PrecisionExhausted, match="cannot prove a piece"):
             sh.extremal_interval((1, 1), 2, GOLD, 4, 2)
 
     def test_prefix_validation(self):

@@ -433,14 +433,19 @@ def test_hermite_overlaps_chord_and_is_narrower(level):
 
 @functools.lru_cache(maxsize=None)
 def _exact_sup_sum(digits, n, t, x):
-    """sum over digits^n of (q_n + x q_{n-1})^{-t}, at 30 digits."""
+    """sum over digits^n of (q_n + x q_{n-1})^{-t}, at 30 digits.
+
+    Words with the same q_n + x q_{n-1} share one power, times their count.
+    """
     q, qp = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     for _ in range(n):
         a = np.repeat(np.array(digits, dtype=np.int64), q.size)
         q, qp = a * np.tile(q, len(digits)) + np.tile(qp, len(digits)), np.tile(q, len(digits))
+    values, counts = np.unique(x.denominator * q + x.numerator * qp, return_counts=True)
     with mp.workdps(30):
-        xm, mt = mp.mpf(x.numerator) / x.denominator, -mp.mpf(t)
-        return mp.fsum((int(a) + xm * int(b)) ** mt for a, b in zip(q, qp))
+        mt = -mp.mpf(t)
+        return mp.fsum(int(c) * (mp.mpf(int(v)) / x.denominator) ** mt
+                       for v, c in zip(values, counts))
 
 
 @pytest.mark.parametrize("level", [0, 1])
