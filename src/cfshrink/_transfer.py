@@ -553,8 +553,8 @@ def _block_mid_weight(A1, A2, r, t):
 
 def apply_power_estimate(n, t, layout):
     """Fast midpoint estimate of (L^n f)(0) on _ESTIMATE_BINS bins, whatever
-    the layout's node count.  NOT certified; used only to localize roots
-    before the enclosure machinery confirms them."""
+    the layout's node count.  NOT certified: pressure's ratio root and the
+    float twin that steers its halvings read it, never a certificate."""
     _check_power(n, t, layout)
     N = _ESTIMATE_BINS
     r = (np.arange(N) + 0.5) / N

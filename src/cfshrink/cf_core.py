@@ -83,16 +83,6 @@ class CylinderInterval:
     def length(self) -> Fraction:
         return self.right - self.left
 
-    def contains(self, x) -> bool:
-        x = Fraction(x)
-        if self.closed_left:
-            ok_left = self.left <= x
-        else:
-            ok_left = self.left < x
-        if self.closed_right:
-            return ok_left and x <= self.right
-        return ok_left and x < self.right
-
 
 def cylinder(w: Word) -> CylinderInterval:
     """Exact cylinder interval of a word; the empty word gives [0, 1)."""

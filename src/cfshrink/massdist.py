@@ -285,9 +285,6 @@ class FundamentalInterval:
     def address(self):
         return self.blocks + (self.last,)
 
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
 
 def _block_prefix(p: WitnessParams, blocks) -> Word:
     """u~ followed by the digits of the given blocks."""

@@ -1,13 +1,13 @@
 """Certified roots of the level-n dimension equations and branch selection.
 
 All three equation kinds share the shape weight(s) * Lambda_n(s) = 1 with
-Lambda_n the continuant power sum, strictly decreasing in s.  Each root is
-located with a fast float estimate, then certified by evaluating the sum's
-enclosure at the two bracket endpoints: value >= 1 on the left endpoint,
-<= 1 on the right, so the bracket provably contains the root.  Every
-sum, n = 1 on the full alphabet included, comes from the one envelope
-evaluator (sums.lambda_enclosure), and each endpoint escalates its level
-0 -> 1 -> 2 on its own, only until its side of 1 is certified.
+Lambda_n the continuant power sum, strictly decreasing in s.  One envelope
+evaluator (sums.lambda_enclosure) both places and certifies each root.
+Every probe of the root loop certifies the sum's side of 1 (>= 1 left of
+the root, <= 1 right of it), so it moves one end of the bracket, and the
+log of its midpoint steers the next probe.  Each probe escalates its level
+0 -> 1 -> 2 only until its side of 1 is certified; n = 1 on the full
+alphabet takes the same route.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-
-import mpmath
-import numpy as np
 
 from . import pressure
 from . import rounding as rd
@@ -39,7 +36,7 @@ PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-# bisection domain is (1/2, 1]; stay clear of the s = 1/2 pole
+# the roots are sought in (1/2, 1]; stay clear of the s = 1/2 pole
 LEFT_EDGE = 0.5055
 
 
@@ -74,15 +71,6 @@ class SstarEstimate:
     running_hi: tuple = ()
 
 
-def _lambda_est(n: int, s: float, M) -> float:
-    if n == 1:
-        if M is None:
-            return float(mpmath.zeta(2.0 * s))
-        k = np.arange(1, M + 1, dtype=np.float64)
-        return float(np.sum(k ** (-2.0 * s)))
-    return sums.lambda_estimate(n, s, alphabet_max=M)
-
-
 def _weight_enclosure(n, B, kind, a1z, s) -> Enclosure:
     """Certified weight of the kind-1..3 equation: exp of pressure.log_weight
     with growth log a1z.
@@ -96,51 +84,29 @@ def _weight_enclosure(n, B, kind, a1z, s) -> Enclosure:
     return rd.exp_(pressure.log_weight(kind, n, s, B, growth))
 
 
-def _log_f_est(n, B, kind, a1z, M, s: float) -> float:
-    growth = None if kind == 1 else math.log(a1z)
-    return pressure.log_weight_float(kind, n, s, B, growth) + math.log(_lambda_est(n, s, M))
-
-
 def _f_enclosure(n, B, kind, a1z, M, s: float, level: int) -> Enclosure:
     """Enclosure of the defining sum at s from the envelope at the given level."""
     lam = sums.lambda_enclosure(n, s, alphabet_max=M, level=level)
     return rd.mul(_weight_enclosure(n, B, kind, a1z, s), lam)
 
 
-def _f_sided(n, B, kind, a1z, M, s: float) -> Enclosure:
-    """The defining sum at s from the coarsest level (0, 1, 2) that certifies
-    it >= 1 or <= 1."""
-    for level in (0, 1, 2):
-        f = _f_enclosure(n, B, kind, a1z, M, s, level)
-        if f.certified_ge(1) or f.certified_le(1):
-            return f
-    raise PrecisionExhausted(
-        f"sum at s = {s!r} straddles 1 at the sharpest level (n={n}, kind={kind}); "
-        "try a larger tol")
-
-
-def _certify_bracket(n, B, kind, a1z, M, r, delta):
-    """Shift [r - delta, r + delta], clipped to [LEFT_EDGE, 1], at most 8 times
-    until the sum is certified <= 1 at hi and >= 1 at lo.  It decreases in s,
-    so >= 1 at hi puts the root at or above hi, and <= 1 at lo at or below lo."""
-    for _ in range(8):
-        lo, hi = max(r - delta, LEFT_EDGE), min(r + delta, 1.0)
-        f_hi = _f_sided(n, B, kind, a1z, M, hi)
-        if not f_hi.certified_le(1):
-            if hi >= 1.0:
-                raise NoRootInUnitInterval(
-                    f"sum at s=1 lies in [{f_hi.lo_float:.6g}, {f_hi.hi_float:.6g}], "
-                    f"above 1 (n={n}, B={B}, kind={kind})")
-            r += delta
-        elif not _f_sided(n, B, kind, a1z, M, lo).certified_ge(1):
-            if lo <= LEFT_EDGE:
-                raise NoRoot(f"sum at s = {LEFT_EDGE} is below 1 (n={n}, kind={kind}, M={M})")
-            r -= delta
-        else:
-            return rd.from_f64(lo, hi)
-    raise PrecisionExhausted(
-        f"no width-{2 * delta:.2g} bracket within 8 shifts of the estimate "
-        f"(n={n}, kind={kind}); try a larger tol")
+def _next_u(points, lo_pt, hi_pt) -> float:
+    """Where log f crosses 0 in u, from the (u, log f) points:
+    inverse quadratic interpolation on the last three, else the secant on
+    the last two, else on the bracket ends, else the bracket's middle; the
+    first estimate strictly inside the bracket wins."""
+    candidates = []
+    if len(points) >= 3:
+        (u0, g0), (u1, g1), (u2, g2) = points[-3:]
+        if g0 != g1 and g1 != g2 and g0 != g2:
+            candidates.append(u0 * g1 * g2 / ((g0 - g1) * (g0 - g2))
+                              + u1 * g0 * g2 / ((g1 - g0) * (g1 - g2))
+                              + u2 * g0 * g1 / ((g2 - g0) * (g2 - g1)))
+    for (ua, ga), (ub, gb) in (points[-2:], (lo_pt, hi_pt)):
+        if ga != gb:
+            candidates.append(ub - gb * (ub - ua) / (gb - ga))
+    return next((u for u in candidates if lo_pt[0] < u < hi_pt[0]),
+                0.5 * (lo_pt[0] + hi_pt[0]))
 
 
 def solve_predim(n: int, B, kind: int, a1z=None, *, M=None, tol: float = 1e-4):
@@ -150,6 +116,14 @@ def solve_predim(n: int, B, kind: int, a1z=None, *, M=None, tol: float = 1e-4):
     a1z^(-s) B^(-n s/2).  a1z = +inf short-circuits to the conventional
     values [1,1] (kind 2) and [0,0] (kind 3).  M restricts the digit
     alphabet to {1..M}; M = None sums over all of N.
+
+    The bracket starts as [LEFT_EDGE, 1].  Each probe certifies its side
+    of 1 from the coarsest level (0, 1, 2) that can, and moves that end.  It
+    sits 0.45 tol from the root interpolated in a variable u in which log f
+    is close to linear, towards the farther end and at least 0.45 tol
+    inside.  A probe that straddles 1 at level 2 is within the envelope's
+    resolution of the root: its neighbours at +-0.45 tol decide, or
+    PrecisionExhausted is raised.
     """
     if kind not in (1, 2, 3):
         raise ValueError("kind must be 1, 2 or 3")
@@ -172,16 +146,46 @@ def solve_predim(n: int, B, kind: int, a1z=None, *, M=None, tol: float = 1e-4):
         if a1z < 1:
             raise ValueError("a1z must be a positive integer or +inf")
 
-    a, b = LEFT_EDGE, 1.0
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        if _log_f_est(n, B, kind, a1z, M, mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-        if b - a < 0.02 * tol:
-            break
-    return _certify_bracket(n, B, kind, a1z, M, 0.5 * (a + b), 0.45 * tol)
+    # log f is close to linear in u = log(2s - 1) on the full alphabet, whose
+    # sum has its pole at s = 1/2, and in u = s on a finite one
+    pole = M is None
+    points, bracket = [], [None, None]  # (s, (u, log f)) at lo and at hi
+
+    def probe(s):
+        for level in (0, 1, 2):
+            f = _f_enclosure(n, B, kind, a1z, M, s, level)
+            side = 1 if f.certified_ge(1) else -1 if f.certified_le(1) else 0
+            if side:
+                break
+        points.append((math.log(2.0 * s - 1.0) if pole else s, math.log(f.mid_float)))
+        if side:
+            bracket[side < 0] = (s, points[-1])
+        return side, f
+
+    def straddles(s):
+        return PrecisionExhausted(
+            f"sum at s = {s!r} straddles 1 at the sharpest level (n={n}, kind={kind}); "
+            "try a larger tol")
+
+    side, f = probe(1.0)
+    if side > 0:
+        raise NoRootInUnitInterval(
+            f"sum at s=1 lies in [{f.lo_float:.6g}, {f.hi_float:.6g}], "
+            f"above 1 (n={n}, B={B}, kind={kind})")
+    if probe(LEFT_EDGE)[0] < 0:
+        raise NoRoot(f"sum at s = {LEFT_EDGE} is below 1 (n={n}, kind={kind}, M={M})")
+    if None in bracket:
+        raise straddles(LEFT_EDGE if bracket[1] else 1.0)
+    half = 0.45 * tol
+    while bracket[1][0] - bracket[0][0] > tol:
+        (lo, lo_pt), (hi, hi_pt) = bracket
+        u = _next_u(points, lo_pt, hi_pt)
+        s = 0.5 * (1.0 + math.exp(u)) if pole else u
+        s = min(max(s + half if hi - s > s - lo else s - half, lo + half), hi - half)
+        # a straddling probe is within the envelope's resolution of the root
+        if not probe(s)[0] and not (probe(s - half)[0] and probe(s + half)[0]):
+            raise straddles(s)
+    return rd.from_f64(bracket[0][0], bracket[1][0])
 
 
 def select_sn(s1: Enclosure, s2: Enclosure, s3: Enclosure, refine=None):

@@ -120,10 +120,6 @@ class Enclosure:
 
     # -- exact queries ---------------------------------------------------
 
-    def contains(self, x) -> bool:
-        fr = Fraction(x)
-        return _cmp_frac(self.lo._mpf_, fr) <= 0 <= _cmp_frac(self.hi._mpf_, fr)
-
     def certified_le(self, x) -> bool:
         """True only if the enclosed value is certainly <= x."""
         return _cmp_frac(self.hi._mpf_, Fraction(x)) <= 0

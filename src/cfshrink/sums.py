@@ -6,11 +6,11 @@ rounding.  The lemma-sum tail is midpoint Euler-Maclaurin to third order
 (proof in lemma_sum_batch), so its head stops at 256 terms.  The
 continuant power sums, n = 1 on the full alphabet (zeta(2s)) included, come
 from one evaluator, the envelope iteration of `_transfer`, fronted by
-lambda_enclosure and lambda_estimate.  Both read bounded, thread-safe
-functools.lru_cache tables of 4096 entries: the certified bounds keyed on
-(n, float(s), alphabet_max, level clamped to MAX_LEVEL), the estimates on
-their arguments.  Two threads that miss on one key may both compute it;
-the values are deterministic, so either may stay.
+lambda_enclosure.  It reads a bounded, thread-safe functools.lru_cache
+table of 4096 certified bounds keyed on (n, float(s), alphabet_max, level
+clamped to MAX_LEVEL), which the level-root solver's probes share.  Two
+threads that miss on one key may both compute it; the values are
+deterministic, so either may stay.
 """
 
 from __future__ import annotations
@@ -146,9 +146,3 @@ def lambda_enclosure(
 def _lambda_bounds(n: int, s: float, alphabet_max: int | None, level: int) -> tuple:
     return _transfer.apply_power(n, 2.0 * s, _layout(level, alphabet_max))
 
-
-@functools.lru_cache(maxsize=4096)
-def lambda_estimate(n: int, s: float, *, alphabet_max: int | None = None) -> float:
-    """Fast point estimate of the continuant power sum at level 1 (not certified)."""
-    return _transfer.apply_power_estimate(
-        n, 2.0 * _convergent_s(s, alphabet_max), _layout(1, alphabet_max))

@@ -55,8 +55,8 @@ class Quad:
     def __eq__(self, other):
         return (self - other).sign() == 0
 
-    def __hash__(self):
-        return hash((self.a, self.b, self.D))
+    def __hash__(self):  # a rational Quad equals, so hashes as, its Fraction
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.D))
 
     def __lt__(self, other):
         return (self - other).sign() < 0

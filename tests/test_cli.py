@@ -2,15 +2,20 @@
 
 import csv
 import json
+import math
 import xml.dom.minidom
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from chord_envelope import chord_apply_power, chord_layout
+
 from cfshrink import massdist as md
-from cfshrink import svgplot
+from cfshrink import rounding as rd
+from cfshrink import shrink, sums, svgplot
 from cfshrink.cli import _exponent, main, parse_range, parse_target
+from cfshrink.predim import predim_result
 from cfshrink.targets import TargetSpec
 
 
@@ -45,14 +50,16 @@ def test_table_artifacts_keep_their_text(argv, tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
-def test_cover_totals_nest_inside_the_chord_envelope_totals():
+def test_cover_totals_nest_inside_the_chord_envelope_totals(monkeypatch):
     """The golden cover totals (cubic-Hermite envelope) lie inside the ones the
-    chord envelope wrote for the same run."""
-    chord = {2: (0.636293884221554, 0.6372143278446564),
-             3: (0.33416987744730214, 0.3349465461710618)}
+    chord envelope gives at the same level roots."""
+    roots = {n: predim_result(n, 4, math.inf, M=5, tol=1e-3) for n in (2, 3)}
+    monkeypatch.setattr(sums, "lambda_enclosure", lambda n, s, *, alphabet_max, level: rd.from_f64(
+        *chord_apply_power(n, 2.0 * s, chord_layout(level, range(1, alphabet_max + 1)))))
     for row in read_csv(GOLDEN / "cover.csv"):
-        lo, hi = chord[int(row["n"])]
-        assert lo <= float(row["total_lo"]) <= float(row["total_hi"]) <= hi
+        n = int(row["n"])
+        chord = shrink.cover_svolume(n, 4, TargetSpec.zero(), 0.8, 5, predim=roots[n]).total
+        assert chord.lo_float <= float(row["total_lo"]) <= float(row["total_hi"]) <= chord.hi_float
 
 
 class TestParsing:

@@ -40,6 +40,7 @@ from cfshrink import (
     solve_finite_s,
 )
 from j_bounds import j_interval_bounds
+from interval_members import in_cylinder
 
 # frozen 40-digit roots of the hand-written defining sums
 S_I_2_3_B4 = 0.5220791998322338
@@ -308,7 +309,7 @@ class TestEnumerate:
         flat = sum(F.blocks, ())
         assert F.word == w_main.params.u_tilde + flat + (F.last,)
         assert F.address == F.blocks + (F.last,)
-        assert cylinder(F.word).contains(F.lo + F.length / 2)
+        assert in_cylinder(cylinder(F.word), F.lo + F.length / 2)
 
     def test_membership_inside_every_interval(self, all_witnesses):
         for w in all_witnesses:

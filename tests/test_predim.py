@@ -1,5 +1,6 @@
 """Level-n dimension equation roots, branch selection, threshold verdicts."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from cfshrink.predim import (
 )
 from cfshrink.rounding import enclose
 from cfshrink.targets import TargetSpec, first_digit
+from interval_members import in_enclosure
 from test_sums import zeta_enclosure
 
 # independent high-precision bisection on zeta(2s) = B^(s^2), frozen
@@ -56,7 +58,7 @@ class TestKindOneLevelOne:
     @pytest.mark.parametrize("B", [2, 4, 16])
     def test_matches_zeta_oracle(self, B):
         e = solve_predim(1, B, 1, tol=1e-6)
-        assert e.contains(Fraction(ZETA_ROOTS[B]).limit_denominator(10**15))
+        assert in_enclosure(e, Fraction(ZETA_ROOTS[B]).limit_denominator(10**15))
         assert e.lo_float <= ZETA_ROOTS[B] <= e.hi_float
         assert e.width_float <= 1e-6
         assert e.certified_gt(Fraction(1, 2))
@@ -91,30 +93,28 @@ class TestNoRootCases:
 
 # float.hex of full-alphabet n = 1 brackets by (B, kind, a1z, tol); None
 # marks the root clipped to 1 (the kind-3 sum at s = 1 is zeta(2)/sqrt(2)
-# > 1).  The brackets come from the float estimate, so they keep their bits
-# whichever certified evaluator decides the ends: the zeta(2s) route did
-# when they were pinned, the envelope does now (it reaches about 1e-12 in s
-# at n = 1)
+# > 1).  The envelope both places and certifies them; every kind-1
+# bracket contains its ZETA_ROOTS value
 LEVEL_ONE_BRACKETS = {
-    (2, 1, None, 1e-3): ("0x1.d99caa2339c0fp-1", "0x1.da12a1205bc01p-1"),
-    (2, 2, 1, 1e-3): ("0x1.ce8247525460bp-1", "0x1.cef83e4f765fdp-1"),
-    (2, 2, 3, 1e-3): ("0x1.df073e1b0899fp-1", "0x1.df7d35182a991p-1"),
+    (2, 1, None, 1e-3): ("0x1.d99d5806afc79p-1", "0x1.d9dc45100a528p-1"),
+    (2, 2, 1, 1e-3): ("0x1.ce84ce4282e39p-1", "0x1.cef8e69acbdb7p-1"),
+    (2, 2, 3, 1e-3): ("0x1.df07c92b61666p-1", "0x1.df5fa70fd91dbp-1"),
     (2, 3, 1, 1e-3): None,
-    (2, 3, 3, 1e-3): ("0x1.723b064c2f837p-1", "0x1.72b0fd4951829p-1"),
-    (4, 1, None, 1e-3): ("0x1.92b294a2339c3p-1", "0x1.93288b9f559b5p-1"),
-    (4, 2, 1, 1e-3): ("0x1.76ce002752547p-1", "0x1.7743f72474539p-1"),
-    (4, 2, 3, 1e-3): ("0x1.92dc1e5c91d15p-1", "0x1.93521559b3d07p-1"),
-    (4, 3, 1, 1e-3): ("0x1.ce8247525460bp-1", "0x1.cef83e4f765fdp-1"),
-    (4, 3, 3, 1e-3): ("0x1.5be69ac710cb1p-1", "0x1.5c5c91c432ca3p-1"),
-    (2, 1, None, 1e-6): ("0x1.d9d84a4883707p-1", "0x1.d9d8687b745e9p-1"),
-    (4, 1, None, 1e-6): ("0x1.92ece387bed4dp-1", "0x1.92ed01baafc2fp-1"),
-    (2, 3, 3, 1e-7): ("0x1.72764e914d0a8p-1", "0x1.7276519665224p-1"),
-    (4, 2, 1, 1e-7): ("0x1.7709395761859p-1", "0x1.77093c5c799d5p-1"),
-    (2, 2, 1, 1e-8): ("0x1.cebdec95ec3c4p-1", "0x1.cebdece33b71ep-1"),
-    (4, 1, None, 1e-8): ("0x1.92ecf2a39ad3ep-1", "0x1.92ecf2f0ea098p-1"),
-    (4, 3, 3, 1e-8): ("0x1.5c219f1101bd2p-1", "0x1.5c219f5e50f2cp-1"),
-    (2, 1, None, 1e-10): ("0x1.d9d85954a7cc6p-1", "0x1.d9d859556db5ep-1"),
-    (4, 2, 3, 1e-10): ("0x1.9317ab0954b0ap-1", "0x1.9317ab0a1a9a2p-1"),
+    (2, 3, 3, 1e-3): ("0x1.7248633a577ccp-1", "0x1.72b173668d87fp-1"),
+    (4, 1, None, 1e-3): ("0x1.92b1f3ce4762fp-1", "0x1.93014179838cdp-1"),
+    (4, 2, 1, 1e-3): ("0x1.76e9dad091de3p-1", "0x1.77444df625adbp-1"),
+    (4, 2, 3, 1e-3): ("0x1.92dcaf53ed7eap-1", "0x1.9355d77746623p-1"),
+    (4, 3, 1, 1e-3): ("0x1.ce84ce4282e39p-1", "0x1.cef8e69acbdb7p-1"),
+    (4, 3, 3, 1e-3): ("0x1.5be6a37865625p-1", "0x1.5c5d5ecf9cb2fp-1"),
+    (2, 1, None, 1e-6): ("0x1.d9d84a3a85e7fp-1", "0x1.d9d8686d84639p-1"),
+    (4, 1, None, 1e-6): ("0x1.92ece29409f0ap-1", "0x1.92ed01e284dbep-1"),
+    (2, 3, 3, 1e-7): ("0x1.72764e8b0e618p-1", "0x1.72765190547efp-1"),
+    (4, 2, 1, 1e-7): ("0x1.7709395a39630p-1", "0x1.77093c5f6b434p-1"),
+    (2, 2, 1, 1e-8): ("0x1.cebdeca58a25fp-1", "0x1.cebdece237694p-1"),
+    (4, 1, None, 1e-8): ("0x1.92ecf2a2653cdp-1", "0x1.92ecf2efb4699p-1"),
+    (4, 3, 3, 1e-8): ("0x1.5c219f0e71c1cp-1", "0x1.5c219f5da590fp-1"),
+    (2, 1, None, 1e-10): ("0x1.d9d85955003fap-1", "0x1.d9d8595563346p-1"),
+    (4, 2, 3, 1e-10): ("0x1.9317ab09524e0p-1", "0x1.9317ab0a1f32ap-1"),
 }
 
 
@@ -146,57 +146,74 @@ class TestFailFast:
         return count
 
     @pytest.mark.parametrize("n,tol", [(3, 1e-7), (2, 1e-8), (5, 1e-6)])
-    def test_shifts_run_out(self, evals, n, tol):
-        # the float estimate is off by more than 8 half-widths; each shift
-        # is still certified, most of them at level 0
-        with pytest.raises(PrecisionExhausted, match="within 8 shifts"):
-            solve_predim(n, 4, 1, tol=tol)
+    def test_former_shift_failures_certify(self, evals, n, tol):
+        # tol below the 1e-5 accuracy of a float model of the sum: only
+        # probes placed by the envelope itself reach it
+        e = solve_predim(n, 4, 1, tol=tol)
+        assert 0 < e.width_float <= tol
+        assert _f_enclosure(n, 4, 1, None, None, e.lo_float, 2).certified_ge(1)
+        assert _f_enclosure(n, 4, 1, None, None, e.hi_float, 2).certified_le(1)
         assert evals[0] <= 12
 
     def test_former_level_two_straddle_now_certifies(self, evals):
         # the chord envelope straddled 1 at levels 0, 1 and 2 on a point of
-        # this walk; the Hermite envelope decides every point at level 0
+        # an earlier walk; the Hermite envelope decides every probe at level 0
         e = solve_predim(3, 4, 1, tol=1.5e-6)
         assert (e.lo_float.hex(), e.hi_float.hex()) == (
-            "0x1.830d3b92c343cp-1", "0x1.830d68df2ca8ep-1")
+            "0x1.830d23f7e2295p-1", "0x1.830d529495d10p-1")
         assert evals[0] == 7
-        # it meets the tol-1e-6 bracket of test_shifted_bracket_keeps_its_bits
-        assert e.lo_float <= float.fromhex("0x1.830d527843bcep-1")
+        # it meets the tol-1e-6 bracket of test_tight_bracket_keeps_its_bits
+        assert e.lo_float <= float.fromhex("0x1.830d4b07d9997p-1")
 
     def test_level_zero_decides_the_former_level_two_end(self, evals):
-        # the chord envelope certified the second point only at level 2; the
-        # bracket does not depend on which level decides each end
+        # the chord envelope certified an end of this bracket only at level 2
         e = solve_predim(5, 4, 1, tol=1e-5)
         assert (e.lo_float.hex(), e.hi_float.hex()) == (
-            "0x1.81277cf99d452p-1", "0x1.8128aaf70691ep-1")
-        assert evals[0] == 2
+            "0x1.8126e9eaf3003p-1", "0x1.81281906d9bfcp-1")
+        assert evals[0] == 7
 
     def test_tight_level_one_decides_at_level_zero(self, evals):
-        # the envelope decides both ends of the tol-1e-8 bracket at level 0
+        # eight probes, each decided by one level-0 setup
         e = solve_predim(1, 4, 1, tol=1e-8)
         assert (e.lo_float.hex(), e.hi_float.hex()) == (
-            "0x1.92ecf2a39ad3ep-1", "0x1.92ecf2f0ea098p-1")
-        assert evals[0] <= 2
+            "0x1.92ecf2a2653cdp-1", "0x1.92ecf2efb4699p-1")
+        assert evals[0] <= 8
 
     def test_level_one_certifies_at_tol_1e_12(self, evals):
         e = solve_predim(1, 4, 1, tol=1e-12)
         assert (e.lo_float.hex(), e.hi_float.hex()) == (
-            "0x1.92ecf2c9dfb3bp-1", "0x1.92ecf2c9e1ae5p-1")
+            "0x1.92ecf2c9dfa12p-1", "0x1.92ecf2c9e19bcp-1")
         assert e.lo_float <= ZETA_ROOTS[4] <= e.hi_float
-        assert evals[0] == 4
+        assert evals[0] == 24
 
     def test_straddle_at_the_sharpest_evaluator(self, evals):
-        # the envelope resolves the n = 1 root to about 1e-12 at level 2,
-        # so an end of a tol-1e-13 bracket straddles 1
+        # the envelope resolves the n = 1 root to about 1e-12 at level 2, so
+        # a probe and a neighbour 0.45e-13 from it both straddle 1
         with pytest.raises(PrecisionExhausted, match="straddles 1 at the sharpest level"):
             solve_predim(1, 4, 1, tol=1e-13)
-        assert evals[0] == 5
+        assert evals[0] == 28
 
-    def test_shifted_bracket_keeps_its_bits(self, evals):
+    def test_tight_bracket_keeps_its_bits(self, evals):
         e = solve_predim(3, 4, 1, tol=1e-6)
         assert (e.lo_float.hex(), e.hi_float.hex()) == (
-            "0x1.830d344552cecp-1", "0x1.830d527843bcep-1")
+            "0x1.830d2b84d2e94p-1", "0x1.830d4b07d9997p-1")
         assert evals[0] <= 14
+
+    def test_cold_levels_share_the_edge_sums(self, evals):
+        # three kinds at one (n, M): the sums at s = 1 and LEFT_EDGE are set
+        # up once, and each root takes a handful of level-0 probes
+        predim_result(2, 4, 1, M=None, tol=1e-3)
+        assert evals[0] <= 16
+
+
+class TestReach:
+    def test_tol_1e_8_certifies_across_the_grid(self):
+        for n, kind, B, M in itertools.product((1, 2, 6), (1, 2, 3), (2, 4), (None, 20)):
+            e = solve_predim(n, B, kind, 3, M=M, tol=1e-8)
+            key = (n, kind, B, M)
+            assert 0 < e.width_float <= 1e-8, key
+            assert _f_enclosure(n, B, kind, 3, M, e.lo_float, 2).certified_ge(1), key
+            assert _f_enclosure(n, B, kind, 3, M, e.hi_float, 2).certified_le(1), key
 
 
 class TestCertifiedRoots:

@@ -7,8 +7,11 @@ on import, such as a check called at module level.  A reached definition
 reaches each definition of the package whose name it reads; names are
 matched across modules, so the walk errs towards reaching too much.  The
 definitions are the module-level functions, classes and assigned names,
-and the methods of classes other than the dunder ones, which a reached
-class keeps.  Code that only the tests call belongs in `tests/`.
+and the methods of classes other than the dunder ones.  A method is
+reached only through an attribute read (or an identifier string) of its
+name, from code that also reaches its class: a plain function of the same
+name, anywhere, does not reach it.  Code that only the tests call belongs
+in `tests/`.
 """
 
 import ast
@@ -30,8 +33,9 @@ def _dunder(name):
 
 
 def _reads(node):
-    """The names and attribute names a node reads."""
-    return {n.id if isinstance(n, ast.Name) else n.attr
+    """The names a node reads, and the attribute names it reads marked by a
+    leading dot."""
+    return {n.id if isinstance(n, ast.Name) else "." + n.attr
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
@@ -75,7 +79,7 @@ def _bench_names(paths):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names.update(alias.name.rpartition(".")[2] for alias in node.names)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
-                names.add(node.value)
+                names |= {node.value, "." + node.value}
     return names
 
 
@@ -93,8 +97,11 @@ def unreached(src_paths, bench_paths, roots):
     while grew:
         grew = False
         for key, name, reads, owner in defs:
-            if key not in reached and (key in roots or (
-                    name in names and (owner is None or owner in reached))):
+            if owner is None:
+                read = name in names or "." + name in names
+            else:  # a method, read as an attribute once its class is reached
+                read = "." + name in names and owner in reached
+            if key not in reached and (key in roots or read):
                 reached.add(key)
                 names |= reads
                 grew = True
@@ -125,7 +132,9 @@ def test_the_walk_sees_unreached_code(tmp_path):
         "    def volume(self):\n        return self.x ** 3\n"
     )
     bench = tmp_path / "job.py"
-    bench.write_text("import probe\nfn = getattr(probe, 'traced')\n")
+    # a bench function named like a method does not reach the method
+    bench.write_text("import probe\nfn = getattr(probe, 'traced')\n"
+                     "def volume():\n    return 0\nvolume()\n")
     assert unreached([src], [bench], {"probe.main"}) == ["probe.Box.volume", "probe.SPARE", "probe.dead"]
     assert unreached([src], [], {"probe.dead"}) == [
         "probe.Box", "probe.Box.size", "probe.Box.volume", "probe.LIMIT", "probe.SPARE",

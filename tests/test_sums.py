@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfshrink import rounding as rd
-from cfshrink import sums
+from cfshrink import _transfer, sums
 from cfshrink.errors import ExponentTooSmall
 from cfshrink.ivec import ipow_neg, tree_sum
 from cfshrink.predim import _weight_enclosure
@@ -343,16 +343,18 @@ class TestEnvelopeEvaluator:
         assert contains(e, 1.70220597034000028937137574572)
 
     def test_estimate_close(self):
-        est = sums.lambda_estimate(4, 0.7)
+        # pressure's float estimate of the envelope's operator
+        est = _transfer.apply_power_estimate(4, 1.4, _transfer.make_layout(1))
         enc = sums.lambda_enclosure(4, 0.7, level=1)
         mid = 0.5 * (enc.lo_float + enc.hi_float)
         assert abs(est - mid) / mid < 0.01
 
     @pytest.mark.parametrize("s", [0.5, 0.45, 0.2])
     def test_estimate_rejects_a_divergent_sum_like_the_enclosure(self, s):
-        for evaluate in (sums.lambda_enclosure, sums.lambda_estimate):
-            with pytest.raises(ExponentTooSmall, match="diverges"):
-                evaluate(2, s)
+        with pytest.raises(ExponentTooSmall, match="diverges"):
+            sums.lambda_enclosure(2, s)
+        with pytest.raises(ValueError, match="diverges"):
+            _transfer.apply_power_estimate(2, 2 * s, _transfer.make_layout(1))
 
 
 class TestEmptyAlphabet:
@@ -360,10 +362,6 @@ class TestEmptyAlphabet:
     def test_enclosure_rejects_an_empty_alphabet(self, alphabet_max):
         with pytest.raises(ValueError, match="nonempty"):
             sums.lambda_enclosure(2, 0.8, alphabet_max=alphabet_max)
-
-    def test_estimate_rejects_an_empty_alphabet(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            sums.lambda_estimate(2, 0.8, alphabet_max=0)
 
 
 class TestEnvelopeContainment:
@@ -391,7 +389,6 @@ class TestEnvelopeContainment:
 class TestBoundedCache:
     def test_caches_are_bounded(self):
         assert sums._lambda_bounds.cache_info().maxsize == 4096
-        assert sums.lambda_estimate.cache_info().maxsize == 4096
         from cfshrink import pressure
 
         assert pressure._enumerate_levels.cache_info().maxsize == 16
@@ -441,8 +438,7 @@ class TestBoundedCache:
     def test_lemmas_identical_across_threads_with_tiny_caches(self, monkeypatch, tmp_path):
         from cfshrink import cli, pressure
 
-        for module, name in ((sums, "_lambda_bounds"), (sums, "lambda_estimate"),
-                             (pressure, "_enumerate_levels")):
+        for module, name in ((sums, "_lambda_bounds"), (pressure, "_enumerate_levels")):
             monkeypatch.setattr(module, name,
                                 functools.lru_cache(1)(getattr(module, name).__wrapped__))
         outputs = {}

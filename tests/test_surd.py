@@ -23,6 +23,14 @@ def test_sqrt_value_strips_square_factors():
     assert v == Quad(Fraction(0), Fraction(2), 2)  # 2*sqrt(2)
 
 
+def test_rational_quad_hashes_like_its_fraction():
+    half = Quad(Fraction(1, 2), Fraction(0), 5)
+    assert half == Fraction(1, 2)
+    assert len({half, Fraction(1, 2)}) == 1
+    assert len({Quad(Fraction(3), Fraction(0), 2), 3}) == 1
+    assert len({Quad(Fraction(1, 2), Fraction(1), 5), Fraction(1, 2)}) == 2
+
+
 def test_golden_ratio_root():
     # x = (sqrt5 - 1)/2 solves x^2 + x - 1 = 0 exactly
     x = Quad(Fraction(-1, 2), Fraction(1, 2), 5)
