@@ -491,14 +491,9 @@ def _step(data, nodes, t):
     return v_lo, v_hi, s_lo, s_hi
 
 
-def apply_power(n, t, layout, seed=None):
-    """Certified (lo, hi) of (L^n f)(0); f = 1 unless a seed is given.
-
-    seed: optional (lo, hi, dlo, dhi) arrays of bounds of f and of f' at
-    the nbins + 1 nodes.  f must lie in the cone of the module docstring,
-    as (1 + x r)^{-t} for 0 <= x <= 1 does.
-    """
-    return apply_powers(n, t, layout, [seed])[0][-1]
+def apply_power(n, t, layout):
+    """Certified (lo, hi) of (L^n 1)(0)."""
+    return apply_powers(n, t, layout, [None])[0][-1]
 
 
 def _check_power(n, t, layout):
@@ -510,8 +505,10 @@ def _check_power(n, t, layout):
 
 
 def apply_powers(n, t, layout, seeds):
-    """[apply_power(k, t, layout, seed) for k = 1..n] for each seed in turn
-    (None for f = 1), from one setup at t: the one envelope loop.
+    """[(lo, hi) of (L^k f)(0) for k = 1..n] for each seed in turn, from one
+    setup at t: the one envelope loop.  A seed is None (f = 1) or arrays
+    (lo, hi, dlo, dhi) of bounds of f and f' at the nbins + 1 nodes, for an
+    f in the module docstring's cone, as (1 + x r)^{-t} with x in [0, 1].
 
     Steps 1..n-1 run at every node and L^k f is read at node 0; step n runs
     at node 0 alone, r = 0 (n = 1 sets up there only).  Every point is

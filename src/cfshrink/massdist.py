@@ -29,6 +29,7 @@ from . import ivec
 from . import rounding as rd
 from .cf_core import Word, continuants, cylinder
 from .errors import BudgetExceeded, InvalidWitness, NoRoot, PrecisionExhausted
+from .predim import root_loop
 from .pressure import log_weight
 from .rounding import Enclosure, enclose
 from .shrink import SHAVE_PREC, _b_pow_half, extremal_interval, membership
@@ -44,6 +45,7 @@ RATIO_PREC = 96
 _FINE_LIMIT = 128  # the ball lemma's constant on the fine regime
 _PREBOUND_SLACK = 1.0 + 2.0**-40  # 1 + delta, see holder_check
 _PREBOUND_CHUNK = 512  # samples per kernel call: keeps the temporaries small
+_WORD_BUDGET = 1_000_000  # block words {1..M}^ell that s(ell, M) may sum over
 
 
 def _inside_fraction(v, side):
@@ -69,14 +71,6 @@ def _q_of(w: Word) -> int:
 # -- the finite-alphabet exponent s(ell, M) ----------------------------------
 
 
-def _certified_sign(diff: Enclosure, what: str) -> int:
-    if diff.certified_gt(0):
-        return 1
-    if diff.certified_lt(0):
-        return -1
-    raise PrecisionExhausted(f"sign of {what} undecidable at working precision")
-
-
 def _block_factor(case, ell, B, rate, s: Fraction, prec) -> Enclosure:
     """The per-block factor multiplying q^(-2s): the level-ell weight of
     potential kind 1, 2, 3 for case I, II, III, growth ell * rate."""
@@ -95,12 +89,14 @@ def _sum_at(case, ell, M, B, rate, s: Fraction, qcounts, prec) -> Enclosure:
     return rd.mul(_block_factor(case, ell, B, rate, s, prec), head, prec)
 
 
-def _solve_bracket(case, ell, M, B, rate, tol=Fraction(1, 10**13), budget=1_000_000):
+def _solve_bracket(case, ell, M, B, rate, tol=Fraction(1, 10**13)):
+    """Certified (lo, hi) around s(ell, M) from [2^-20, 1], sums at 128-512 bits."""
     if case not in _CASES:
         raise ValueError(f"case must be one of {_CASES}, got {case!r}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    tol = Fraction(tol)
+    if tol < 2.0**-52:
+        raise ValueError(f"tol below 2^-52 cannot separate float probes, got {tol!r}")
     if ell < 1 or M < 1:
         raise ValueError("ell and M must be positive")
     if B < 2:
@@ -111,45 +107,33 @@ def _solve_bracket(case, ell, M, B, rate, tol=Fraction(1, 10**13), budget=1_000_
         rate = Fraction(rate)
     elif rate is not None:
         raise ValueError("case I takes no growth rate")
-    if M**ell > budget:
-        raise BudgetExceeded(f"alphabet {{1..{M}}}^{ell} exceeds budget {budget}")
+    if M**ell > _WORD_BUDGET:
+        raise BudgetExceeded(f"alphabet {{1..{M}}}^{ell} exceeds budget {_WORD_BUDGET}")
     qcounts = tuple(Counter(_q_of(a) for a in _block_words(ell, M)).items())
-
-    def fsign(s: Fraction) -> int:
-        for prec in (128, 256, 512):
-            diff = rd.sub(_sum_at(case, ell, M, B, rate, s, qcounts, prec), enclose(1), prec)
-            try:
-                return _certified_sign(diff, f"defining sum at s={float(s):.17g}")
-            except PrecisionExhausted:
-                continue
-        raise PrecisionExhausted(f"defining sum straddles 1 at s={float(s):.17g}")
-
-    lo, hi = Fraction(1, 2**20), Fraction(1)
-    if fsign(lo) < 0:
+    lo, hi, stop = root_loop(
+        lambda s, prec: _sum_at(case, ell, M, B, rate, Fraction(s), qcounts, prec),
+        (128, 256, 512), 2.0**-20, 1.0, Fraction(tol), False)
+    if stop is None:
+        return Fraction(lo), Fraction(hi)
+    if stop[1] < 0:
         raise NoRoot(
             f"defining sum never reaches 1 on (0, 1] for case {case}, "
             f"ell={ell}, M={M}; enlarge the alphabet"
         )
-    if fsign(hi) > 0:
+    if stop[1] > 0:
         raise NoRoot(f"defining sum still exceeds 1 at s=1 (case {case}, ell={ell}, M={M})")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if fsign(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    raise PrecisionExhausted(f"defining sum straddles 1 at s={stop[0]:.17g}")
 
 
-def solve_finite_s(case, ell, M, B, rate=None, *, tol=Fraction(1, 10**13), budget=1_000_000):
+def solve_finite_s(case, ell, M, B, rate=None, *, tol=Fraction(1, 10**13)):
     """Root s of the finite-alphabet defining sum, to within tol.
 
     Case I solves sum q^(-2s) B^(-ell s^2) = 1 over {1..M}^ell; case II
     weighs each word by e^(rate ell (1-s)) B^(-ell s), case III by
     e^(-rate ell s) B^(-ell s / 2).  The sum is strictly decreasing in s,
-    so certified-sign bisection brackets the root; the midpoint is returned.
+    so predim.root_loop brackets the root; the midpoint is returned.
     """
-    lo, hi = _solve_bracket(case, ell, M, B, rate, tol=tol, budget=budget)
+    lo, hi = _solve_bracket(case, ell, M, B, rate, tol=tol)
     return float((lo + hi) / 2)
 
 

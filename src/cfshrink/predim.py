@@ -7,7 +7,9 @@ Every probe of the root loop certifies the sum's side of 1 (>= 1 left of
 the root, <= 1 right of it), so it moves one end of the bracket, and the
 log of its midpoint steers the next probe.  Each probe escalates its level
 0 -> 1 -> 2 only until its side of 1 is certified; n = 1 on the full
-alphabet takes the same route.
+alphabet takes the same route.  The same loop (root_loop) solves the
+finite-alphabet exponent s(ell, M) of massdist, with 128/256/512-bit sums
+as its rungs.
 """
 
 from __future__ import annotations
@@ -109,6 +111,48 @@ def _next_u(points, lo_pt, hi_pt) -> float:
                 0.5 * (lo_pt[0] + hi_pt[0]))
 
 
+def root_loop(f_at, rungs, lo, hi, tol, pole):
+    """Certified bracket, hi - lo <= tol, of the root of a decreasing f(s) = 1.
+
+    Each probe takes the first of the rungs at which f_at(s, rung) certifies
+    its side of 1, and moves that end.  The log of its midpoint steers the
+    next probe, in u = log(2s - 1) if pole (f has its pole at s = 1/2), else
+    in s: 0.45 tol from the estimate, towards the farther end, and at least
+    0.45 tol inside.  A probe straddling 1 at the last rung leaves its
+    neighbours at +-0.45 tol to decide.  Returns (lo, hi, None), or (None,
+    None, (s, side, f)) at the probe that stopped the loop: hi certified
+    >= 1 (side 1), lo certified <= 1 (-1), or a straddle (0, f None).
+    """
+    points, bracket = [], [None, None]  # (s, (u, log f)) at lo and at hi
+
+    def probe(s):
+        for rung in rungs:
+            f = f_at(s, rung)
+            side = 1 if f.certified_ge(1) else -1 if f.certified_le(1) else 0
+            if side:
+                break
+        points.append((math.log(2.0 * s - 1.0) if pole else s, math.log(f.mid_float)))
+        if side:
+            bracket[side < 0] = (s, points[-1])
+        return side, f
+
+    for end, wrong in ((hi, 1), (lo, -1)):
+        side, f = probe(end)
+        if side == wrong:
+            return None, None, (end, side, f)
+    if None in bracket:
+        return None, None, (lo if bracket[1] else hi, 0, None)
+    half = 0.45 * tol
+    while bracket[1][0] - bracket[0][0] > tol:
+        (lo, lo_pt), (hi, hi_pt) = bracket
+        u = _next_u(points, lo_pt, hi_pt)
+        s = 0.5 * (1.0 + math.exp(u)) if pole else u
+        s = min(max(s + half if hi - s > s - lo else s - half, lo + half), hi - half)
+        if not probe(s)[0] and not (probe(s - half)[0] and probe(s + half)[0]):
+            return None, None, (s, 0, None)
+    return bracket[0][0], bracket[1][0], None
+
+
 def solve_predim(n: int, B, kind: int, a1z=None, *, M=None, tol: float = 1e-4):
     """Certified enclosure of the level-n root for the given equation kind.
 
@@ -117,13 +161,10 @@ def solve_predim(n: int, B, kind: int, a1z=None, *, M=None, tol: float = 1e-4):
     values [1,1] (kind 2) and [0,0] (kind 3).  M restricts the digit
     alphabet to {1..M}; M = None sums over all of N.
 
-    The bracket starts as [LEFT_EDGE, 1].  Each probe certifies its side
-    of 1 from the coarsest level (0, 1, 2) that can, and moves that end.  It
-    sits 0.45 tol from the root interpolated in a variable u in which log f
-    is close to linear, towards the farther end and at least 0.45 tol
-    inside.  A probe that straddles 1 at level 2 is within the envelope's
-    resolution of the root: its neighbours at +-0.45 tol decide, or
-    PrecisionExhausted is raised.
+    root_loop brackets the root from [LEFT_EDGE, 1], each probe certified
+    at the coarsest level (0, 1, 2) that can, steered in u = log(2s - 1) on
+    the full alphabet.  A probe that straddles 1 at level 2, with a
+    neighbour at +-0.45 tol that straddles too, raises PrecisionExhausted.
     """
     if kind not in (1, 2, 3):
         raise ValueError("kind must be 1, 2 or 3")
@@ -146,46 +187,20 @@ def solve_predim(n: int, B, kind: int, a1z=None, *, M=None, tol: float = 1e-4):
         if a1z < 1:
             raise ValueError("a1z must be a positive integer or +inf")
 
-    # log f is close to linear in u = log(2s - 1) on the full alphabet, whose
-    # sum has its pole at s = 1/2, and in u = s on a finite one
-    pole = M is None
-    points, bracket = [], [None, None]  # (s, (u, log f)) at lo and at hi
-
-    def probe(s):
-        for level in (0, 1, 2):
-            f = _f_enclosure(n, B, kind, a1z, M, s, level)
-            side = 1 if f.certified_ge(1) else -1 if f.certified_le(1) else 0
-            if side:
-                break
-        points.append((math.log(2.0 * s - 1.0) if pole else s, math.log(f.mid_float)))
-        if side:
-            bracket[side < 0] = (s, points[-1])
-        return side, f
-
-    def straddles(s):
-        return PrecisionExhausted(
-            f"sum at s = {s!r} straddles 1 at the sharpest level (n={n}, kind={kind}); "
-            "try a larger tol")
-
-    side, f = probe(1.0)
+    lo, hi, stop = root_loop(lambda s, level: _f_enclosure(n, B, kind, a1z, M, s, level),
+                             (0, 1, 2), LEFT_EDGE, 1.0, tol, M is None)
+    if stop is None:
+        return rd.from_f64(lo, hi)
+    s, side, f = stop
     if side > 0:
         raise NoRootInUnitInterval(
             f"sum at s=1 lies in [{f.lo_float:.6g}, {f.hi_float:.6g}], "
             f"above 1 (n={n}, B={B}, kind={kind})")
-    if probe(LEFT_EDGE)[0] < 0:
+    if side < 0:
         raise NoRoot(f"sum at s = {LEFT_EDGE} is below 1 (n={n}, kind={kind}, M={M})")
-    if None in bracket:
-        raise straddles(LEFT_EDGE if bracket[1] else 1.0)
-    half = 0.45 * tol
-    while bracket[1][0] - bracket[0][0] > tol:
-        (lo, lo_pt), (hi, hi_pt) = bracket
-        u = _next_u(points, lo_pt, hi_pt)
-        s = 0.5 * (1.0 + math.exp(u)) if pole else u
-        s = min(max(s + half if hi - s > s - lo else s - half, lo + half), hi - half)
-        # a straddling probe is within the envelope's resolution of the root
-        if not probe(s)[0] and not (probe(s - half)[0] and probe(s + half)[0]):
-            raise straddles(s)
-    return rd.from_f64(bracket[0][0], bracket[1][0])
+    raise PrecisionExhausted(
+        f"sum at s = {s!r} straddles 1 at the sharpest level (n={n}, kind={kind}); "
+        "try a larger tol")
 
 
 def select_sn(s1: Enclosure, s2: Enclosure, s3: Enclosure, refine=None):

@@ -112,17 +112,13 @@ class PressureEstimate:
     """Per-depth pressure data: (1/n) log Sigma_n for both sum versions.
 
     sup_values uses the supremum over the attractor, x0_values the
-    zero-tail endpoint; they share the limit.  ratios holds the
-    successive log(Sigma_{n+1}/Sigma_n) of the sup version and
-    extrapolated is the last of them -- a heuristic, not an enclosure.
+    zero-tail endpoint; they share the limit.
     """
 
     alphabet: tuple
     depth: int
     sup_values: tuple
     x0_values: tuple
-    ratios: tuple
-    extrapolated: float
 
 
 @dataclass(frozen=True)
@@ -275,25 +271,16 @@ def pressure_estimate(
 
     xe = quad_to_enclosure(x_min_value(alpha))
     c = log_weight(_KIND[phi.kind], 1, phi.s, phi.B, phi.rate)
-    sup_vals, x0_vals, log_sups = [], [], []
+    sup_vals, x0_vals = [], []
     for n, (sup_raw, x0_raw) in enumerate(_sums(route, depth, phi.s, xe), start=1):
         nc = rd.mul(enclose(n), c)
-        log_sup = rd.add(rd.log_(sup_raw), nc)
-        log_x0 = rd.add(rd.log_(x0_raw), nc)
-        sup_vals.append(rd.div(log_sup, enclose(n)))
-        x0_vals.append(rd.div(log_x0, enclose(n)))
-        log_sups.append(log_sup.mid_float)
-    ratios = tuple(
-        log_sups[i + 1] - log_sups[i] for i in range(depth - 1)
-    )
-    extrapolated = ratios[-1] if ratios else log_sups[0]
+        sup_vals.append(rd.div(rd.add(rd.log_(sup_raw), nc), enclose(n)))
+        x0_vals.append(rd.div(rd.add(rd.log_(x0_raw), nc), enclose(n)))
     return PressureEstimate(
         alphabet=alpha,
         depth=depth,
         sup_values=tuple(sup_vals),
         x0_values=tuple(x0_vals),
-        ratios=ratios,
-        extrapolated=extrapolated,
     )
 
 

@@ -6,9 +6,13 @@ mpmath findroot run against the same sums written out by hand.
 
 import itertools
 import math
+import re
+import sys
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -19,7 +23,7 @@ from hypothesis import strategies as st
 from cfshrink import massdist as md
 from cfshrink import rounding as rd
 from cfshrink.cf_core import cylinder
-from cfshrink.errors import BudgetExceeded, NoRoot
+from cfshrink.errors import BudgetExceeded, NoRoot, PrecisionExhausted
 from cfshrink import (
     CASE_I,
     CASE_II,
@@ -201,7 +205,7 @@ class TestSolver:
         with pytest.raises(ValueError):
             solve_finite_s(CASE_I, 2, 3, 4, rate=Fraction(1, 2))
         with pytest.raises(BudgetExceeded):
-            solve_finite_s(CASE_I, 9, 30, 4, budget=1000)
+            solve_finite_s(CASE_I, 9, 30, 4)
 
     @pytest.mark.parametrize("tol", [0, -1, math.nan, math.inf, Fraction(0)])
     def test_bad_tol_is_rejected_before_any_work(self, tol, monkeypatch):
@@ -212,6 +216,114 @@ class TestSolver:
     def test_float_tol(self):
         s = solve_finite_s(CASE_I, 2, 3, 4, tol=1e-9)
         assert s == pytest.approx(S_I_2_3_B4, abs=1e-9)
+
+    def test_tol_below_the_float_grid_is_rejected(self):
+        # probes are floats: a tol under their spacing could never be met
+        with pytest.raises(ValueError, match="2\\^-52"):
+            solve_finite_s(CASE_I, 2, 3, 4, tol=1e-17)
+
+
+def _bisection_oracle(case, ell, M, B, rate, tol=Fraction(1, 10**13)):
+    """s(ell, M) by plain certified bisection: halve [2^-20, 1] in Fractions,
+    each sign of sum - 1 certified at 128, 256 or 512 bits (46 sums a root)."""
+    qcounts = tuple(Counter(md._q_of(a) for a in md._block_words(ell, M)).items())
+
+    def sign(s):
+        for prec in (128, 256, 512):
+            diff = rd.sub(md._sum_at(case, ell, M, B, rate, s, qcounts, prec), rd.enclose(1), prec)
+            if diff.certified_gt(0):
+                return 1
+            if diff.certified_lt(0):
+                return -1
+        raise PrecisionExhausted(f"defining sum straddles 1 at s={float(s):.17g}")
+
+    lo, hi = Fraction(1, 2**20), Fraction(1)
+    if sign(lo) < 0:
+        raise NoRoot(
+            f"defining sum never reaches 1 on (0, 1] for case {case}, "
+            f"ell={ell}, M={M}; enlarge the alphabet"
+        )
+    if sign(hi) > 0:
+        raise NoRoot(f"defining sum still exceeds 1 at s=1 (case {case}, ell={ell}, M={M})")
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if sign(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@pytest.fixture
+def sums_at(monkeypatch):
+    """Counts the certified defining sums _solve_bracket evaluates."""
+    count = [0]
+    sum_at = md._sum_at
+
+    def counted(*args):
+        count[0] += 1
+        return sum_at(*args)
+
+    monkeypatch.setattr(md, "_sum_at", counted)
+    return count
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_benchmark_finite_s_check(seed, monkeypatch):
+    """The benchmark's finite_s_sign_change check, on its own seeded inputs."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    monkeypatch.delitem(sys.modules, "checks", raising=False)
+    import checks
+    import workloads
+
+    spec = workloads.make_spec("witness-checks", seed)
+    out = {f"finite_s/{case}": solve_finite_s(case, ell, M, B, None if rate is None else Fraction(rate))
+           for case, ell, M, B, rate in spec["finite_s"]}
+    assert len(out) == 3
+    assert checks.check_finite_s(spec, out) == []
+    assert checks.check_finite_s(spec, checks.corrupt_finite_s(out))
+
+
+class TestRootLoopAgainstBisection:
+    # cases I-III, ell = 1 and ell >= 2, rates 1/16 .. 1/2
+    @pytest.mark.parametrize("case, ell, M, B, rate", [
+        (CASE_I, 1, 2, 5, None), (CASE_I, 2, 3, 4, None), (CASE_I, 3, 2, 2, None),
+        (CASE_II, 1, 4, 3, Fraction(1, 16)), (CASE_II, 2, 2, 4, Fraction(1, 2)),
+        (CASE_II, 3, 3, 5, Fraction(5, 16)), (CASE_III, 1, 5, 2, Fraction(5, 16)),
+        (CASE_III, 2, 4, 3, Fraction(1, 2)), (CASE_III, 3, 2, 4, Fraction(1, 16)),
+    ])
+    def test_meets_the_bisection_bracket(self, sums_at, case, ell, M, B, rate):
+        lo_ref, hi_ref = _bisection_oracle(case, ell, M, B, rate)
+        sums_at[0] = 0
+        lo, hi = md._solve_bracket(case, ell, M, B, rate)
+        assert lo <= hi_ref and lo_ref <= hi
+        assert 0 < hi - lo <= Fraction(1, 10**13)
+        assert 3 <= sums_at[0] <= 12
+
+    @pytest.mark.parametrize("case, ell, M, B, rate", [
+        (CASE_I, 1, 1, 4, None), (CASE_III, 2, 1, 2, Fraction(1, 2)),
+    ])
+    def test_no_root_alphabet_raises_as_the_bisection(self, case, ell, M, B, rate):
+        with pytest.raises(NoRoot) as ref:
+            _bisection_oracle(case, ell, M, B, rate)
+        with pytest.raises(NoRoot, match=re.escape(str(ref.value))):
+            md._solve_bracket(case, ell, M, B, rate)
+
+    def test_straddle_near_the_root_exhausts_precision(self, monkeypatch):
+        # every sum within 1e-9 of the root straddles 1 at each precision, so
+        # a probe there and its neighbours 4.5e-14 away all straddle
+        sum_at = md._sum_at
+        root = Fraction(S_I_2_3_B4)
+
+        def blurred(case, ell, M, B, rate, s, qcounts, prec):
+            if abs(s - root) < Fraction(1, 10**9):
+                return rd.from_f64(0.5, 2.0)
+            return sum_at(case, ell, M, B, rate, s, qcounts, prec)
+
+        monkeypatch.setattr(md, "_sum_at", blurred)
+        with pytest.raises(PrecisionExhausted, match="defining sum straddles 1 at s="):
+            md._solve_bracket(CASE_I, 2, 3, 4, None)
 
 
 def _block_factor_oracle(case, ell, B, rate, s):

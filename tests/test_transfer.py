@@ -363,7 +363,8 @@ def test_apply_power_keeps_parent_floats(key, monkeypatch):
     level, amax, n, t, seeded = key
     xe = rd.enclose(0.3)
     layout = _transfer.make_layout(level, _upto(amax))
-    h_lo, h_hi = _transfer.apply_power(n, t, layout, seed=_sup_seed(layout, xe, t) if seeded else None)
+    h_lo, h_hi = _transfer.apply_powers(
+        n, t, layout, [_sup_seed(layout, xe, t) if seeded else None])[0][-1]
     assert (h_lo.hex(), h_hi.hex()) == HERMITE_FLOATS[key]
     layout = _bin_layout(monkeypatch, level, amax)
     lo, hi = bin_apply_power(n, t, layout, seed=bin_sup_seed(layout, xe, t) if seeded else None)
@@ -454,7 +455,7 @@ def test_contains_exact_sums(level):
     for t, x, n in itertools.product((0.7, 1.5), (Fraction(0), Fraction(3, 10)), (1, 2, 4)):
         xe = rd.enclose(x)
         seed = _sup_seed(layout, xe, t) if x else None
-        lo, hi = _transfer.apply_power(n, t, layout, seed=seed)
+        lo, hi = _transfer.apply_powers(n, t, layout, [seed])[0][-1]
         exact = _exact_sup_sum(tuple(range(1, 6)), n, t, x)
         assert mp.mpf(lo) <= exact <= mp.mpf(hi), (t, x, n)
 
@@ -470,7 +471,7 @@ def test_contains_exact_sums_over_gappy_digits(digits, depths):
     for t, x, n in itertools.product((0.7, 1.5), (Fraction(0), Fraction(3, 10)), depths):
         xe = rd.enclose(x)
         seed = _sup_seed(layout, xe, t) if x else None
-        lo, hi = _transfer.apply_power(n, t, layout, seed=seed)
+        lo, hi = _transfer.apply_powers(n, t, layout, [seed])[0][-1]
         exact = _exact_sup_sum(digits, n, t, x)
         assert mp.mpf(lo) <= exact <= mp.mpf(hi), (t, x, n)
 
@@ -482,7 +483,7 @@ def test_hermite_contains_exact_enumeration(digits):
                                             (Fraction(0), Fraction(3, 10)), (2, 3, 4)):
         layout = _transfer.make_layout(level, digits)
         seed = _sup_seed(layout, rd.enclose(x), t) if x else None
-        lo, hi = _transfer.apply_power(n, t, layout, seed=seed)
+        lo, hi = _transfer.apply_powers(n, t, layout, [seed])[0][-1]
         exact = _exact_sup_sum(digits, n, t, x)
         assert mp.mpf(lo) <= exact <= mp.mpf(hi), (level, t, x, n)
         if level == 2 and t == 1.6:
@@ -818,7 +819,7 @@ def test_apply_powers_has_the_bits_of_apply_power(digits):
     for t in (1.5,) if digits is None else (0.7, 1.5):
         for seed in (None, _sup_seed(layout, xe, t)):
             [got] = _transfer.apply_powers(5, t, layout, [seed])
-            want = [_transfer.apply_power(k, t, layout, seed=seed) for k in range(1, 6)]
+            want = [_transfer.apply_powers(k, t, layout, [seed])[0][-1] for k in range(1, 6)]
             assert [(lo.hex(), hi.hex()) for lo, hi in got] == [
                 (lo.hex(), hi.hex()) for lo, hi in want]
 
@@ -859,10 +860,10 @@ def test_seed_needs_node_bounds():
     layout = _transfer.make_layout(0, range(1, 6))
     per_bin = np.ones(layout.nbins)
     with pytest.raises(ValueError, match="nodes"):
-        _transfer.apply_power(2, 1.5, layout, seed=(per_bin, per_bin, -per_bin, per_bin * 0))
+        _transfer.apply_powers(2, 1.5, layout, [(per_bin, per_bin, -per_bin, per_bin * 0)])
     node = np.ones(layout.nbins + 1)
     with pytest.raises(ValueError, match="nodes"):
-        _transfer.apply_power(2, 1.5, layout, seed=(node, node))  # no slope bounds
+        _transfer.apply_powers(2, 1.5, layout, [(node, node)])  # no slope bounds
 
 
 def test_sup_seed_brackets_the_seed_and_its_slope():
