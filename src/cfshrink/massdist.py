@@ -16,7 +16,6 @@ evaluate exactly; only t-power comparisons go through directed rounding.
 
 import math
 import random
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,6 +45,7 @@ _FINE_LIMIT = 128  # the ball lemma's constant on the fine regime
 _PREBOUND_SLACK = 1.0 + 2.0**-40  # 1 + delta, see holder_check
 _PREBOUND_CHUNK = 512  # samples per kernel call: keeps the temporaries small
 _WORD_BUDGET = 1_000_000  # block words {1..M}^ell that s(ell, M) may sum over
+_UNIT_DEN = 2**48 + 2  # holder_samples draws u = 1 .. 2^48 and uses u / _UNIT_DEN
 
 
 def _inside_fraction(v, side):
@@ -471,23 +471,61 @@ def build_witness(params: WitnessParams, *, budget=20_000) -> WitnessMeasure:
     )
 
 
-def _ball_mass(w: WitnessMeasure, x: Fraction, r: Fraction) -> Fraction:
-    """Exact mass of [x - r, x + r]: a prefix-sum difference, two bisections.
+def _mass_tables(w: WitnessMeasure):
+    """Numerator and denominator lists of w.los, w.his, w.cum, mass / length."""
+    dens = [m / (b - a) for m, a, b in zip(w.masses, w.los, w.his)]
+    return tuple(col for vs in (w.los, w.his, w.cum, dens)
+                 for col in ([v.numerator for v in vs], [v.denominator for v in vs]))
 
-    Intervals i..j-1 meet the ball; all but the uncovered parts of the two
-    end intervals count in full.  A ball of radius r <= 0 has no mass.
+
+def _first_at_least(ns, ds, a, d, i):
+    """The first k >= i with ns[k]/ds[k] >= a/d, for ascending ns/ds and
+    positive denominators: a binary search comparing ns[k] d with a ds[k]."""
+    k = len(ns)
+    while i < k:
+        c = (i + k) // 2
+        if ns[c] * d < a * ds[c]:
+            i = c + 1
+        else:
+            k = c
+    return i
+
+
+def _ball_mass_pair(tables, xn, xd, rn, rd_):
+    """Exact mass of [x - r, x + r] as a pair (num, den > 0), not normalized.
+
+    x = xn/xd, r = rn/rd_ (positive denominators), tables from _mass_tables.
+    The ball is [a/d, b/d] with d = xd rd_; intervals i..j-1 meet it.  The
+    prefix-sum difference cum[j] - cum[i] loses the uncovered parts of the
+    two end intervals at their densities.  Radius r <= 0: no mass.
     """
-    lo, hi = x - r, x + r
-    i = bisect_left(w.his, lo)
-    j = bisect_left(w.los, hi)
-    if i >= j or r <= 0:
-        return Fraction(0)
-    mass = w.cum[j] - w.cum[i]
-    if w.los[i] < lo:
-        mass -= w.masses[i] * (lo - w.los[i]) / (w.his[i] - w.los[i])
-    if w.his[j - 1] > hi:
-        mass -= w.masses[j - 1] * (w.his[j - 1] - hi) / (w.his[j - 1] - w.los[j - 1])
-    return mass
+    lon, lod, hin, hid, cn, cd, pn, pd = tables
+    if rn <= 0:
+        return 0, 1
+    d = xd * rd_
+    a, b = xn * rd_ - rn * xd, xn * rd_ + rn * xd
+    i = _first_at_least(hin, hid, a, d, 0)  # the first interval with his[i] >= lo
+    j = _first_at_least(lon, lod, b, d, i)  # the first with los[j] >= hi
+    if i >= j:
+        return 0, 1
+    num, den = cn[j] * cd[i] - cn[i] * cd[j], cd[i] * cd[j]
+    e = a * lod[i] - lon[i] * d  # (lo - los[i]) d lod[i]
+    if e > 0:
+        f = pd[i] * d * lod[i]
+        num, den = num * f - pn[i] * e * den, den * f
+    e = hin[j - 1] * d - b * hid[j - 1]  # (his[j-1] - hi) d hid[j-1]
+    if e > 0:
+        f = pd[j - 1] * d * hid[j - 1]
+        num, den = num * f - pn[j - 1] * e * den, den * f
+    return num, den
+
+
+def _ball_mass(w: WitnessMeasure, x, r, tables=None) -> Fraction:
+    """Exact mass of [x - r, x + r] for int or Fraction x, r: the pair of
+    _ball_mass_pair, normalized once.  n / d in int true division rounds
+    that pair once, so it gives the bits of float(_ball_mass(w, x, r))."""
+    return Fraction(*_ball_mass_pair(tables or _mass_tables(w), *x.as_integer_ratio(),
+                                     *r.as_integer_ratio()))
 
 
 # -- gap lemma -------------------------------------------------------------------
@@ -649,6 +687,13 @@ def holder_limit(params: WitnessParams) -> int:
     return 16 * (params.M + 2) ** 4 * (params.M + 1) ** (2 * params.ell)
 
 
+def _span(a: Fraction, b: Fraction):
+    """Integers (c0, c1, den) with a + (b - a) u / _UNIT_DEN = (c0 + c1 u) / den."""
+    w = b - a
+    den = a.denominator * w.denominator
+    return a.numerator * w.denominator * _UNIT_DEN, w.numerator * a.denominator, den * _UNIT_DEN
+
+
 def holder_samples(witness: WitnessMeasure, count: int, seed: int):
     """Stratified (x, r) pairs covering every radius regime of the ball lemma.
 
@@ -664,47 +709,42 @@ def holder_samples(witness: WitnessMeasure, count: int, seed: int):
     rng = random.Random(seed)
     L0 = witness.root_length
     min_gap = witness.min_gap()
+    intervals = witness.intervals
     bands_of = {}
-    for F in witness.intervals:
-        key = F.blocks
-        if key not in bands_of:
+    for F in intervals:
+        if F.blocks not in bands_of:
             block_floors, low = _floors(p, F)
             tops = [L0] + block_floors
-            bands = [(L0, 2 * L0)]
-            for a, b in zip(tops[1:], tops):
-                bands.append((a, b))
-            bands.append((low, tops[-1]))
-            bands.append((low / 10, low))
-            bands.append((min_gap / 20, min_gap / 2))
-            bands_of[key] = bands
-    frac = lambda: Fraction(rng.getrandbits(48) + 1, 2**48 + 2)
+            bands = [(L0, 2 * L0), *zip(tops[1:], tops), (low, tops[-1]), (low / 10, low),
+                     (min_gap / 20, min_gap / 2)]
+            bands_of[F.blocks] = [_span(lo, hi) for lo, hi in bands]
+    spans = [_span(F.lo, F.hi) for F in intervals]
+    mids = [(F.hi + G.lo) / 2 for F, G in zip(intervals, intervals[1:])]
+    zero, one = Fraction(0), Fraction(1)
+    draw = lambda c0, c1, den: Fraction(c0 + c1 * (rng.getrandbits(48) + 1), den)
     out = []
-    intervals = witness.intervals
     for _ in range(count):
-        F = intervals[rng.randrange(len(intervals))]
-        b_lo, b_hi = bands_of[F.blocks][rng.randrange(len(bands_of[F.blocks]))]
-        r = b_lo + (b_hi - b_lo) * frac()
+        f = rng.randrange(len(intervals))
+        F, bands = intervals[f], bands_of[intervals[f].blocks]
+        r = draw(*bands[rng.randrange(len(bands))])
         roll = rng.random()
         if roll < 0.55:
-            x = F.lo + F.length * frac()
+            x = draw(*spans[f])
         elif roll < 0.70:
             x = F.lo - r / 3 if rng.random() < 0.5 else F.hi + r / 3
-        elif roll < 0.85 and len(intervals) > 1:
-            j = rng.randrange(len(intervals) - 1)
-            x = (intervals[j].hi + intervals[j + 1].lo) / 2
+            x = min(max(x, zero), one)
+        elif roll < 0.85 and mids:
+            x = mids[rng.randrange(len(mids))]
         else:
-            x = frac()
-        if x < 0:
-            x = Fraction(0)
-        if x > 1:
-            x = Fraction(1)
+            x = draw(0, 1, _UNIT_DEN)
         out.append((x, r))
     return out
 
 
-def _float_or_inf(fr: Fraction) -> float:
+def _float_or_inf(n: int, d: int) -> float:
+    """n / d rounded once, as in Fraction.__float__; inf on overflow."""
     try:
-        return float(fr)
+        return n / d
     except OverflowError:
         return math.inf
 
@@ -749,7 +789,7 @@ def _needs_exact(lo, hi, big, fine, limit):
     the limit is below the limit itself, so comparing with that is safe.
     """
     top = ivec.up(hi * _PREBOUND_SLACK)
-    limit = _float_or_inf(limit)
+    limit = _float_or_inf(limit, 1)
     floor_all = lo.max(initial=0.0)
     floor_big = lo[big].max(initial=0.0)
     floor_fine = lo[fine].max(initial=0.0)
@@ -759,6 +799,33 @@ def _needs_exact(lo, hi, big, fine, limit):
         | (big & (top >= floor_big))
         | (fine & (top >= floor_fine))
     )
+
+
+def _sample_floats(witness: WitnessMeasure, samples, tables):
+    """holder_check's float pass: per sample, the nearest floats m of the
+    ball mass and q of L0 / r (0 for a zero mass), and the masks mass != 0,
+    r >= L0 and r <= half the smallest gap.
+
+    x, r and the mass stay integer pairs, no Fraction is built.  Each float
+    is one int true division, which rounds the exact quotient once, as
+    Fraction.__float__ does: m and q carry the bits of float(mass) and
+    float(L0 / r) (inf where those overflow).  The masks cross-multiply.
+    """
+    L0n, L0d = witness.root_length.as_integer_ratio()
+    fn, fd = (witness.min_gap() / 2).as_integer_ratio()
+    count = len(samples)
+    m, q = np.empty(count), np.empty(count)
+    nonzero, big, fine = (np.empty(count, dtype=bool) for _ in range(3))
+    for k, (x, r) in enumerate(samples):
+        rn, rd_ = r.as_integer_ratio()
+        if rn <= 0:
+            raise ValueError("ball radius must be positive")
+        num, den = _ball_mass_pair(tables, *x.as_integer_ratio(), rn, rd_)
+        nonzero[k] = num != 0
+        m[k] = _float_or_inf(num, den)
+        q[k] = _float_or_inf(L0n * rd_, L0d * rn) if num else 0.0
+        big[k], fine[k] = rn * L0d >= L0n * rd_, rn * fd <= fn * rd_
+    return m, q, nonzero, big, fine
 
 
 def holder_check(witness: WitnessMeasure, samples, *, prec=RATIO_PREC) -> HolderReport:
@@ -771,7 +838,8 @@ def holder_check(witness: WitnessMeasure, samples, *, prec=RATIO_PREC) -> Holder
 
     Every reported number comes from the prec-bit enclosure of a ratio, but
     only the samples that could change the report take that path.  A
-    float64 pre-bound [lo, hi] of every ratio (_ratio_prebound) comes first.
+    float64 pre-bound [lo, hi] of every ratio comes first: _ratio_prebound
+    on _sample_floats' floats, the bits of float(mass) and float(L0 / r).
     A nonzero-mass sample takes the prec-bit path when its pre-bound is
     trivial, or when hi (1 + delta) reaches the limit or the largest lo of
     a group it belongs to (all samples, r >= |I_(k+ell0)|, r <= half the
@@ -780,7 +848,7 @@ def holder_check(witness: WitnessMeasure, samples, *, prec=RATIO_PREC) -> Holder
     groups' maxima and under the limit: it cannot set a maximum, the
     argmax, a failure or a verdict (fine_verdict reads the fine maximum).
     The report is the one that the prec-bit path on every sample gives.
-    A sample of radius r <= 0 raises ValueError.
+    An empty sample list, or a sample of radius r <= 0, raises ValueError.
 
     delta = 2^-40 covers the gap between the exact ratio (<= hi) and the
     prec-bit path's hi_float.  A nontrivial pre-bound has |t ln(L0/r)| <=
@@ -795,20 +863,11 @@ def holder_check(witness: WitnessMeasure, samples, *, prec=RATIO_PREC) -> Holder
     t = p.t
     L0 = witness.root_length
     limit = holder_limit(p)
-    fine_at = witness.min_gap() / 2
-    # floats only: the exact values of the few samples kept are recomputed
     count = len(samples)
-    m, q = np.empty(count), np.empty(count)
-    nonzero, big, fine = (np.empty(count, dtype=bool) for _ in range(3))
-    for k, (x, r) in enumerate(samples):
-        r = Fraction(r)
-        if r <= 0:
-            raise ValueError("ball radius must be positive")
-        mass = _ball_mass(witness, Fraction(x), r)
-        nonzero[k] = mass != 0
-        m[k] = _float_or_inf(mass)
-        q[k] = _float_or_inf(L0 / r) if nonzero[k] else 0.0
-        big[k], fine[k] = r >= L0, r <= fine_at
+    if count == 0:
+        raise ValueError("holder_check needs at least one sample: none would pass vacuously")
+    tables = _mass_tables(witness)
+    m, q, nonzero, big, fine = _sample_floats(witness, samples, tables)
     lo, hi = np.empty(count), np.empty(count)
     for a in range(0, count, _PREBOUND_CHUNK):
         part = slice(a, a + _PREBOUND_CHUNK)
@@ -822,7 +881,7 @@ def holder_check(witness: WitnessMeasure, samples, *, prec=RATIO_PREC) -> Holder
     failures = []
     for k in np.flatnonzero(exact):
         x, r = Fraction(samples[k][0]), Fraction(samples[k][1])
-        mass = _ball_mass(witness, x, r)
+        mass = _ball_mass(witness, x, r, tables)
         ratio = rd.mul(enclose(mass), rd.powr(enclose(L0 / r), t, prec), prec)
         hi_k = ratio.hi_float
         if not ratio.certified_le(limit):

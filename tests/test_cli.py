@@ -41,9 +41,11 @@ GOLDEN = Path(__file__).parent / "golden"
     ["predim", "--M", "5", "--n", "1..2"],
     ["sstar", "--M", "5", "--n", "2..3"],
     ["cover", "--M", "5", "--n", "2..3", "--s", "0.8"],
+    ["witness", "--samples", "2000"],
 ], ids=lambda argv: argv[0])
 def test_table_artifacts_keep_their_text(argv, tmp_path):
-    """The CSV and JSON text of each row-table subcommand, pinned byte for byte."""
+    """The CSV and JSON text of each row-table subcommand and of the default
+    witness, pinned byte for byte."""
     assert main(argv + ["--out", str(tmp_path)]) == 0
     for ext in ("csv", "json"):
         name = f"{argv[0]}.{ext}"

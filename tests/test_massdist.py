@@ -4,6 +4,7 @@ Roots of the finite-alphabet defining sums were frozen from a 40-digit
 mpmath findroot run against the same sums written out by hand.
 """
 
+import hashlib
 import itertools
 import math
 import re
@@ -575,6 +576,15 @@ class TestHolder:
         assert a == b
         assert a != c
 
+    @pytest.mark.parametrize("name, digest", [
+        ("w_main", "00c6999a463d3c579a3fa9bf34ce7da52e208af7434ee55eccf477bb0860b60f"),
+        ("w_iii", "49c649a9c775dfe049244b545a40aaf0a80df690d77ca829f92ade00c4ad47ce"),
+    ], ids=["w_main", "w_iii"])
+    def test_sample_stream_is_pinned(self, request, name, digest):
+        # a reordered draw is still deterministic, but it moves this digest
+        samples = holder_samples(request.getfixturevalue(name), 256, seed=3)
+        assert hashlib.sha256(repr(samples).encode()).hexdigest() == digest
+
     def test_radii_are_rational_and_positive(self, w_main):
         for x, r in holder_samples(w_main, 200, seed=9):
             assert isinstance(x, Fraction) and isinstance(r, Fraction)
@@ -626,6 +636,37 @@ class TestBallMassOracle:
         r = F.length * Fraction(rs, scale)
         assert md._ball_mass(w_main, x, r) == _ball_mass_walk(w_main, x, r)
 
+    @given(st.integers(0, 80), st.booleans(), st.booleans(), st.integers(1, 10**6),
+           st.sampled_from([1, 3, 64, 2**20, 2**48 + 2]))
+    @settings(max_examples=300, deadline=None)
+    def test_balls_ending_on_endpoints_match_interval_walk(self, w_main, idx, at_hi, left,
+                                                           rs, scale):
+        F = w_main.intervals[idx]
+        end = F.hi if at_hi else F.lo
+        r = F.length * Fraction(rs, scale)
+        x = end - r if left else end + r  # x + r or x - r is exactly the endpoint
+        assert md._ball_mass(w_main, x, r) == _ball_mass_walk(w_main, x, r)
+
+    @given(st.integers(0, 80), st.booleans(), st.integers(1, 2**48), st.integers(1, 2**48),
+           st.sampled_from([Fraction(1, 10**6), Fraction(1, 100), 1, 50]))
+    @settings(max_examples=300, deadline=None)
+    def test_unit_grid_balls_match_interval_walk(self, w_main, idx, inside, u, v, scale):
+        # x and r on holder_samples' grid a + (b - a) u / (2^48 + 2)
+        F = w_main.intervals[idx]
+        unit = Fraction(u, 2**48 + 2)
+        x = F.lo + F.length * unit if inside else unit
+        r = F.length * scale * Fraction(v, 2**48 + 2)
+        assert md._ball_mass(w_main, x, r) == _ball_mass_walk(w_main, x, r)
+
+    def test_integer_centres_and_radii(self, all_witnesses):
+        balls = [(0, 1), (1, 1), (0, 2), (2, 1), (-1, 1), (1, 3), (0, Fraction(1, 3)),
+                 (Fraction(1, 2), 1), (0, 0), (1, -1)]
+        for w in all_witnesses:
+            for x, r in balls:
+                assert md._ball_mass(w, x, r) == _ball_mass_walk(w, x, r), (x, r)
+            kept = [(x, r) for x, r in balls if r > 0]
+            assert holder_check(w, kept) == _holder_every_sample(w, kept)
+
     def test_prefix_sums_are_exact(self, all_witnesses):
         for w in all_witnesses:
             assert w.cum[0] == 0 and w.cum[-1] == w.total_mass == 1
@@ -633,8 +674,8 @@ class TestBallMassOracle:
 
 
 def _prebound(w, masses, quotients):
-    m = np.array([md._float_or_inf(v) for v in masses])
-    q = np.array([md._float_or_inf(v) for v in quotients])
+    m = np.array([md._float_or_inf(*v.as_integer_ratio()) for v in masses])
+    q = np.array([md._float_or_inf(*v.as_integer_ratio()) for v in quotients])
     return md._ratio_prebound(m, q, np.array([v != 0 for v in masses]), w.params.t)
 
 
@@ -644,6 +685,35 @@ def _t_near_one(w):
     params = replace(w.params, t=Fraction(9999, 10000), relax=True)
     return md.WitnessMeasure(params, w.intervals, w.block_weights, w.last_weights,
                              w.block_sum_residual, w.nominal_last_total)
+
+
+def _nearest_float(fr):
+    try:
+        return float(fr)
+    except OverflowError:
+        return math.inf
+
+
+class TestFloatPass:
+    def test_floats_are_those_of_the_exact_rationals(self, all_witnesses):
+        for w in all_witnesses:
+            L0, fine_at = w.root_length, w.min_gap() / 2
+            F = w.intervals[len(w.intervals) // 2]
+            odd = [
+                (F.lo + F.length / 2, L0 / 2**1100),  # L0/r overflows to inf
+                (F.hi - F.length / 2**1050, F.length / 2**1050),  # subnormal mass
+                (F.hi - F.length / 2**1200, F.length / 2**1200),  # mass rounds to 0.0
+                (0, 1), (1, Fraction(1, 3)),
+            ]
+            samples = holder_samples(w, 300, seed=13) + _ball_grid(w)[:300] + odd
+            m, q, nonzero, big, fine = md._sample_floats(w, samples, md._mass_tables(w))
+            for k, (x, r) in enumerate(samples):
+                mass = _ball_mass_walk(w, x, r)
+                assert m[k].hex() == _nearest_float(mass).hex(), (x, r)
+                assert q[k].hex() == (_nearest_float(L0 / r) if mass else 0.0).hex(), (x, r)
+                assert (nonzero[k], big[k], fine[k]) == (mass != 0, r >= L0, r <= fine_at)
+            assert q[-5] == math.inf and 0 < m[-4] < np.finfo(float).tiny
+            assert m[-3] == 0.0 and nonzero[-3]
 
 
 class TestHolderOracle:
@@ -725,7 +795,8 @@ class TestHolderOracle:
         for chunk in (1, 7, 10**6):
             monkeypatch.setattr(md, "_PREBOUND_CHUNK", chunk)
             assert holder_check(w_iii, samples) == ref
-        assert holder_check(w_iii, []) == _holder_every_sample(w_iii, [])
+        with pytest.raises(ValueError, match="at least one sample"):
+            holder_check(w_iii, [])
         F = w_iii.intervals[5]
         for r in (0, -F.length / 4):
             with pytest.raises(ValueError, match="ball radius must be positive"):
