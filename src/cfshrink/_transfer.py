@@ -72,7 +72,7 @@ One step.  (Lf)(r) = sum_a w_a f(x_a) and p_Lf(r) = sum_a w_a x_a (t f(x_a)
   interval, which hold by monotonicity;
 - block or tail A1..A2 with A1 >= N: every x_a lies in [0, 1/N], the first
   node interval, at lam_a = N/(a+r).  The sums M_k = sum_a w_a lam_a^k =
-  N^k sum_a (a+r)^{-t-k}, k = 0..4, come from _end_sums, and every weight
+  N^k sum_a (a+r)^{-t-k}, k = 0..4, come from _block_sums, and every weight
   sum (a) needs is a combination of them: sum w h00 = M0 - 3 M2 + 2 M3,
   sum w h01 = 3 M2 - 2 M3, sum w h10 = M1 - 2 M2 + M3, sum w g11 = M2 - M3
   and sum w lam^2 (1 - lam)^2 = M2 - 2 M3 + M4; with one more factor lam
@@ -87,17 +87,25 @@ One step.  (Lf)(r) = sum_a w_a f(x_a) and p_Lf(r) = sum_a w_a x_a (t f(x_a)
 Both bounds of each cell are clamped by the zeroth-order ones (f between
 f(y2) and f(y1) on a node interval).  Every operation is outward-rounded
 float64; the cells are summed pairwise, each point on its own.
+
+Setup.  A root solver probes one layout at one t after another, so the
+step data splits in two: what depends on the layout and the points alone
+(their bounds and one-sided logs, and the singletons' nodes, basis weights
+and indices) is built once, kept read-only in a one-entry cache keyed on
+the layout and the bytes of the points, and shared by every probe; each
+probe builds only what depends on t (see _setup).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .ivec import dir_const, dn, iln, ipow_neg, up
+from .ivec import dir_const, dn, iexp, iln, up
 
 # layouts: (singleton digits = node intervals N, dyadic blocks); the root
 # solvers localize with rows 0 and 1
@@ -182,67 +190,44 @@ def _scale(p, c):
 _CHUNK = 2048
 
 
-def _pow_neg(bounds, t):
-    """[ipow_neg(lo, hi, t) for (lo, hi) in bounds], from kernel calls on
-    about _CHUNK elements each; every element is computed as it would be
-    alone, so one pass serves all the points of a setup."""
-    lo = np.concatenate([np.ravel(b[0]) for b in bounds])
-    hi = np.concatenate([np.ravel(b[1]) for b in bounds])
-    p_lo, p_hi = np.empty_like(lo), np.empty_like(hi)
-    for k in range(0, lo.size, _CHUNK):
-        p_lo[k : k + _CHUNK], p_hi[k : k + _CHUNK] = ipow_neg(lo[k : k + _CHUNK], hi[k : k + _CHUNK], t)
-    out, k = [], 0
-    for b in bounds:
-        n, shape = np.size(b[0]), np.shape(b[0])
-        out.append((p_lo[k : k + n].reshape(shape), p_hi[k : k + n].reshape(shape)))
-        k += n
-    return out
+def _block_sums(y, p, ln, nf, t):
+    """Enclosures [lo, hi], of shape (2, 5, blocks, points), of sum_{a=A1..A2}
+    (a+c)^{-e} for e = t, t+1, ..., t+4: every block in one pass.
 
-
-def _end_powers(y, p):
-    """Enclosures of y^{1-t}, y^{-t}, ..., y^{-t-7} at a cell end y > 0 from
-    the enclosure p of y^{-t}: each from its neighbour by one product or
-    division by the bounds of y."""
-    y_lo, y_hi = dn(y), up(y)
-    powers = [(dn(p[0] * y_lo), up(p[1] * y_hi)), p]
-    for _ in range(7):
-        p = dn(p[0] / y_hi), up(p[1] / y_lo)
-        powers.append(p)
-    return powers
-
-
-def _end_sums(ya, yb, p, t):
-    """Enclosures of sum_{a=A1..A2} (a+c)^{-e} for e = t, t+1, ..., t+4,
-    from the cell ends ya = A1 - 1/2 + c and yb = A2 + 1/2 + c and the
-    enclosures p of their powers y^{-t}.
-
-    c >= 0 is exact and yb = None means A2 is infinite.  g(x) = (x+c)^{-e}
-    is completely monotone, so with a = A1 - 1/2 and b = A2 + 1/2 the sum
+    y, p and ln are [lo, hi] enclosures of the cell ends, of their powers
+    y^{-t} and of their logs, in rows: ya = A1 - 1/2 + c of every block, then yb = A2 + 1/2 + c of
+    the first nf, the finite ones; c >= 0 is exact.  g(x) = (x+c)^{-e} is
+    completely monotone, so with a = A1 - 1/2 and b = A2 + 1/2 the sum
     lies in [I - D1, I - D1 + D3]: I is the integral of g over [a, b],
     D1 = (g'(b) - g'(a))/24 and D3 = (7/5760)(g'''(b) - g'''(a)), the b
     terms 0 for the tail.  This is midpoint Euler-Maclaurin to third order;
     the proof is the one in sums.lemma_sum_batch, with a boundary term at
-    both ends.  Every sum reads the powers of _end_powers, and every
-    coefficient is rounded outward from Fraction(t).  The ends broadcast
-    against each other; every element is computed as it would be alone.
+    both ends.  The powers y^{1-t}, y^{-t}, ..., y^{-t-7} are one stack,
+    each from its neighbour by one product or division by the bounds of
+    y, and every coefficient is rounded outward from Fraction(t).  Every
+    element is computed as it would be alone.
     """
-    pa = _end_powers(ya, p[0])
-    pb = [(0.0, 0.0)] * 9 if yb is None else _end_powers(yb, p[1])
-    out = []
-    for k in range(5):  # exponent e = t + k: y^{1-e}, y^{-e-1}, y^{-e-3} are powers k, k+2, k+4
-        e = Fraction(t) + k
-        if e == 1:  # a block at t = 1: the integral is a log ratio
-            i = _sub(iln(dn(yb), up(yb)), iln(dn(ya), up(ya)))
-        else:  # (y_a^{1-e} - y_b^{1-e})/(e - 1), as a product of two positive factors
-            d = _sub(pa[k], pb[k]) if e > 1 else _sub(pb[k], pa[k])
-            w = dir_const(1 / abs(e - 1))
-            i = dn(d[0] * w[0]), up(d[1] * w[1])
-        d1, d3 = dir_const(e / 24), dir_const(7 * e * (e + 1) * (e + 2) / 5760)
-        g1 = _sub(pa[k + 2], pb[k + 2])  # D1 = d1 g1 and D3 = d3 g3, both >= 0
-        g3 = _sub(pa[k + 4], pb[k + 4])[1]
-        lo = np.maximum(dn(i[0] - up(d1[1] * g1[1])), 0.0)
-        out.append((lo, up(up(i[1] - dn(d1[0] * g1[0])) + up(d3[1] * g3))))
-    return out
+    nb, m = y.shape[1] - nf, y.shape[1]
+    P = np.zeros((2, 9, 2 * nb) + y.shape[2:])  # (lo or hi, power, end, point); the tail's b ends stay 0
+    P[:, 0, :m], P[:, 1, :m] = (dn(p[0] * y[0]), up(p[1] * y[1])), p
+    for k in range(2, 9):
+        P[:, k, :m] = dn(P[0, k - 1, :m] / y[1]), up(P[1, k - 1, :m] / y[0])
+    a, b = P[:, :, :nb], P[:, :, nb:]
+    # exponent e = t + k: y^{1-e}, y^{-e-1}, y^{-e-3} are powers k, k+2, k+4
+    e = [Fraction(t) + k for k in range(5)]
+    w, d1, d3 = (np.array(c).T[:, :, None, None] for c in (  # (lo or hi, k, 1, 1); w unread at e = 1
+        [dir_const(1 / abs(x - 1)) if x != 1 else (1.0, 1.0) for x in e],
+        [dir_const(x / 24) for x in e], [dir_const(7 * x * (x + 1) * (x + 2) / 5760) for x in e]))
+    # (y_a^{1-e} - y_b^{1-e})/(e - 1), as a product of two positive factors
+    d = _sub(a[:, :5], b[:, :5])
+    if e[0] < 1:
+        d[0][0], d[1][0] = _sub(b[:, 0], a[:, 0])
+    i = dn(d[0] * w[0]), up(d[1] * w[1])
+    if e[0] == 1:  # a block at t = 1: the integral is a log ratio
+        i[0][0], i[1][0] = _sub(ln[:, nb:], ln[:, :nb])
+    g1, g3 = _sub(a[:, 2:7], b[:, 2:7]), up(a[1, 4:9] - b[0, 4:9])  # D1 = d1 g1, D3 = d3 g3, both >= 0
+    return np.stack([np.maximum(dn(i[0] - up(d1[1] * g1[1])), 0.0),
+                     up(up(i[1] - dn(d1[0] * g1[0])) + up(d3[1] * g3))])
 
 
 def _node_of(x, N):
@@ -310,63 +295,87 @@ def _sum_terms(x, rnd):
     return x[0]
 
 
-def _singleton_data(a, r, w, N, cv, cd):
-    """Step data of the singleton cells a (a column) at the points r, with
-    weights w, set up in row chunks of about _CHUNK elements; every element
-    is computed as it would be alone, so nothing depends on the chunking."""
-    rows, out = max(1, _CHUNK // r.size), None
-    for k in range(0, max(a.shape[0], 1), rows):
-        part = _singleton_rows(a[k : k + rows], r, (w[0][k : k + rows], w[1][k : k + rows]), N, cv, cd)
-        if out is None:
-            out = {f: np.empty(v.shape[:-2] + (a.shape[0], r.size), v.dtype) for f, v in part.items()}
-        for f, v in part.items():
-            out[f][..., k : k + rows, :] = v
-    return out
-
-
 def _points(a, y, N):
     """Bounds of the singleton points y = a + r: y itself while a N < 2^52,
     where a N + j is an exact integer and so y is exact."""
     return (y, y) if a.size == 0 or a.max() * N < 2.0**52 else (dn(y), up(y))
 
 
-def _singleton_rows(a, r, w, N, cv, cd):
-    """Step data of the singleton cells a (a column) at the points r, with
-    their weights w = (a+r)^{-t} enclosed."""
+def _singleton_rows(a, r, N):
+    """The step data of the singleton cells a (a column) at the points r
+    that does not depend on t.  Term 0 of "hi" holds h00 and 6 lam (1 - lam) N
+    without their remainders, which _setup adds as "hi_t"; term 4 of the
+    slope's "lo" is -cd, which it puts in "lo_t"."""
     W, n1 = 1.0 / N, N + 1
     iL, iU, iPl, iPu = 0, n1, 2 * n1, 3 * n1
+    ix = np.min_scalar_type(4 * n1 - 1)  # the least index type of V
     y_lo, y_hi = _points(a, a + r, N)
     xd, xu = dn(1.0 / y_hi), np.minimum(up(1.0 / y_lo), 1.0)
     j, lam = _node_of(xd, N)  # the upper bounds, at xd
     h00, h01, h10, g11, q, d, c10, c11 = _basis(lam)
     dN = d[1] * N
     hi = np.stack([
-        [up(h00[1] + up(cv * q[1])), h01[1], g11[1] * W, -(h10[0] * W)],  # f: U1, U2, Pu2, Pl1
-        [up(dN + cd), -dN, c10[1], c11[1]],  # p: U1, L2, P1, P2
+        [h00[1], h01[1], g11[1] * W, -(h10[0] * W)],  # f: U1, U2, Pu2, Pl1
+        [dN, -dN, c10[1], c11[1]],  # p: U1, L2, P1, P2
     ], axis=1)
     hi_idx = np.stack([
         [iU + j, iU + j + 1, iPu + j + 1, iPl + j],
         [iU + j, iL + j + 1, np.where(c10[1] >= 0.0, iPu, iPl) + j,
          np.where(c11[1] >= 0.0, iPu, iPl) + j + 1],
-    ], axis=1).astype(np.int32)
-    hi_cap = np.stack([iU + j, iPu + j])
+    ], axis=1).astype(ix)
+    hi_cap = np.stack([iU + j, iPu + j]).astype(ix)
     j, lam = _node_of(xu, N)  # the lower bounds, at xu
     h00, h01, h10, g11, _, d, c10, c11 = _basis(lam)
     dN, zero = d[0] * N, np.zeros_like(lam)
     lo = np.stack([
         [h00[0], h01[0], g11[0] * W, -(h10[1] * W), zero],  # f: L1, L2, Pl2, Pu1
-        [dN, -dN, c10[0], c11[0], np.full_like(lam, -cd)],  # p: L1, U2, P1, P2, U1
+        [dN, -dN, c10[0], c11[0], zero],  # p: L1, U2, P1, P2, U1
     ], axis=1)
     lo_idx = np.stack([
         [iL + j, iL + j + 1, iPl + j + 1, iPu + j, iL + j],
         [iL + j, iU + j + 1, np.where(c10[0] >= 0.0, iPl, iPu) + j,
          np.where(c11[0] >= 0.0, iPl, iPu) + j + 1, iU + j],
-    ], axis=1).astype(np.int32)
-    lo_cap = np.stack([iL + j + 1, iPl + j + 1])
+    ], axis=1).astype(ix)
+    lo_cap = np.stack([iL + j + 1, iPl + j + 1]).astype(ix)
     return {"hi": hi, "hi_idx": hi_idx, "hi_cap": hi_cap, "lo": lo, "lo_idx": lo_idx,
-            "lo_cap": lo_cap, "w_hi": np.stack([w[1], up(w[1] * xu)]),
-            "w_lo": np.stack([w[0], dn(w[0] * xd)]), "x": np.stack([xd, xu]),
-            "omx": np.maximum(dn(1.0 - xu), 0.0)}
+            "lo_cap": lo_cap, "q": q[1], "x": np.stack([xd, xu]), "omx": np.maximum(dn(1.0 - xu), 0.0)}
+
+
+# one entry, the layout and points a solver is probing (at most 4.1 MB, level
+# 2 over all of N at its 129 nodes): a second would keep a level-1 entry
+# alive through a level-2 escalation and add its 1 MB to the peak memory
+@functools.lru_cache(maxsize=1)
+def _geometry(layout, points):
+    """The step data at the exact points (bytes of a float64 vector) that
+    does not depend on t, read-only: the singleton rows of _singleton_rows,
+    built in row chunks of about _CHUNK elements, the one-sided logs
+    (lower of the lower bound, upper of the upper bound) of the singleton
+    points and then of the block ends, and the bounds of the block ends
+    (the rows of _block_sums) with the count of finite blocks."""
+    r, N = np.frombuffer(points), layout.nbins
+    cells = np.array(layout.cells, dtype=np.float64).reshape(-1, 2)
+    single = cells[:, 0] == cells[:, 1]
+    a, blocks = cells[single, :1], cells[~single]
+    if blocks.size and blocks[:, 0].min() < N:
+        raise ValueError(f"a block cell must start at or above the {N} node intervals")
+    blocks = np.concatenate([blocks[blocks[:, 1] > 0], blocks[blocks[:, 1] == 0]])  # the tail last
+    nf = int(np.count_nonzero(blocks[:, 1]))
+    ends = np.concatenate([blocks[:, :1] - 0.5 + r, blocks[:nf, 1:] + 0.5 + r])
+    ends = np.stack([dn(ends), up(ends)])
+    x = np.concatenate([np.reshape(_points(a, a + r, N), (2, -1)), ends.reshape(2, -1)], axis=1)
+    ln = np.empty_like(x)
+    for k in range(0, x.shape[1], _CHUNK):
+        ln[:, k : k + _CHUNK] = iln(*x[:, k : k + _CHUNK])
+    rows, out = max(1, _CHUNK // r.size), None
+    for k in range(0, max(a.shape[0], 1), rows):
+        part = _singleton_rows(a[k : k + rows], r, N)
+        if out is None:
+            out = {f: np.empty(v.shape[:-2] + (a.shape[0], r.size), v.dtype) for f, v in part.items()}
+        for f, v in part.items():
+            out[f][..., k : k + rows, :] = v
+    for v in (*out.values(), ln, ends):
+        v.setflags(write=False)
+    return out, ln, ends, nf
 
 
 def _block_data(M, t, N, cv):
@@ -410,24 +419,31 @@ def _setup(layout, t, r):
     bounds that clamp them.  Blocks: the terms of the cell's upper and
     lower (value, slope); their nodes are 0 and 1.  Every element is
     computed as it would be alone.
+
+    _geometry holds the part that does not depend on t, cached on
+    (layout, r.tobytes()) and read-only, so every probe of a layout shares
+    one copy.  Per t this builds only the rest, without copying the cached
+    tables: the remainder constants, the weights from one iexp of the
+    cached logs times -t (the bits of ipow_neg), the singletons' t terms
+    "hi_t" (term 0 of "hi") and "lo_t" (term 4 of the slope's "lo"), and
+    the block data, {} for a layout without blocks.
     """
     N = layout.nbins
     cv, cd = _constants(t, N)
-    cells = np.array(layout.cells, dtype=np.float64).reshape(-1, 2)
-    single = cells[:, 0] == cells[:, 1]
-    a, blocks = cells[single, :1], cells[~single]
-    if blocks.size and blocks[:, 0].min() < N:
-        raise ValueError(f"a block cell must start at or above the {N} node intervals")
-    blocks = np.concatenate([blocks[blocks[:, 1] > 0], blocks[blocks[:, 1] == 0]])  # the tail last
-    nf = int(np.count_nonzero(blocks[:, 1]))
-    y, ya, yb = a + r, blocks[:, :1] - 0.5 + r, blocks[:nf, 1:] + 0.5 + r
-    w, pa, pb = _pow_neg([_points(a, y, N), (dn(ya), up(ya)), (dn(yb), up(yb))], t)
-    parts = [_end_sums(ya[:nf], yb, ((pa[0][:nf], pa[1][:nf]), pb), t)] if nf else []
-    if nf < len(blocks):
-        parts.append(_end_sums(ya[nf:], None, ((pa[0][nf:], pa[1][nf:]),), t))
-    M = [tuple(np.concatenate([p[k][i] for p in parts]) * float(N) ** k  # exact scaling
-               if parts else np.zeros((0, r.size)) for i in (0, 1)) for k in range(5)]
-    return _singleton_data(a, r, w, N, cv, cd), _block_data(M, t, N, cv)
+    single, ln, ends, nf = _geometry(layout, np.asarray(r, dtype=np.float64).tobytes())
+    p = np.empty_like(ln)
+    for k in range(0, ln.shape[1], _CHUNK):
+        p[:, k : k + _CHUNK] = iexp(dn(ln[1, k : k + _CHUNK] * (-t)), up(ln[0, k : k + _CHUNK] * (-t)))
+    m, blocks = single["q"].size, {}
+    if ends.size:
+        M = _block_sums(ends, p[:, m:].reshape(ends.shape), ln[:, m:].reshape(ends.shape), nf, t)
+        blocks = _block_data((M * float(N) ** np.arange(5.0)[:, None, None]).swapaxes(0, 1), t, N, cv)
+    w = p[:, :m].reshape((2,) + single["q"].shape)
+    xd, xu = single["x"]
+    return {**single, "hi_t": np.stack([up(single["hi"][0, 0] + up(cv * single["q"])),
+                                        up(single["hi"][0, 1] + cd)]),
+            "lo_t": np.broadcast_to(-cd, w[0].shape), "w_hi": np.stack([w[1], up(w[1] * xu)]),
+            "w_lo": np.stack([w[0], dn(w[0] * xd)])}, blocks
 
 
 def _at_zero(data):
@@ -447,10 +463,16 @@ def _clamp(L, U, Pl, Pu, t):
 
 def _singleton_terms(s, V, t):
     """Upper and lower (value, slope) of every singleton cell at every point."""
-    f_hi, p_hi = _sum_terms(up(s["hi"] * V[s["hi_idx"]]), up)
-    f_lo, p_lo = _sum_terms(dn(s["lo"] * V[s["lo_idx"]]), dn)
-    U1, Pu1 = V[s["hi_cap"]]
-    L2, Pl2 = V[s["lo_cap"]]
+    v = V.take(s["hi_idx"])
+    hi = s["hi"] * v
+    hi[0] = s["hi_t"] * v[0]
+    v = V.take(s["lo_idx"])
+    lo = s["lo"] * v
+    lo[4, 1] = s["lo_t"] * v[4, 1]
+    f_hi, p_hi = _sum_terms(up(hi), up)
+    f_lo, p_lo = _sum_terms(dn(lo), dn)
+    U1, Pu1 = V.take(s["hi_cap"])
+    L2, Pl2 = V.take(s["lo_cap"])
     f_hi, f_lo = np.minimum(f_hi, U1), np.maximum(f_lo, L2)
     p_hi = np.minimum(np.minimum(p_hi, Pu1), up(t * f_hi))
     p_lo = np.maximum(p_lo, Pl2)
@@ -479,7 +501,7 @@ def _step(data, nodes, t):
     V = _clamp(*nodes, t)
     singles, blocks = data
     ns, npts = singles["omx"].shape
-    nb = blocks["lo_cap"].shape[0]
+    nb = blocks["lo_cap"].shape[0] if blocks else 0
     hi, lo = np.empty((2, ns + nb, npts)), np.empty((2, ns + nb, npts))
     rows = max(1, _CHUNK // npts)
     for k in range(0, ns, rows):
@@ -554,11 +576,10 @@ def apply_power_estimate(n, t, layout):
     float twin that steers its halvings read it, never a certificate."""
     _check_power(n, t, layout)
     N = _ESTIMATE_BINS
-    r = (np.arange(N) + 0.5) / N
-    U = np.ones(N)
 
-    def step(rv, vals):
-        acc = np.zeros_like(rv)
+    def weights(rv):
+        """(weight, bin index) of every cell at the points rv, once per call."""
+        out = []
         for A1, A2 in layout.cells:
             if A1 == A2:
                 w = (A1 + rv) ** -t
@@ -566,10 +587,18 @@ def apply_power_estimate(n, t, layout):
             else:
                 w = _block_mid_weight(A1, A2, rv, t)
                 rep = 2.0 * A1 if A2 == 0 else 0.5 * (A1 + A2)
-            idx = np.minimum((N / (rep + rv)).astype(np.int64), N - 1)
+            out.append((w, np.minimum((N / (rep + rv)).astype(np.int64), N - 1)))
+        return out
+
+    def step(cells, vals, size):
+        acc = np.zeros(size)
+        for w, idx in cells:
             acc += w * vals[idx]
         return acc
 
-    for _ in range(n - 1):
-        U = step(r, U)
-    return float(step(np.zeros(1), U)[0])
+    U = np.ones(N)
+    if n > 1:
+        cells = weights((np.arange(N) + 0.5) / N)
+        for _ in range(n - 1):
+            U = step(cells, U, N)
+    return float(step(weights(np.zeros(1)), U, 1)[0])

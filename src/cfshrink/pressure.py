@@ -320,10 +320,14 @@ def pressure_root(
     k = _KIND[kind]
     route = _route(alpha, depth, "auto")
 
+    @functools.cache  # this call's probes: each estimate runs once
+    def estimate(n: int, s: float) -> float:
+        return _x0_estimate(route, n, s)
+
     def ratio(s: float) -> float:
         c = log_weight_float(k, 1, s, B, rate)
-        lo = _x0_estimate(route, depth - 1, s)
-        hi = _x0_estimate(route, depth, s)
+        lo = estimate(depth - 1, s)
+        hi = estimate(depth, s)
         return math.log(hi) - math.log(lo) + c
 
     if ratio(_S_HI) > 0.0:
@@ -344,7 +348,7 @@ def pressure_root(
 
     def twin(s: float) -> float:
         """Float twin of value(s), not certified."""
-        return (math.log(_x0_estimate(route, depth, s))
+        return (math.log(estimate(depth, s))
                 + depth * log_weight_float(k, 1, s, B, rate)) / depth
 
     gap = 0.0  # largest distance from twin(s) to value(s) seen in this call

@@ -172,11 +172,15 @@ def test_ln_one_sided_matches_reference(xs, near_one):
 
 @pytest.fixture
 def reference_kernels(monkeypatch):
-    """Switch ivec (and so ipow_neg, iexp, iln) to the reference kernels."""
+    """Switch ivec (and so ipow_neg, iexp, iln) to the reference kernels.
+    The envelope's geometry cache is cleared at the switch and at the end,
+    so no build reads logs of the other kernels."""
     def use():
         monkeypatch.setattr(ivec, "_exp_one_sided", _exp_one_sided_ref)
         monkeypatch.setattr(ivec, "_ln_one_sided", _ln_one_sided_ref)
-    return use
+        _transfer._geometry.cache_clear()
+    yield use
+    _transfer._geometry.cache_clear()
 
 
 @pytest.mark.parametrize("t", [0.51, 1.26, 2.52, 7.0])

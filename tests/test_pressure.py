@@ -312,6 +312,15 @@ class TestSteeredBisection:
         assert not _on_envelope(*ROOT_CASES[0][3:])
 
     @pytest.mark.parametrize("case", [ROOT_CASES[0], ROOT_CASES[4]], ids=["exact", "envelope"])
+    def test_each_float_estimate_runs_once_per_call(self, case, monkeypatch):
+        # the ratio bisection, the twin and the certified value at a probe
+        # share their estimates
+        calls, inner = [], pr._x0_estimate
+        monkeypatch.setattr(pr, "_x0_estimate", lambda r, n, s: calls.append((n, s)) or inner(r, n, s))
+        pr.pressure_root(*case[:4], depth=case[4])
+        assert calls and len(calls) == len(set(calls))
+
+    @pytest.mark.parametrize("case", [ROOT_CASES[0], ROOT_CASES[4]], ids=["exact", "envelope"])
     def test_a_biased_twin_keeps_the_bracket(self, case, monkeypatch):
         # an s-dependent error widens the margin; every end is still certified
         # in the call and the bracket is the all-certified one

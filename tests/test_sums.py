@@ -392,6 +392,7 @@ class TestBoundedCache:
         from cfshrink import pressure
 
         assert pressure._enumerate_levels.cache_info().maxsize == 16
+        assert _transfer._geometry.cache_info().maxsize == 1
 
     def test_threads_keep_the_bound_and_the_values(self, monkeypatch):
         cache = functools.lru_cache(8)(sums._lambda_bounds.__wrapped__)
@@ -438,7 +439,8 @@ class TestBoundedCache:
     def test_lemmas_identical_across_threads_with_tiny_caches(self, monkeypatch, tmp_path):
         from cfshrink import cli, pressure
 
-        for module, name in ((sums, "_lambda_bounds"), (pressure, "_enumerate_levels")):
+        for module, name in ((sums, "_lambda_bounds"), (pressure, "_enumerate_levels"),
+                             (_transfer, "_geometry")):
             monkeypatch.setattr(module, name,
                                 functools.lru_cache(1)(getattr(module, name).__wrapped__))
         outputs = {}

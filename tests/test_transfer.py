@@ -26,11 +26,11 @@ import pytest
 
 from chord_envelope import (
     _INDEX_FIELDS, _block_chords, _cell_sum, chord_apply_power, chord_apply_powers,
-    chord_layout, chord_sup_seed, chords, terms,
+    chord_layout, chord_sup_seed, chords, setup, setup_fields, terms,
 )
 from cfshrink import _transfer
 from cfshrink import rounding as rd
-from cfshrink.ivec import _ln_one_sided, dn, iexp, ipow_neg, up
+from cfshrink.ivec import _ln_one_sided, dn, iexp, iln, ipow_neg, up
 from cfshrink.pressure import _sup_seed
 
 # the level table of the bin envelope: (bins, singleton digits, dyadic blocks)
@@ -253,11 +253,97 @@ def test_edge_weights_do_not_depend_on_chunking(monkeypatch):
     ref_power = _transfer.apply_power(3, 1.6, layout)
     for chunk in (1, 100, 3000, 10**7):
         monkeypatch.setattr(_transfer, "_CHUNK", chunk)
+        _transfer._geometry.cache_clear()  # else the second build reads the first
         got = _transfer._setup(layout, 1.6, layout.edges)
         for part, want in zip(got, ref):
             assert part.keys() == want.keys()
             assert all(np.array_equal(part[f], want[f]) for f in want)
         assert _transfer.apply_power(3, 1.6, layout) == ref_power
+    _transfer._geometry.cache_clear()
+
+
+# -- the geometry cache: per-layout work once, per-t work per probe --------------
+
+def _digits(name):
+    """A full, a small and a gappy digit set; the gappy one has blocks at every level."""
+    return {"full": None, "upto5": range(1, 6), "gappy": GAPPY}[name]
+
+
+def _setup_grid(level, name):
+    """(layout, t, points) over t < 1, t = 1 and t > 1 (t > 1 alone on the
+    full alphabet, where t <= 1 diverges) and both point sets of a solver."""
+    layout = _transfer.make_layout(level, _digits(name))
+    ts = (1.0000001, 1.5, 2.7) if name == "full" else (0.6, 1.0, 1.5)
+    return [(layout, t, r) for t in ts for r in (layout.edges, np.zeros(1))]
+
+
+def _same_fields(got, want):
+    """The same fields and shapes; floats bit for bit, indices by value."""
+    assert got.keys() == want.keys()
+    for f, v in got.items():
+        assert np.shape(v) == np.shape(want[f]), f
+        assert (_same_bits(v, want[f]) if np.asarray(v).dtype == np.float64
+                else np.array_equal(v, want[f])), f
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("name", ["full", "upto5", "gappy"])
+def test_setup_has_the_bits_of_the_single_pass_setup(level, name):
+    """Geometry from the cache plus the per-t work gives every field of the
+    setup that built all of it at one t (chord_envelope.setup)."""
+    for layout, t, r in _setup_grid(level, name):
+        (singles, blocks), (want_s, want_b) = setup_fields(_transfer._setup(layout, t, r)), setup(layout, t, r)
+        _same_fields(singles, want_s)
+        if want_b["lo_cap"].shape[0]:
+            _same_fields(blocks, want_b)
+        else:
+            assert blocks is None  # no block data is built for a layout without blocks
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("name", ["full", "upto5", "gappy"])
+def test_cached_setup_equals_a_fresh_build(level, name):
+    for layout, t, r in _setup_grid(level, name):
+        _transfer._setup(layout, t, r)
+        hits = _transfer._geometry.cache_info().hits
+        cached = _transfer._setup(layout, t, r)
+        assert _transfer._geometry.cache_info().hits == hits + 1
+        _transfer._geometry.cache_clear()
+        for part, want in zip(cached, _transfer._setup(layout, t, r)):
+            _same_fields(part, want)
+
+
+@pytest.mark.parametrize("t", [0.6, 1.0, 1.02, 1.5, 2.7])
+def test_block_sums_in_one_pass_match_the_per_call_sums(t):
+    """_block_sums over finite blocks and the tail at once has the bits of
+    the per-call _end_sums, finite blocks and tail apart."""
+    A1 = np.array([[33.0], [65.0], [129.0], [4097.0]])
+    A2 = np.array([[64.0], [100.0], [256.0]])  # the last block is the tail
+    nf = 3 if t > 1 else 2  # the tail sum diverges for t <= 1
+    A1 = A1[:nf + 1] if t > 1 else A1[:nf]
+    c = np.array([0.0, 0.25, 0.5, 1.0])
+    y = np.concatenate([A1 - 0.5 + c, A2[:nf] + 0.5 + c])
+    ends = dn(y), up(y)
+    got = _transfer._block_sums(*(np.stack(v) for v in (ends, ipow_neg(*ends, t), iln(*ends))), nf, t)
+    want = [_cell_sum(A1[:nf], A2[:nf], c, t)]
+    if len(A1) > nf:
+        want.append(_cell_sum(A1[nf:], None, c, t))
+    for k in range(5):
+        for i in (0, 1):
+            assert _same_bits(got[i][k], np.concatenate([w[k][i] for w in want])), (k, i)
+
+
+def test_cached_geometry_is_read_only():
+    layout = _transfer.make_layout(0, GAPPY)
+    singles, ln, ends, _ = _transfer._geometry(layout, layout.edges.tobytes())
+    arrays = [*singles.values(), ln, ends]
+    assert len(arrays) == 11
+    for v in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            v.flat[0] = 0.0
+    data = _transfer._setup(layout, 1.5, layout.edges)
+    with pytest.raises(ValueError, match="read-only"):
+        data[0]["hi"][0, 0, 0, 0] = 1.0
 
 
 def test_blocks_must_start_above_the_nodes():
